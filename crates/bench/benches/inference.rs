@@ -4,16 +4,10 @@
 //! micro-batcher banks on, and cold-load time (lazy streaming loader vs
 //! zero-copy image decode).
 //!
-//! `batch_16` vs `sequential_16` is the acceptance comparison.
-//! `sequential_16` pins the **frozen plan-v1 engine** — 16 solo
-//! per-window calls, exactly what 16 non-batched sessions paid per tick
-//! when this benchmark was introduced (PR 5 measured ~1.49 ms; v1 never
-//! changes, so the baseline stays comparable across history).
-//! `batch_16` is one batched tick on the runtime-default engine (plan
-//! v2's stacked multi-window GEMMs), so the ratio is the real delivered
-//! win of batching a serving tick. `sequential_16_v2` reports the
-//! within-version residual — same v2 kernels, 16 dispatches — separating
-//! kernel gains from batching gains in the JSON.
+//! `batch_16` vs `sequential_16` is the acceptance comparison: one
+//! batched tick (stacked multi-window GEMMs) against 16 solo calls on the
+//! same engine, which is what 16 non-batched sessions pay per tick. The
+//! ratio is what batching a serving tick buys over per-window dispatch.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -68,29 +62,9 @@ fn bench_inference(c: &mut Criterion) {
             out[0]
         });
     });
-    // 16 windows, 16 solo dispatches through the frozen v1 per-window
-    // engine — what 16 sessions paid per tick before this batch path
-    // existed (see module docs: the pinned-version baseline keeps
-    // `batch_16 / sequential_16` meaningful across engine generations).
-    let mut v1_scratch = EnsembleScratch::with_version(&ensemble, ml::plan::PlanVersion::V1);
+    // 16 windows, 16 solo dispatches: what 16 sessions pay per tick
+    // without the micro-batcher.
     group.bench_function("sequential_16", |b| {
-        b.iter(|| {
-            for w in 0..16 {
-                ensemble.predict_batch_into(
-                    &windows[w * per_window..(w + 1) * per_window],
-                    1,
-                    CHANNELS,
-                    &pool,
-                    &mut v1_scratch,
-                    &mut out[..CLASSES],
-                );
-            }
-            out[0]
-        });
-    });
-    // The same 16 solo dispatches on the current engine: isolates what
-    // batching itself buys over per-window v2 calls.
-    group.bench_function("sequential_16_v2", |b| {
         b.iter(|| {
             for w in 0..16 {
                 ensemble.predict_batch_into(

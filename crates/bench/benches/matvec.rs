@@ -19,8 +19,9 @@ fn random_tensor(shape: Vec<usize>, seed: u64) -> Tensor {
 }
 
 /// Sweeps sparse-vs-dense execution across density at the 512×512 layer
-/// shape, through the `MatRep` dispatch serving actually runs (compiled
-/// execution formats, not the storage kernels). `BENCH_matvec-density.json`
+/// shape, through the `MatRep` dispatch serving actually runs (the blocked
+/// dense kernel and the compiled sparse execution formats, not the
+/// storage kernels). `BENCH_matvec-density.json`
 /// is the empirical source for `ml::compress::CSR_MAX_DENSITY` — the
 /// density up to which the sparse representation beats dense execution.
 fn density_crossover(c: &mut Criterion) {

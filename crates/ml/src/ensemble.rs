@@ -10,7 +10,7 @@ use exec::ExecPool;
 use crate::forest::{window_stat_features, window_stat_features_into, RandomForest};
 use crate::infer::{softmax_into, InferModel};
 use crate::models::CLASSES;
-use crate::plan::{InferPlan, PlanVersion};
+use crate::plan::InferPlan;
 
 /// Anything that can classify a channel-major EEG window.
 pub trait Classifier: Send + Sync {
@@ -183,85 +183,15 @@ impl Member {
             Member::Custom(b) => b.as_ref(),
         }
     }
-
-    /// The allocation-free counterpart of
-    /// [`Classifier::predict_proba_window`]: tail extraction, features and
-    /// activations all live in `lane`, probabilities land in `out`. The
-    /// arithmetic — and its order — is identical to the allocating trait
-    /// path, so the two produce the same bits (`Custom` members have no
-    /// scratch contract and fall back to the trait call).
-    fn predict_proba_window_into(
-        &self,
-        window: &[f32],
-        channels: usize,
-        win_len: usize,
-        lane: &mut LaneScratch,
-        out: &mut [f32],
-    ) {
-        match self {
-            Member::Net(m) => {
-                tail_window_into(window, channels, win_len, m.window(), &mut lane.tail);
-                let plan = lane.plan.as_mut().expect("net lane carries a plan");
-                m.predict_logits_into(&lane.tail, 1, plan, &mut lane.logits);
-                softmax_into(&lane.logits, out);
-            }
-            Member::Forest(c) => {
-                tail_window_into(
-                    window,
-                    channels,
-                    win_len,
-                    Classifier::window(c),
-                    &mut lane.tail,
-                );
-                window_stat_features_into(&lane.tail, channels, &mut lane.features);
-                c.forest().predict_proba_into(&lane.features, out);
-            }
-            Member::Custom(b) => {
-                let p = b.predict_proba_window(window, channels, win_len);
-                out.fill(0.0);
-                for (o, &v) in out.iter_mut().zip(&p) {
-                    *o = v;
-                }
-            }
-        }
-    }
 }
 
-/// Scratch for one inference lane: one member classifying one window.
-/// Compiled nets carry an [`InferPlan`]; forests carry tail/feature
-/// buffers. Everything is reused across calls, so the steady-state lane
-/// performs zero heap allocations once warm.
-#[derive(Debug)]
-struct LaneScratch {
-    plan: Option<InferPlan>,
-    tail: Vec<f32>,
-    logits: Vec<f32>,
-    features: Vec<f32>,
-}
-
-impl LaneScratch {
-    fn for_member(member: &Member, version: PlanVersion) -> Self {
-        let plan = match member {
-            Member::Net(m) => Some(InferPlan::compile_with(m, version)),
-            Member::Forest(_) | Member::Custom(_) => None,
-        };
-        let classes = plan.as_ref().map_or(0, InferPlan::classes);
-        Self {
-            plan,
-            tail: Vec::new(),
-            logits: vec![0.0; classes],
-            features: Vec::new(),
-        }
-    }
-}
-
-/// One pool job of a **v2** batched ensemble call: one member classifying
-/// a contiguous *chunk* of the batch through a single batched forward
-/// pass (nets run one stacked-GEMM [`InferPlan`] call; forests loop
-/// windows over their reused feature scratch). Plan-v2 kernels are
-/// row-count invariant, so each window's probabilities are bit-identical
-/// to a single-window v2 call — neither batching nor how the batch is
-/// chunked across lanes has any numerics consequence within the version.
+/// One pool job of a batched ensemble call: one member classifying a
+/// contiguous *chunk* of the batch through a single batched forward pass
+/// (nets run one stacked-GEMM [`InferPlan`] call; forests loop windows
+/// over their reused feature scratch). The plan's kernels are row-count
+/// invariant, so each window's probabilities are bit-identical to a
+/// single-window call — neither batching nor how the batch is chunked
+/// across lanes has any numerics consequence.
 #[derive(Debug)]
 struct MemberSlot {
     member: usize,
@@ -313,9 +243,7 @@ impl MemberSlot {
                             .copy_from_slice(&row[win_len - mw..]);
                     }
                 }
-                let plan = self
-                    .plan
-                    .get_or_insert_with(|| InferPlan::compile_with(m, PlanVersion::V2));
+                let plan = self.plan.get_or_insert_with(|| InferPlan::compile(m));
                 let classes = plan.classes();
                 self.logits.resize(batch * classes, 0.0);
                 plan.predict_logits_into(m, &self.tails[..batch * per_tail], batch, &mut self.logits);
@@ -350,111 +278,36 @@ impl MemberSlot {
     }
 }
 
-/// One pool job of a batched ensemble call: member `member` classifying
-/// batch window `window` into its private `out` slot. The lane
-/// materializes on first use, so lanes that are never dispatched (e.g.
-/// high batch slots on a sequential pool, which reuses each member's
-/// first lane) cost nothing.
-#[derive(Debug)]
-struct JobSlot {
-    member: usize,
-    window: usize,
-    lane: Option<LaneScratch>,
-    out: Vec<f32>,
-}
-
 /// The reusable scratch arena for one ensemble's batched inference:
-/// `batch × members` independent lanes (each net lane owns a compiled
-/// [`InferPlan`]), laid out batch-major — `slots[b * members + m]` — so
-/// the live slots of a `batch`-window call are exactly the prefix
-/// `slots[..batch * members]` (no dead-lane dispatch) and growing to a
-/// larger batch *appends* slots without touching existing warm lanes.
-/// Build one per serving session (or per micro-batch group) with
+/// chunk lanes laid out lane-major — `member_slots[lane * members + m]`
+/// (each net slot owns a compiled [`InferPlan`]) — so growing the lane
+/// count appends slots without touching warm ones, and a 1-lane
+/// (sequential) call dispatches exactly the first `members` slots. Build
+/// one per serving session (or per micro-batch group) with
 /// [`EnsembleScratch::new`] and reuse it for every call; once warm it
 /// allocates nothing.
 ///
-/// A scratch arena belongs to the ensemble it was built from — lanes are
+/// A scratch arena belongs to the ensemble it was built from — slots are
 /// compiled per member, and using it with a structurally different
 /// ensemble panics.
 #[derive(Debug)]
 pub struct EnsembleScratch {
-    version: PlanVersion,
-    /// V1 layout: `batch × members` per-(window, member) lanes.
-    slots: Vec<JobSlot>,
-    /// V2 layout: lane-major chunk lanes — `member_slots[lane * members
-    /// + m]` — so growing the lane count appends slots without touching
-    /// warm ones, and a 1-lane (sequential) call dispatches exactly the
-    /// first `members` slots.
     member_slots: Vec<MemberSlot>,
-    batch_cap: usize,
     members: usize,
 }
 
 impl EnsembleScratch {
-    /// Scratch for single-window calls on `ensemble` at the process-wide
-    /// [`PlanVersion::runtime_default`] (grows on demand when a larger
-    /// batch first arrives).
+    /// Scratch for `ensemble`: one lane per member, grown on demand when a
+    /// batched call fans out over more lanes.
     #[must_use]
     pub fn new(ensemble: &Ensemble) -> Self {
-        Self::with_version(ensemble, PlanVersion::runtime_default())
-    }
-
-    /// [`EnsembleScratch::new`] pinned to an explicit numerics version;
-    /// every batched call through this scratch runs that version's
-    /// kernels (nets compile their plans to match).
-    #[must_use]
-    pub fn with_version(ensemble: &Ensemble, version: PlanVersion) -> Self {
-        let member_slots = match version {
-            PlanVersion::V1 => Vec::new(),
-            PlanVersion::V2 => (0..ensemble.len()).map(MemberSlot::new).collect(),
-        };
-        let mut scratch = Self {
-            version,
-            slots: Vec::new(),
-            member_slots,
-            batch_cap: 0,
+        Self {
+            member_slots: (0..ensemble.len()).map(MemberSlot::new).collect(),
             members: ensemble.len(),
-        };
-        scratch.ensure_batch(ensemble, 1);
-        scratch
-    }
-
-    /// The numerics version this scratch runs.
-    #[must_use]
-    pub fn version(&self) -> PlanVersion {
-        self.version
-    }
-
-    /// The largest batch this scratch currently serves without growing.
-    #[must_use]
-    pub fn batch_capacity(&self) -> usize {
-        self.batch_cap
-    }
-
-    fn ensure_batch(&mut self, ensemble: &Ensemble, batch: usize) {
-        assert_eq!(
-            self.members,
-            ensemble.len(),
-            "scratch built for a different ensemble"
-        );
-        if self.version == PlanVersion::V1 {
-            for b in self.batch_cap..batch {
-                for mi in 0..self.members {
-                    self.slots.push(JobSlot {
-                        member: mi,
-                        window: b,
-                        lane: None,
-                        out: vec![0.0; CLASSES],
-                    });
-                }
-            }
         }
-        // V2 member slots grow their own buffers on first use of a
-        // larger batch; nothing to do here beyond the capacity bump.
-        self.batch_cap = self.batch_cap.max(batch);
     }
 
-    /// Grows the v2 arena to at least `lanes` chunk lanes per member,
+    /// Grows the arena to at least `lanes` chunk lanes per member,
     /// appending fresh lane-major slots without touching warm ones.
     fn ensure_lanes(&mut self, lanes: usize) {
         let cur = self.member_slots.len() / self.members;
@@ -666,12 +519,12 @@ impl Ensemble {
     /// `channels × win_len` long) in one call, writing `batch × CLASSES`
     /// combined probabilities to `out`.
     ///
-    /// Work fans out as `members × batch` independent jobs on `pool`, each
-    /// into its own preallocated lane of `scratch`; results are combined
-    /// per window in member order. Per window, arithmetic and its order
-    /// are identical to [`Ensemble::predict_proba`] — batching changes
-    /// memory layout, never numerics — so a batched serving tick is
-    /// bit-identical to per-session inference by construction.
+    /// Each member's batch splits into contiguous chunks, one job per
+    /// (member, chunk) on `pool`, each into its own preallocated lane of
+    /// `scratch`; results are combined per window in member order. Per
+    /// window the bits equal [`Ensemble::predict_proba`]'s — the engine is
+    /// row-count invariant — so a batched serving tick is bit-identical to
+    /// per-session inference by construction.
     ///
     /// # Panics
     ///
@@ -705,142 +558,50 @@ impl Ensemble {
         );
         let win_len = windows.len() / (batch * channels);
         assert_eq!(out.len(), batch * CLASSES, "probability buffer size");
-        scratch.ensure_batch(self, batch);
-        let per_window = channels * win_len;
         let members = &self.members;
         let n_members = members.len();
-        let parallel = pool.is_some_and(|p| p.threads() > 1);
-        if scratch.version == PlanVersion::V2 {
-            if batch == 1 {
-                // Single-window fast path: one lane, one chunk — skip the
-                // lane/chunk bookkeeping entirely so the steady-state
-                // serving tick (and `predict_proba`) pays no batch setup.
-                // The slots run the same per-member kernels with
-                // `start = 0, len = 1`, so numerics are untouched (plan-v2
-                // kernels are row-count invariant).
-                for slot in &mut scratch.member_slots[..n_members] {
-                    slot.start = 0;
-                    slot.len = 1;
-                }
-                if parallel {
-                    let pool = pool.expect("parallel implies a pool");
-                    pool.par_map_mut(&mut scratch.member_slots[..n_members], |slot| {
-                        slot.run(&members[slot.member], windows, channels, win_len);
-                    });
-                } else {
-                    for slot in &mut scratch.member_slots[..n_members] {
-                        slot.run(&members[slot.member], windows, channels, win_len);
-                    }
-                }
-                self.combine_into(
-                    scratch.member_slots[..n_members]
-                        .iter()
-                        .map(|s| &s.out[..CLASSES]),
-                    out,
-                );
-                return;
-            }
-            // Fan-out: each member's batch splits into `lanes` contiguous
-            // chunks, one stacked-GEMM job per (member, lane) — enough
-            // jobs to feed every pool thread even when the ensemble has
-            // fewer members than the pool has threads. Plan-v2 kernels
-            // are row-count invariant — every window's bits are
-            // independent of how the batch is chunked — so the lane
-            // count may track the thread count without perturbing
-            // results, and the combine below is deterministic because
-            // each window's member probabilities land in fixed slots
-            // folded in member order.
-            let threads = pool.map_or(1, ExecPool::threads);
-            let lanes = if parallel {
-                ((threads * 2).div_ceil(n_members)).clamp(1, batch)
-            } else {
-                1
-            };
-            let chunk = batch.div_ceil(lanes);
-            let used = batch.div_ceil(chunk);
-            scratch.ensure_lanes(used);
-            let live = used * n_members;
-            for (i, slot) in scratch.member_slots[..live].iter_mut().enumerate() {
-                let start = (i / n_members) * chunk;
-                slot.start = start;
-                slot.len = chunk.min(batch - start);
-            }
-            if parallel {
-                let pool = pool.expect("parallel implies a pool");
-                pool.par_map_mut(&mut scratch.member_slots[..live], |slot| {
-                    slot.run(&members[slot.member], windows, channels, win_len);
-                });
-            } else {
-                for slot in &mut scratch.member_slots[..live] {
-                    slot.run(&members[slot.member], windows, channels, win_len);
-                }
-            }
-            for b in 0..batch {
-                let lane = b / chunk;
-                let off = b - lane * chunk;
-                let acc = &mut out[b * CLASSES..(b + 1) * CLASSES];
-                self.combine_into(
-                    (0..n_members).map(|m| {
-                        let s = &scratch.member_slots[lane * n_members + m];
-                        &s.out[off * CLASSES..(off + 1) * CLASSES]
-                    }),
-                    acc,
-                );
-            }
-            return;
+        assert_eq!(
+            scratch.members, n_members,
+            "scratch built for a different ensemble"
+        );
+        // Fan-out: each member's batch splits into `lanes` contiguous
+        // chunks, one stacked-GEMM job per (member, lane) — enough jobs to
+        // feed every pool thread even when the ensemble has fewer members
+        // than the pool has threads. The kernels are row-count invariant —
+        // every window's bits are independent of how the batch is chunked
+        // — so the lane count may track the thread count without
+        // perturbing results, and the combine below is deterministic
+        // because each window's member probabilities land in fixed slots
+        // folded in member order. A single window is one lane, one chunk.
+        let pool = pool.filter(|p| p.threads() > 1);
+        let lanes = pool.map_or(1, |p| (p.threads() * 2).div_ceil(n_members).clamp(1, batch));
+        let chunk = batch.div_ceil(lanes);
+        let used = batch.div_ceil(chunk);
+        scratch.ensure_lanes(used);
+        let live = &mut scratch.member_slots[..used * n_members];
+        for (i, slot) in live.iter_mut().enumerate() {
+            slot.start = (i / n_members) * chunk;
+            slot.len = chunk.min(batch - slot.start);
         }
-        if parallel {
-            let pool = pool.expect("parallel implies a pool");
-            // One independent job per (window, member) pair, each with its
-            // own lane (materialized on first use) — per-index
-            // determinism: results land in fixed slots and are combined
-            // in a fixed order below. The batch-major layout makes the
-            // live slots exactly this prefix, so no dead lane is ever
-            // dispatched. `par_map_mut` of a unit closure collects a
-            // `Vec<()>`, which never allocates.
-            pool.par_map_mut(&mut scratch.slots[..batch * n_members], |slot| {
-                let w = &windows[slot.window * per_window..(slot.window + 1) * per_window];
-                let member = &members[slot.member];
-                let lane = slot
-                    .lane
-                    .get_or_insert_with(|| LaneScratch::for_member(member, PlanVersion::V1));
-                member.predict_proba_window_into(w, channels, win_len, lane, &mut slot.out);
-            });
-        } else {
-            // Sequential: reuse each member's *first* lane for every
-            // window (scratch contents never affect outputs), keeping the
-            // arena cache-hot and the high batch slots lane-free — a
-            // batched call costs what the per-window loop costs.
-            for b in 0..batch {
-                let w = &windows[b * per_window..(b + 1) * per_window];
-                for (mi, member) in members.iter().enumerate() {
-                    if b == 0 {
-                        let slot = &mut scratch.slots[mi];
-                        let lane = slot
-                            .lane
-                            .get_or_insert_with(|| LaneScratch::for_member(member, PlanVersion::V1));
-                        member.predict_proba_window_into(w, channels, win_len, lane, &mut slot.out);
-                    } else {
-                        let (head, tail) = scratch.slots.split_at_mut(b * n_members + mi);
-                        let lane = head[mi]
-                            .lane
-                            .get_or_insert_with(|| LaneScratch::for_member(member, PlanVersion::V1));
-                        member.predict_proba_window_into(
-                            w,
-                            channels,
-                            win_len,
-                            lane,
-                            &mut tail[0].out,
-                        );
-                    }
-                }
+        let run = |slot: &mut MemberSlot| {
+            slot.run(&members[slot.member], windows, channels, win_len);
+        };
+        match pool {
+            Some(pool) => {
+                // A unit closure collects a `Vec<()>`, which never allocates.
+                pool.par_map_mut(live, run);
             }
+            None => live.iter_mut().for_each(run),
         }
         for b in 0..batch {
-            let acc = &mut out[b * CLASSES..(b + 1) * CLASSES];
+            let lane = b / chunk;
+            let off = b - lane * chunk;
             self.combine_into(
-                (0..n_members).map(|m| scratch.slots[b * n_members + m].out.as_slice()),
-                acc,
+                (0..n_members).map(|m| {
+                    let s = &scratch.member_slots[lane * n_members + m];
+                    &s.out[off * CLASSES..(off + 1) * CLASSES]
+                }),
+                &mut out[b * CLASSES..(b + 1) * CLASSES],
             );
         }
     }

@@ -7,10 +7,9 @@
 //! and quantized variants run *different kernels*, not masked dense math.
 //!
 //! The single-window `predict_*` surface here matches the 15 Hz real-time
-//! loop of Sec. IV-A3; the serving hot path compiles models into
-//! [`crate::plan::InferPlan`]s — preallocated scratch arenas whose batched
-//! kernels share these exact `_into` primitives, so the allocation-free
-//! path is bit-identical to this one.
+//! loop of Sec. IV-A3. It is a thin wrapper over the one engine, the
+//! compiled [`crate::plan::InferPlan`]: a preallocated scratch arena whose
+//! batched stages call the `_into` primitives defined here.
 
 use serde::{Deserialize, Serialize};
 
@@ -53,50 +52,19 @@ pub struct ExecScratch {
 }
 
 impl MatRep {
-    /// `x [m, k] × W [k, n]`, dispatching on the representation.
-    #[must_use]
-    pub fn left_matmul(&self, x: &Tensor) -> Tensor {
-        match self {
-            MatRep::Dense(w) => x.matmul(w),
-            MatRep::Sparse(w) => w.left_matmul(x),
-            MatRep::Int8(w) => w.left_matmul(x),
-        }
-    }
-
-    /// [`MatRep::left_matmul`] over raw slices into a preallocated output
-    /// (`out` is fully overwritten). Compressed representations execute
-    /// through their compiled execution format
-    /// ([`crate::matexec::SparseExec`] / [`crate::matexec::Int8Exec`]),
-    /// which is bit-identical to the storage kernel it replaces, so the
-    /// compiled plan stays bit-identical to the legacy path.
+    /// `x [m, k] × W [k, n]` over raw slices into a preallocated output
+    /// (`out` is fully overwritten), dispatching on the representation.
+    /// Dense matrices run [`crate::tensor::matmul_blocked_kernel`] (the
+    /// multi-row blocked GEMM); compressed representations execute through
+    /// their compiled execution format ([`crate::matexec::SparseExec`] /
+    /// [`crate::matexec::Int8Exec`]), which is bit-identical to the storage
+    /// kernel it replaces. Every path is row-count invariant: row `i` of an
+    /// `m`-row call gets the bits of a 1-row call.
     ///
     /// # Panics
     ///
     /// Panics if `x` or `out` is shorter than the dimensions imply.
     pub fn left_matmul_into(&self, x: &[f32], m: usize, out: &mut [f32], qs: &mut ExecScratch) {
-        match self {
-            MatRep::Dense(w) => {
-                crate::tensor::matmul_kernel(x, w.data(), m, w.rows(), w.cols(), out);
-            }
-            MatRep::Sparse(w) => {
-                w.exec()
-                    .left_matmul_into(x, m, out, &mut qs.xt, &mut qs.yt);
-            }
-            MatRep::Int8(w) => w.left_matmul_into(x, m, out, qs),
-        }
-    }
-
-    /// The plan-v2 counterpart of [`MatRep::left_matmul_into`]: dense
-    /// matrices route to [`crate::tensor::matmul_blocked_kernel`] (the
-    /// reassociated multi-row GEMM — different bits, versioned
-    /// deliberately); CSR and int8 share v1's kernels, whose batched forms
-    /// are bit-exact reorderings (zero-skip and i32 associativity), so
-    /// only the dense path actually carries the numerics version.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `out` is shorter than the dimensions imply.
-    pub fn left_matmul_into_v2(&self, x: &[f32], m: usize, out: &mut [f32], qs: &mut ExecScratch) {
         match self {
             MatRep::Dense(w) => {
                 crate::tensor::matmul_blocked_kernel(x, w.data(), m, w.rows(), w.cols(), out);
@@ -311,18 +279,8 @@ pub struct LinearInfer {
 }
 
 impl LinearInfer {
-    /// Applies the stage to `x [m, k]`.
-    #[must_use]
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        let (m, n) = (x.rows(), self.w.dims().1);
-        let mut out = vec![0.0f32; m * n];
-        self.forward_into(x.data(), m, &mut out, &mut ExecScratch::default());
-        Tensor::new(vec![m, n], out)
-    }
-
-    /// [`LinearInfer::forward`] over raw slices into a preallocated output
-    /// (fully overwritten): matmul, bias rows, activation — the same three
-    /// steps in the same order as the allocating path.
+    /// Applies the stage to `x [m, k]` into a preallocated output (fully
+    /// overwritten): matmul, bias rows, activation.
     ///
     /// # Panics
     ///
@@ -331,27 +289,6 @@ impl LinearInfer {
         let (k, n) = self.w.dims();
         assert_eq!(x.len(), m * k, "linear stage input size");
         self.w.left_matmul_into(x, m, out, qs);
-        let out = &mut out[..m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[i * n + j] += self.bias[j];
-            }
-        }
-        self.act.apply_slice(out);
-    }
-
-    /// The plan-v2 counterpart of [`LinearInfer::forward_into`]: same
-    /// bias-then-activation epilogue, but the matmul dispatches through
-    /// [`MatRep::left_matmul_into_v2`] (the blocked multi-row GEMM for
-    /// dense weights).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `out` is shorter than the dimensions imply.
-    pub fn forward_into_v2(&self, x: &[f32], m: usize, out: &mut [f32], qs: &mut ExecScratch) {
-        let (k, n) = self.w.dims();
-        assert_eq!(x.len(), m * k, "linear stage input size");
-        self.w.left_matmul_into_v2(x, m, out, qs);
         let out = &mut out[..m * n];
         for i in 0..m {
             for j in 0..n {
@@ -396,61 +333,11 @@ impl ConvInfer {
         ((self.h - self.k) / self.stride + 1, (self.wdim - self.k) / self.stride + 1)
     }
 
-    /// Applies conv + ReLU + optional pool to one image `[cin*h*w]`.
-    #[must_use]
-    pub fn forward(&self, img: &[f32]) -> Vec<f32> {
-        let (ho, wo) = self.conv_out();
-        let patch = self.cin * self.k * self.k;
-        let spots = ho * wo;
-        let cout = self.bias.len();
-        let mut cols = vec![0.0f32; spots * patch];
-        let mut flat = vec![0.0f32; spots * cout];
-        let mut prepool = vec![0.0f32; cout * spots];
-        let mut out = vec![0.0f32; self.out_len()];
-        let written = self.forward_into(
-            img,
-            &mut cols,
-            &mut flat,
-            &mut prepool,
-            &mut out,
-            &mut ExecScratch::default(),
-        );
-        out.truncate(written);
-        out
-    }
-
-    /// [`ConvInfer::forward`] into caller-provided scratch (`cols`, `flat`,
-    /// `prepool`) and output buffers; returns the number of values written
-    /// to `out` (= [`ConvInfer::out_len`]). Identical arithmetic in
-    /// identical order to the allocating path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any buffer is shorter than the stage dimensions imply.
-    pub fn forward_into(
-        &self,
-        img: &[f32],
-        cols: &mut [f32],
-        flat: &mut [f32],
-        prepool: &mut [f32],
-        out: &mut [f32],
-        qs: &mut ExecScratch,
-    ) -> usize {
-        let (ho, wo) = self.conv_out();
-        let patch = self.cin * self.k * self.k;
-        let spots = ho * wo;
-        self.im2col_into(img, &mut cols[..spots * patch]);
-        // The kernel is stored [patch, cout] at compile time, so the plain
-        // left-multiply applies: cols [spots, patch] × W -> [spots, cout].
-        self.w.left_matmul_into(&cols[..spots * patch], spots, flat, qs);
-        self.bias_pool_into(flat, prepool, out);
-        self.out_len()
-    }
-
     /// Lowers one image into conv patches: `cols` receives the
-    /// `[spots, patch]` matrix the weight multiply consumes. Split out of
-    /// [`ConvInfer::forward_into`] so the batched (plan-v2) path can stack
-    /// many windows' patch matrices into one GEMM; values are identical.
+    /// `[spots, patch]` matrix the weight multiply consumes. The compiled
+    /// plan stacks many windows' patch matrices into one GEMM. The kernel
+    /// is stored `[patch, cout]` at compile time, so the plain
+    /// left-multiply applies: `cols [spots, patch] × W -> [spots, cout]`.
     pub(crate) fn im2col_into(&self, img: &[f32], cols: &mut [f32]) {
         let (ho, wo) = self.conv_out();
         let patch = self.cin * self.k * self.k;
@@ -476,8 +363,8 @@ impl ConvInfer {
     }
 
     /// The conv epilogue: bias + fused ReLU (transposing `[spots, cout]`
-    /// to channel-major), then the optional 2×2 pool into `out`. Shared by
-    /// the per-window and batched paths — one window's worth of `flat`.
+    /// to channel-major), then the optional 2×2 pool into `out` — one
+    /// window's worth of `flat`.
     pub(crate) fn bias_pool_into(&self, flat: &[f32], prepool: &mut [f32], out: &mut [f32]) {
         let (ho, wo) = self.conv_out();
         let spots = ho * wo;

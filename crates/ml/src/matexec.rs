@@ -90,7 +90,7 @@ impl<T> PartialEq for ExecCache<T> {
 }
 
 /// Densities **above** this compile the sparse execution format to a
-/// densified matrix (zeros materialized, run through the dense v1 kernel)
+/// densified matrix (zeros materialized, run through the dense kernel)
 /// instead of CSC streaming. Re-derived in PR 9 from the
 /// `BENCH_matvec-density.json` sweep (512×512): even the batched CSC
 /// panels stop paying once roughly half the entries are present, while
@@ -98,7 +98,7 @@ impl<T> PartialEq for ExecCache<T> {
 /// regardless of density.
 pub const SPARSE_DENSIFY_MIN_DENSITY: f64 = 0.5;
 
-/// Output widths at or above this are "wide": the dense v1 kernel runs
+/// Output widths at or above this are "wide": the dense kernel runs
 /// its 8-lane AVX2 column panels, so sparse execution competes against
 /// SIMD instead of a scalar loop. Narrow matrices (the paper's 3-class
 /// head) compare against the scalar dense path, where CSC wins at any
@@ -128,7 +128,7 @@ pub enum SparseExec {
     /// multiply-add chain over that column's stored entries.
     Csc(CscExec),
     /// Densified form for high-density matrices: zeros materialized,
-    /// executed by the dense v1 kernel (`[k, n]` row-major).
+    /// executed by [`crate::tensor::matmul_kernel`] (`[k, n]` row-major).
     Densified {
         /// Input width.
         k: usize,

@@ -1,19 +1,22 @@
 //! Compiled inference plans: the allocation-free, batch-first engine
 //! behind the 15 Hz label tick.
 //!
-//! [`crate::infer::InferModel::predict_logits`] is correct but allocates a
-//! fresh buffer for every intermediate activation of every window — fine
-//! for offline evaluation, ruinous for a serving host classifying many
-//! sessions per tick. An [`InferPlan`] is compiled once per model: every
-//! per-layer activation buffer is sized at build time into one scratch
-//! arena, and [`InferPlan::predict_logits_into`] runs whole batches of
-//! windows through the same kernels the allocating path uses
-//! ([`crate::tensor::matmul_kernel`] and friends), writing logits into a
-//! caller-provided buffer. The steady-state call performs **zero heap
-//! allocations**, and per window the arithmetic — and its evaluation
-//! order — is identical to the legacy path: batching changes memory
-//! layout, never numerics (`tests/tests/serving.rs` and the golden
-//! persistence fixtures lock exactly that).
+//! An [`InferPlan`] is compiled once per model: every per-layer activation
+//! buffer is sized at build time into one scratch arena, and
+//! [`InferPlan::predict_logits_into`] runs a whole batch of windows
+//! through **stacked multi-window GEMMs** — the batch's windows become
+//! matrix rows and every linear stage runs once at
+//! `m = batch·rows_per_window` (dense weights through
+//! [`crate::tensor::matmul_blocked_kernel`], the 4-row-blocked, paired-`k`
+//! kernel), writing logits into a caller-provided buffer. The
+//! steady-state call performs **zero heap allocations**.
+//!
+//! Every kernel the plan dispatches to is **row-count invariant**: window
+//! `i` of a batch gets exactly the bits a single-window call produces, so
+//! micro-batched serving stays bit-identical to solo sessions
+//! (`tests/tests/serving.rs` and the golden label traces lock exactly
+//! that). [`InferModel::predict_logits`] is a fresh-plan wrapper over the
+//! same engine.
 //!
 //! A plan is only meaningful for the model it was compiled from; the
 //! entry point asserts the cheap structural facts (architecture, input
@@ -21,50 +24,27 @@
 //!
 //! # Numerics versions
 //!
-//! Plans carry a [`PlanVersion`]:
-//!
-//! * **V1** — the original engine: each window of a batch runs the full
-//!   per-window forward pass, bit-identical to every artifact produced
-//!   since the engine shipped. Frozen; never changes.
-//! * **V2** (runtime default) — true multi-window GEMMs: a batch's
-//!   windows are stacked as matrix rows and every linear stage runs once
-//!   at `m = batch·rows_per_window` through
-//!   [`crate::tensor::matmul_blocked_kernel`], the 4-row-blocked,
-//!   paired-`k` dense kernel. The reassociated `k` loop produces
-//!   *different f32 bits* than v1 (documented tolerance, not drift —
-//!   that's why the version exists), but every v2 kernel is **row-count
-//!   invariant**: window `i` of a batch gets exactly the bits a
-//!   single-window v2 call would produce, so micro-batched serving stays
-//!   bit-identical to solo sessions within the version.
-//!
-//! Select globally with `COGARM_PLAN=1` (or `v1`) in the environment, or
-//! explicitly per plan via [`InferPlan::compile_with`].
+//! [`PlanVersion`] names the numerics the engine produces. There is one,
+//! **V2**, locked by committed golden traces. A change that would move
+//! its bits adds a new version beside it with its own fixtures; an old
+//! version stays only while something consumes it.
 
-use crate::infer::{
-    self, CnnInfer, InferModel, LstmInfer, ExecScratch, TfInfer,
-};
+use crate::infer::{self, CnnInfer, ExecScratch, InferModel, LstmInfer, TfInfer};
 use crate::tensor::{matmul_kernel, matmul_t_kernel};
 
-/// Which numerics generation a compiled plan (or ensemble scratch) runs —
-/// see the module docs for the contract each version carries.
+/// Which numerics generation the engine runs — see the module docs for
+/// the contract a version carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanVersion {
-    /// Per-window forward passes; bit-identical to all v1-era artifacts.
-    V1,
     /// Batched multi-window GEMMs; row-count-invariant reassociated math.
     V2,
 }
 
 impl PlanVersion {
-    /// The version newly compiled plans get: **V2**, unless the
-    /// environment opts the whole process back into the frozen v1
-    /// numerics with `COGARM_PLAN=1` (or `v1`, case-insensitive).
+    /// The version compiled plans run: **V2**, the only one.
     #[must_use]
     pub fn runtime_default() -> Self {
-        match std::env::var("COGARM_PLAN") {
-            Ok(v) if v == "1" || v.eq_ignore_ascii_case("v1") => PlanVersion::V1,
-            _ => PlanVersion::V2,
-        }
+        PlanVersion::V2
     }
 }
 
@@ -76,8 +56,7 @@ pub struct InferPlan {
     channels: usize,
     window: usize,
     classes: usize,
-    version: PlanVersion,
-    /// Largest batch the v2 buffers currently hold (v1 never grows past 1).
+    /// Largest batch the buffers currently hold.
     batch_cap: usize,
     kind: KindPlan,
     qs: ExecScratch,
@@ -104,12 +83,12 @@ struct CnnPlan {
     prepool: Vec<f32>,
 }
 
-/// Recurrent state and gate buffers, one slot per layer.
+/// Recurrent state and gate buffers, one slot per layer and window.
 #[derive(Debug, Clone)]
 struct LstmPlan {
-    /// Hidden states, `cells × hidden`.
+    /// Hidden states, `cells × batch × hidden`.
     h: Vec<f32>,
-    /// Cell states, `cells × hidden`.
+    /// Cell states, `cells × batch × hidden`.
     c: Vec<f32>,
     h_new: Vec<f32>,
     input: Vec<f32>,
@@ -117,7 +96,7 @@ struct LstmPlan {
     z_out: Vec<f32>,
 }
 
-/// Encoder activation buffers sized to one window's sequence.
+/// Encoder activation buffers sized to a batch of windows' sequences.
 #[derive(Debug, Clone)]
 struct TfPlan {
     rows: Vec<f32>,
@@ -138,34 +117,24 @@ struct TfPlan {
 }
 
 impl InferPlan {
-    /// Compiles a plan for `model` at the process-wide
-    /// [`PlanVersion::runtime_default`]: sizes every activation buffer the
-    /// forward pass needs (no arithmetic happens here).
+    /// Compiles a plan for `model`: sizes every activation buffer a
+    /// single-window forward pass needs (no arithmetic happens here).
     #[must_use]
     pub fn compile(model: &InferModel) -> Self {
-        Self::compile_with(model, PlanVersion::runtime_default())
-    }
-
-    /// [`InferPlan::compile`] pinned to an explicit numerics version —
-    /// the hook tests and fixture generators use to compare v1 and v2
-    /// side by side regardless of the environment.
-    #[must_use]
-    pub fn compile_with(model: &InferModel, version: PlanVersion) -> Self {
         // Compressed weights compile their execution formats now (CSC /
         // densified sparse, int8 layout selection) rather than on the
         // first inference call — plan build is the declared compile point,
         // and the memoized forms are shared by every clone of the model.
         model.visit_weights(infer::MatRep::precompile);
         let kind = match model {
-            InferModel::Cnn(m) => KindPlan::Cnn(CnnPlan::compile(m)),
-            InferModel::Lstm(m) => KindPlan::Lstm(LstmPlan::compile(m)),
-            InferModel::Transformer(m) => KindPlan::Tf(TfPlan::compile(m)),
+            InferModel::Cnn(m) => KindPlan::Cnn(CnnPlan::sized(m, 1)),
+            InferModel::Lstm(m) => KindPlan::Lstm(LstmPlan::sized(m, 1)),
+            InferModel::Transformer(m) => KindPlan::Tf(TfPlan::sized(m, 1)),
         };
         Self {
             channels: model.channels(),
             window: model.window(),
             classes: model.classes(),
-            version,
             batch_cap: 1,
             kind,
             qs: ExecScratch::default(),
@@ -178,23 +147,12 @@ impl InferPlan {
         self.classes
     }
 
-    /// The numerics version this plan runs.
-    #[must_use]
-    pub fn version(&self) -> PlanVersion {
-        self.version
-    }
-
     /// Runs `batch` channel-major windows (concatenated in `windows`)
     /// through the compiled network, writing `batch × classes` logits to
     /// `out`. Zero heap allocations once the plan has seen its largest
-    /// batch (v2 buffers grow on first use of a bigger batch; v1 never
-    /// grows).
-    ///
-    /// Under **V1** each window runs the full per-window pass —
-    /// bit-identical to [`InferModel::predict_logits`] on a v1 plan. Under
-    /// **V2** the whole batch runs through stacked multi-window GEMMs;
-    /// row-count invariance makes window `i`'s logits bit-identical to a
-    /// `batch = 1` v2 call.
+    /// batch (the buffers grow on first use of a bigger batch). Row-count
+    /// invariance makes window `i`'s logits bit-identical to a
+    /// `batch = 1` call.
     ///
     /// # Panics
     ///
@@ -215,120 +173,59 @@ impl InferPlan {
         let per_window = self.channels * self.window;
         assert_eq!(windows.len(), batch * per_window, "window batch size");
         assert_eq!(out.len(), batch * self.classes, "logit buffer size");
-        match self.version {
-            PlanVersion::V1 => {
-                for b in 0..batch {
-                    let window = &windows[b * per_window..(b + 1) * per_window];
-                    let logits = &mut out[b * self.classes..(b + 1) * self.classes];
-                    match (&mut self.kind, model) {
-                        (KindPlan::Cnn(plan), InferModel::Cnn(m)) => {
-                            plan.run(m, window, logits, &mut self.qs);
-                        }
-                        (KindPlan::Lstm(plan), InferModel::Lstm(m)) => {
-                            plan.run(m, window, logits, &mut self.qs);
-                        }
-                        (KindPlan::Tf(plan), InferModel::Transformer(m)) => {
-                            plan.run(m, window, logits, &mut self.qs);
-                        }
-                        _ => panic!("plan architecture disagrees with model"),
-                    }
+        let grow = batch > self.batch_cap;
+        match (&mut self.kind, model) {
+            (KindPlan::Cnn(plan), InferModel::Cnn(m)) => {
+                if grow {
+                    *plan = CnnPlan::sized(m, batch);
                 }
+                plan.run(m, windows, batch, out, &mut self.qs);
             }
-            PlanVersion::V2 => {
-                let grow = batch > self.batch_cap;
-                match (&mut self.kind, model) {
-                    (KindPlan::Cnn(plan), InferModel::Cnn(m)) => {
-                        if grow {
-                            plan.grow(m, batch);
-                        }
-                        plan.run_batch(m, windows, batch, out, &mut self.qs);
-                    }
-                    (KindPlan::Lstm(plan), InferModel::Lstm(m)) => {
-                        if grow {
-                            plan.grow(m, batch);
-                        }
-                        plan.run_batch(m, windows, batch, out, &mut self.qs);
-                    }
-                    (KindPlan::Tf(plan), InferModel::Transformer(m)) => {
-                        if grow {
-                            plan.grow(m, batch);
-                        }
-                        plan.run_batch(m, windows, batch, out, &mut self.qs);
-                    }
-                    _ => panic!("plan architecture disagrees with model"),
+            (KindPlan::Lstm(plan), InferModel::Lstm(m)) => {
+                if grow {
+                    *plan = LstmPlan::sized(m, batch);
                 }
-                self.batch_cap = self.batch_cap.max(batch);
+                plan.run(m, windows, batch, out, &mut self.qs);
             }
+            (KindPlan::Tf(plan), InferModel::Transformer(m)) => {
+                if grow {
+                    *plan = TfPlan::sized(m, batch);
+                }
+                plan.run(m, windows, batch, out, &mut self.qs);
+            }
+            _ => panic!("plan architecture disagrees with model"),
         }
+        self.batch_cap = self.batch_cap.max(batch);
     }
 }
 
 impl CnnPlan {
-    fn compile(m: &CnnInfer) -> Self {
-        let mut act = m.channels * m.window;
-        let (mut cols, mut flat, mut prepool) = (0usize, 0usize, 0usize);
-        for conv in &m.convs {
-            let (ho, wo) = conv.conv_out();
-            let spots = ho * wo;
-            let patch = conv.cin * conv.k * conv.k;
-            let cout = conv.bias.len();
-            cols = cols.max(spots * patch);
-            flat = flat.max(spots * cout);
-            prepool = prepool.max(cout * spots);
-            act = act.max(conv.out_len());
-        }
-        Self {
-            a: vec![0.0; act],
-            b: vec![0.0; act],
-            cols: vec![0.0; cols],
-            flat: vec![0.0; flat],
-            prepool: vec![0.0; prepool],
-        }
-    }
-
-    fn run(&mut self, m: &CnnInfer, window: &[f32], logits: &mut [f32], qs: &mut ExecScratch) {
-        let mut len = window.len();
-        self.a[..len].copy_from_slice(window);
-        for conv in &m.convs {
-            len = conv.forward_into(
-                &self.a[..len],
-                &mut self.cols,
-                &mut self.flat,
-                &mut self.prepool,
-                &mut self.b,
-                qs,
-            );
-            std::mem::swap(&mut self.a, &mut self.b);
-        }
-        m.head.forward_into(&self.a[..len], 1, logits, qs);
-    }
-
-    /// Scales the ping-pong and GEMM staging buffers to hold `batch`
-    /// windows (`prepool` stays per-window — the conv epilogue runs one
-    /// window at a time).
-    fn grow(&mut self, m: &CnnInfer, batch: usize) {
+    /// Buffers for `batch` windows (`prepool` stays per-window — the conv
+    /// epilogue runs one window at a time).
+    fn sized(m: &CnnInfer, batch: usize) -> Self {
         let mut act = m.channels * m.window;
         let (mut cols, mut flat) = (0usize, 0usize);
         for conv in &m.convs {
             let (ho, wo) = conv.conv_out();
             let spots = ho * wo;
-            let patch = conv.cin * conv.k * conv.k;
-            cols = cols.max(spots * patch);
+            cols = cols.max(spots * conv.cin * conv.k * conv.k);
             flat = flat.max(spots * conv.bias.len());
             act = act.max(conv.out_len());
         }
-        self.a.resize(act * batch, 0.0);
-        self.b.resize(act * batch, 0.0);
-        self.cols.resize(cols * batch, 0.0);
-        self.flat.resize(flat * batch, 0.0);
+        Self {
+            a: vec![0.0; act * batch],
+            b: vec![0.0; act * batch],
+            cols: vec![0.0; cols * batch],
+            flat: vec![0.0; flat * batch],
+            prepool: vec![0.0; flat],
+        }
     }
 
-    /// The v2 forward: every conv stage lowers **all** windows' patches
-    /// into one stacked `[batch·spots, patch]` matrix and multiplies the
-    /// weights once; the bias/ReLU/pool epilogue and the head run
-    /// per-window-row, so each window's activations are bit-identical to
-    /// a `batch = 1` call.
-    fn run_batch(
+    /// Every conv stage lowers **all** windows' patches into one stacked
+    /// `[batch·spots, patch]` matrix and multiplies the weights once; the
+    /// bias/ReLU/pool epilogue and the head run per-window-row, so each
+    /// window's activations are bit-identical to a `batch = 1` call.
+    fn run(
         &mut self,
         m: &CnnInfer,
         windows: &[f32],
@@ -350,7 +247,7 @@ impl CnnPlan {
                     &mut self.cols[b * spots * patch..(b + 1) * spots * patch],
                 );
             }
-            conv.w.left_matmul_into_v2(
+            conv.w.left_matmul_into(
                 &self.cols[..batch * spots * patch],
                 batch * spots,
                 &mut self.flat,
@@ -366,77 +263,31 @@ impl CnnPlan {
             len = out_len;
             std::mem::swap(&mut self.a, &mut self.b);
         }
-        m.head.forward_into_v2(&self.a[..batch * len], batch, logits, qs);
+        m.head
+            .forward_into(&self.a[..batch * len], batch, logits, qs);
     }
 }
 
 impl LstmPlan {
-    fn compile(m: &LstmInfer) -> Self {
+    fn sized(m: &LstmInfer, batch: usize) -> Self {
         let cells = m.cells.len();
         let input = m.channels.max(m.hidden);
         Self {
-            h: vec![0.0; cells * m.hidden],
-            c: vec![0.0; cells * m.hidden],
-            h_new: vec![0.0; m.hidden],
-            input: vec![0.0; input],
-            z_in: vec![0.0; input + m.hidden],
-            z_out: vec![0.0; 4 * m.hidden],
+            h: vec![0.0; cells * m.hidden * batch],
+            c: vec![0.0; cells * m.hidden * batch],
+            h_new: vec![0.0; m.hidden * batch],
+            input: vec![0.0; input * batch],
+            z_in: vec![0.0; (input + m.hidden) * batch],
+            z_out: vec![0.0; 4 * m.hidden * batch],
         }
     }
 
-    fn run(&mut self, m: &LstmInfer, window: &[f32], logits: &mut [f32], qs: &mut ExecScratch) {
-        let hid = m.hidden;
-        let t_len = m.window.div_ceil(m.time_stride);
-        self.h.fill(0.0);
-        self.c.fill(0.0);
-        for ti in 0..t_len {
-            let t_src = ti * m.time_stride;
-            let mut in_len = m.channels;
-            for ch in 0..m.channels {
-                self.input[ch] = window[ch * m.window + t_src];
-            }
-            for (li, cell) in m.cells.iter().enumerate() {
-                let z_len = in_len + hid;
-                self.z_in[..in_len].copy_from_slice(&self.input[..in_len]);
-                self.z_in[in_len..z_len].copy_from_slice(&self.h[li * hid..(li + 1) * hid]);
-                cell.forward_into(&self.z_in[..z_len], 1, &mut self.z_out, qs);
-                for j in 0..hid {
-                    let i_g = infer::sigmoid(self.z_out[j]);
-                    let f_g = infer::sigmoid(self.z_out[hid + j]);
-                    let g_g = self.z_out[2 * hid + j].tanh();
-                    let o_g = infer::sigmoid(self.z_out[3 * hid + j]);
-                    let c = &mut self.c[li * hid + j];
-                    *c = f_g * *c + i_g * g_g;
-                    self.h_new[j] = o_g * c.tanh();
-                }
-                self.h[li * hid..(li + 1) * hid].copy_from_slice(&self.h_new[..hid]);
-                self.input[..hid].copy_from_slice(&self.h[li * hid..(li + 1) * hid]);
-                in_len = hid;
-            }
-        }
-        let last = (m.cells.len() - 1) * hid;
-        m.head.forward_into(&self.h[last..last + hid], 1, logits, qs);
-    }
-
-    /// Scales the recurrent state and gate staging buffers to hold
-    /// `batch` windows.
-    fn grow(&mut self, m: &LstmInfer, batch: usize) {
-        let cells = m.cells.len();
-        let input = m.channels.max(m.hidden);
-        self.h.resize(cells * m.hidden * batch, 0.0);
-        self.c.resize(cells * m.hidden * batch, 0.0);
-        self.h_new.resize(m.hidden * batch, 0.0);
-        self.input.resize(input * batch, 0.0);
-        self.z_in.resize((input + m.hidden) * batch, 0.0);
-        self.z_out.resize(4 * m.hidden * batch, 0.0);
-    }
-
-    /// The v2 forward: at every timestep each layer's `[x_t, h_{t-1}]`
-    /// rows for **all** windows stack into one `[batch, in+h]` GEMM; the
-    /// gate nonlinearities run per row. Recurrent state is laid out
+    /// At every timestep each layer's `[x_t, h_{t-1}]` rows for **all**
+    /// windows stack into one `[batch, in+h]` GEMM; the gate
+    /// nonlinearities run per row. Recurrent state is laid out
     /// `[layer][window][hidden]`, so the final layer's hidden block feeds
     /// the head as a contiguous `[batch, hidden]` matrix.
-    fn run_batch(
+    fn run(
         &mut self,
         m: &LstmInfer,
         windows: &[f32],
@@ -469,7 +320,7 @@ impl LstmPlan {
                         &self.h[(li * batch + b) * hid..(li * batch + b + 1) * hid],
                     );
                 }
-                cell.forward_into_v2(&self.z_in[..batch * z_len], batch, &mut self.z_out, qs);
+                cell.forward_into(&self.z_in[..batch * z_len], batch, &mut self.z_out, qs);
                 for b in 0..batch {
                     let z_out = &self.z_out[b * 4 * hid..(b + 1) * 4 * hid];
                     for j in 0..hid {
@@ -492,12 +343,15 @@ impl LstmPlan {
         }
         let last = (cells - 1) * batch * hid;
         m.head
-            .forward_into_v2(&self.h[last..last + batch * hid], batch, logits, qs);
+            .forward_into(&self.h[last..last + batch * hid], batch, logits, qs);
     }
 }
 
 impl TfPlan {
-    fn compile(m: &TfInfer) -> Self {
+    /// Sequence-shaped buffers for `batch` windows' stacked rows (the
+    /// per-window attention scratch — `head_q/k/v`, `scores`, `ho` — is
+    /// reused across windows and stays single-sized).
+    fn sized(m: &TfInfer, batch: usize) -> Self {
         let t = m.window.div_ceil(m.time_stride);
         let d = m.d_model;
         let dh = d / m.heads;
@@ -507,117 +361,33 @@ impl TfPlan {
             .map(|b| b.ff1.out_width())
             .max()
             .unwrap_or(0);
+        let rows = t * batch;
         Self {
-            rows: vec![0.0; t * m.channels],
-            cur: vec![0.0; t * d],
-            q: vec![0.0; t * d],
-            k: vec![0.0; t * d],
-            v: vec![0.0; t * d],
+            rows: vec![0.0; rows * m.channels],
+            cur: vec![0.0; rows * d],
+            q: vec![0.0; rows * d],
+            k: vec![0.0; rows * d],
+            v: vec![0.0; rows * d],
             head_q: vec![0.0; t * dh],
             head_k: vec![0.0; t * dh],
             head_v: vec![0.0; t * dh],
             scores: vec![0.0; t * t],
             ho: vec![0.0; t * dh],
-            merged: vec![0.0; t * d],
-            attn: vec![0.0; t * d],
-            ff_mid: vec![0.0; t * ff],
-            ff_out: vec![0.0; t * d],
-            pooled: vec![0.0; d],
+            merged: vec![0.0; rows * d],
+            attn: vec![0.0; rows * d],
+            ff_mid: vec![0.0; rows * ff],
+            ff_out: vec![0.0; rows * d],
+            pooled: vec![0.0; d * batch],
         }
     }
 
-    fn run(&mut self, m: &TfInfer, window: &[f32], logits: &mut [f32], qs: &mut ExecScratch) {
-        let chans = m.channels;
-        let t = m.window.div_ceil(m.time_stride);
-        let d = m.d_model;
-        let dh = d / m.heads;
-        for (ti, t_src) in (0..m.window).step_by(m.time_stride).enumerate() {
-            for ch in 0..chans {
-                self.rows[ti * chans + ch] = window[ch * m.window + t_src];
-            }
-        }
-        m.input_proj.forward_into(&self.rows[..t * chans], t, &mut self.cur, qs);
-        for (c, &p) in self.cur[..t * d].iter_mut().zip(m.pos.data()) {
-            *c += p;
-        }
-        let scale = 1.0 / (dh as f32).sqrt();
-        for block in &m.blocks {
-            block.wq.forward_into(&self.cur[..t * d], t, &mut self.q, qs);
-            block.wk.forward_into(&self.cur[..t * d], t, &mut self.k, qs);
-            block.wv.forward_into(&self.cur[..t * d], t, &mut self.v, qs);
-            for hidx in 0..m.heads {
-                infer::slice_cols_into(&self.q, t, d, hidx * dh, dh, &mut self.head_q);
-                infer::slice_cols_into(&self.k, t, d, hidx * dh, dh, &mut self.head_k);
-                infer::slice_cols_into(&self.v, t, d, hidx * dh, dh, &mut self.head_v);
-                matmul_t_kernel(&self.head_q, &self.head_k, t, dh, t, &mut self.scores);
-                for s in &mut self.scores[..t * t] {
-                    *s *= scale;
-                }
-                infer::softmax_rows_slice(&mut self.scores, t, t);
-                matmul_kernel(&self.scores, &self.head_v, t, t, dh, &mut self.ho);
-                for ti in 0..t {
-                    self.merged[ti * d + hidx * dh..ti * d + (hidx + 1) * dh]
-                        .copy_from_slice(&self.ho[ti * dh..(ti + 1) * dh]);
-                }
-            }
-            block.wo.forward_into(&self.merged[..t * d], t, &mut self.attn, qs);
-            // Residual adds run in place on `cur` — `a + b` in the same
-            // order as the tensor path's clone-then-add_assign.
-            for (c, &a) in self.cur[..t * d].iter_mut().zip(&self.attn[..t * d]) {
-                *c += a;
-            }
-            infer::layer_norm_slice(&mut self.cur, t, d, &block.ln1.0, &block.ln1.1);
-            let ff = block.ff1.out_width();
-            block.ff1.forward_into(&self.cur[..t * d], t, &mut self.ff_mid, qs);
-            block
-                .ff2
-                .forward_into(&self.ff_mid[..t * ff], t, &mut self.ff_out, qs);
-            for (c, &f) in self.cur[..t * d].iter_mut().zip(&self.ff_out[..t * d]) {
-                *c += f;
-            }
-            infer::layer_norm_slice(&mut self.cur, t, d, &block.ln2.0, &block.ln2.1);
-        }
-        // Mean pool over time.
-        self.pooled.fill(0.0);
-        for ti in 0..t {
-            for (j, p) in self.pooled[..d].iter_mut().enumerate() {
-                *p += self.cur[ti * d + j] / t as f32;
-            }
-        }
-        m.head.forward_into(&self.pooled[..d], 1, logits, qs);
-    }
-
-    /// Scales the sequence-shaped buffers to hold `batch` windows'
-    /// stacked rows (the per-window attention scratch — `head_q/k/v`,
-    /// `scores`, `ho` — is reused across windows and stays single-sized).
-    fn grow(&mut self, m: &TfInfer, batch: usize) {
-        let t = m.window.div_ceil(m.time_stride);
-        let d = m.d_model;
-        let ff = m
-            .blocks
-            .iter()
-            .map(|b| b.ff1.out_width())
-            .max()
-            .unwrap_or(0);
-        self.rows.resize(t * m.channels * batch, 0.0);
-        self.cur.resize(t * d * batch, 0.0);
-        self.q.resize(t * d * batch, 0.0);
-        self.k.resize(t * d * batch, 0.0);
-        self.v.resize(t * d * batch, 0.0);
-        self.merged.resize(t * d * batch, 0.0);
-        self.attn.resize(t * d * batch, 0.0);
-        self.ff_mid.resize(t * ff * batch, 0.0);
-        self.ff_out.resize(t * d * batch, 0.0);
-        self.pooled.resize(d * batch, 0.0);
-    }
-
-    /// The v2 forward: all projections and the feed-forward stages run
-    /// once over the stacked `[batch·t, d]` rows; attention — inherently
-    /// per-window (each window owns a `t × t` score matrix) — loops over
-    /// windows with reused per-window scratch. LayerNorm, softmax and the
-    /// residual adds are all row-local, so every window's rows see
-    /// exactly the arithmetic a `batch = 1` call applies.
-    fn run_batch(
+    /// All projections and the feed-forward stages run once over the
+    /// stacked `[batch·t, d]` rows; attention — inherently per-window
+    /// (each window owns a `t × t` score matrix) — loops over windows with
+    /// reused per-window scratch. LayerNorm, softmax and the residual adds
+    /// are all row-local, so every window's rows see exactly the
+    /// arithmetic a `batch = 1` call applies.
+    fn run(
         &mut self,
         m: &TfInfer,
         windows: &[f32],
@@ -640,7 +410,7 @@ impl TfPlan {
         }
         let rows = batch * t;
         m.input_proj
-            .forward_into_v2(&self.rows[..rows * chans], rows, &mut self.cur, qs);
+            .forward_into(&self.rows[..rows * chans], rows, &mut self.cur, qs);
         for b in 0..batch {
             for (c, &p) in self.cur[b * t * d..(b + 1) * t * d]
                 .iter_mut()
@@ -653,13 +423,13 @@ impl TfPlan {
         for block in &m.blocks {
             block
                 .wq
-                .forward_into_v2(&self.cur[..rows * d], rows, &mut self.q, qs);
+                .forward_into(&self.cur[..rows * d], rows, &mut self.q, qs);
             block
                 .wk
-                .forward_into_v2(&self.cur[..rows * d], rows, &mut self.k, qs);
+                .forward_into(&self.cur[..rows * d], rows, &mut self.k, qs);
             block
                 .wv
-                .forward_into_v2(&self.cur[..rows * d], rows, &mut self.v, qs);
+                .forward_into(&self.cur[..rows * d], rows, &mut self.v, qs);
             for b in 0..batch {
                 let span = b * t * d..(b + 1) * t * d;
                 for hidx in 0..m.heads {
@@ -702,7 +472,7 @@ impl TfPlan {
             }
             block
                 .wo
-                .forward_into_v2(&self.merged[..rows * d], rows, &mut self.attn, qs);
+                .forward_into(&self.merged[..rows * d], rows, &mut self.attn, qs);
             for (c, &a) in self.cur[..rows * d].iter_mut().zip(&self.attn[..rows * d]) {
                 *c += a;
             }
@@ -710,10 +480,10 @@ impl TfPlan {
             let ff = block.ff1.out_width();
             block
                 .ff1
-                .forward_into_v2(&self.cur[..rows * d], rows, &mut self.ff_mid, qs);
+                .forward_into(&self.cur[..rows * d], rows, &mut self.ff_mid, qs);
             block
                 .ff2
-                .forward_into_v2(&self.ff_mid[..rows * ff], rows, &mut self.ff_out, qs);
+                .forward_into(&self.ff_mid[..rows * ff], rows, &mut self.ff_out, qs);
             for (c, &f) in self.cur[..rows * d].iter_mut().zip(&self.ff_out[..rows * d]) {
                 *c += f;
             }
@@ -730,14 +500,13 @@ impl TfPlan {
             }
         }
         m.head
-            .forward_into_v2(&self.pooled[..batch * d], batch, logits, qs);
+            .forward_into(&self.pooled[..batch * d], batch, logits, qs);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compress::{prune_global, quantize, QuantMode};
     use crate::models::{CnnConfig, ConvSpec, LstmConfig, PoolKind, TransformerConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -792,26 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_is_bit_identical_to_legacy_path_per_window() {
-        for (mi, model) in models().iter().enumerate() {
-            let mut plan = InferPlan::compile(model);
-            for seed in 0..4u64 {
-                let w = random_window(model.channels(), model.window(), seed * 7 + mi as u64);
-                let legacy = model.predict_logits(&w);
-                let mut out = vec![0.0f32; model.classes()];
-                plan.predict_logits_into(model, &w, 1, &mut out);
-                for (a, b) in legacy.iter().zip(&out) {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "model {mi} seed {seed}: {legacy:?} vs {out:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn batched_logits_match_per_window_calls_bitwise() {
         for model in &models() {
             let mut plan = InferPlan::compile(model);
@@ -851,30 +600,6 @@ mod tests {
             plan.predict_logits_into(model, &w, 1, &mut second);
             for (a, b) in first.iter().zip(&second) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{} state leaked", model.kind());
-            }
-        }
-    }
-
-    #[test]
-    fn plan_covers_sparse_and_quantized_representations() {
-        // The compressed deployment variants run different kernels; the
-        // plan must route through the same ones bit-for-bit.
-        for model in &models() {
-            for variant in [0, 1] {
-                let mut m = model.clone();
-                if variant == 0 {
-                    prune_global(&mut m, 0.5);
-                } else {
-                    quantize(&mut m, QuantMode::Calibrated).unwrap();
-                }
-                let w = random_window(m.channels(), m.window(), 31);
-                let legacy = m.predict_logits(&w);
-                let mut plan = InferPlan::compile(&m);
-                let mut out = vec![0.0f32; m.classes()];
-                plan.predict_logits_into(&m, &w, 1, &mut out);
-                for (a, b) in legacy.iter().zip(&out) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{} variant {variant}", m.kind());
-                }
             }
         }
     }

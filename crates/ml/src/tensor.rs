@@ -258,10 +258,10 @@ impl Tensor {
 }
 
 /// The raw `a [m,k] × b [k,n] -> out [m,n]` kernel behind
-/// [`Tensor::matmul`], exposed over slices so the compiled inference plan
-/// (`crate::plan`) can run the *same arithmetic in the same order* into a
-/// preallocated scratch buffer — sharing the loop is what makes the
-/// allocation-free path bit-identical to the allocating one.
+/// [`Tensor::matmul`], exposed over slices for the callers that run it
+/// into preallocated buffers: attention inside the compiled inference
+/// plan (`crate::plan`), the densified sparse execution format
+/// (`crate::matexec`), and training.
 ///
 /// `out` is fully overwritten (accumulation starts from zero).
 ///
@@ -270,8 +270,8 @@ impl Tensor {
 /// element both variants apply one `multiply, add` per non-zero `a` term
 /// in ascending `k` order (no FMA contraction, no reassociation) — column
 /// lanes are independent, so vectorizing across them cannot reorder any
-/// element's accumulation. The frozen v1 golden fixtures therefore stay
-/// valid on every host.
+/// element's accumulation. The golden label traces therefore stay valid
+/// on every host.
 ///
 /// # Panics
 ///
@@ -354,7 +354,7 @@ unsafe fn matmul_v1_avx2(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out
 /// The **plan-v2** dense GEMM: `a [m,k] × b [k,n] -> out [m,n]`, blocked
 /// four `a`-rows deep with the `k` loop unrolled in pairs.
 ///
-/// Two deliberate departures from [`matmul_kernel`] (v1):
+/// Two deliberate departures from [`matmul_kernel`]:
 ///
 /// * **Row blocking (MR = 4).** Four output rows advance together, so each
 ///   streamed `b` row is reused four times from registers/L1 instead of
@@ -367,8 +367,9 @@ unsafe fn matmul_v1_avx2(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out
 /// * **Paired-`k` reassociation.** Each update folds two `k` terms at once
 ///   (`acc + (a0·b0 + a1·b1)` instead of `(acc + a0·b0) + a1·b1`), halving
 ///   the dependency chain on the accumulator. f32 addition is not
-///   associative, so this produces *different bits* than v1 — the honest
-///   reason the plan version exists. Odd `k` finishes with a single term;
+///   associative, so this produces *different bits* than
+///   [`matmul_kernel`] — the reason the engine carries a numerics version
+///   (`crate::plan::PlanVersion`). Odd `k` finishes with a single term;
 ///   the remainder rows (`m % 4`) use the same per-row pairing, keeping
 ///   the invariance above.
 ///

@@ -238,13 +238,10 @@ pub enum Scheduling {
 /// A micro-batch group: batch sessions admitted with a structurally equal
 /// ensemble and label cadence. Each serving tick, every member advances
 /// one label period and the windows that come due are classified in **one
-/// batched ensemble call** on the shared scratch arena. The scratch is
-/// built at the runtime-default numerics version — plan **v2**, the
-/// stacked multi-window GEMM path, unless `COGARM_PLAN=1` pins the legacy
-/// v1 per-window path — and both versions are **row-count invariant**:
-/// window `i` of a batched call is bit-identical to classifying that
-/// window alone under the same version, so grouping is invisible in the
-/// traces.
+/// batched ensemble call** on the shared scratch arena. The engine's
+/// stacked multi-window GEMMs are **row-count invariant**: window `i` of
+/// a batched call is bit-identical to classifying that window alone, so
+/// grouping is invisible in the traces.
 struct BatchGroup {
     /// One structural copy of the members' shared ensemble (admission
     /// compares against it; the batched call runs it).

@@ -4,13 +4,12 @@
 //! (int8) models — CSC/densified sparse execution formats and SIMD int8
 //! GEMMs selected at plan-compile time. The swap must be **bit-invisible**:
 //! a compressed model's label trace may not move by a single bit when the
-//! kernels underneath it change, at any thread count and under both plan
-//! versions. This suite locks that three ways:
+//! kernels underneath it change, at any thread count. This suite locks
+//! that three ways:
 //!
-//! 1. golden label traces for pruned and quantized ensembles under plan
-//!    v1 and v2, committed as fixtures *before* the kernel swap
-//!    (regenerate deliberately with `COGARM_REGEN_FIXTURES=1 cargo test
-//!    -q --test compressed_kernels`);
+//! 1. golden label traces for pruned and quantized ensembles, committed as
+//!    fixtures *before* the kernel swap (regenerate deliberately with
+//!    `COGARM_REGEN_FIXTURES=1 cargo test -q --test compressed_kernels`);
 //! 2. thread-count invariance in-test: a 4-thread pool must reproduce the
 //!    1-thread bits exactly (CI additionally runs the whole file at
 //!    `COGARM_THREADS=1` and `=4`);
@@ -18,9 +17,6 @@
 //!    reference: the sparse execution format against the storage-CSR
 //!    kernel at batches {1, 3, 16}, and the SIMD int8 path against the
 //!    straight-line integer reference across remainder-lane shapes.
-//!
-//! Version selection is explicit (`with_version`), never `COGARM_PLAN` —
-//! tests run concurrently and must not race on process state.
 
 use std::path::PathBuf;
 
@@ -69,7 +65,7 @@ fn variants() -> Vec<(&'static str, Compressor)> {
 /// Classifies 24 real (synthetic-EEG) windows through `ensemble` on a
 /// pool of `threads` and renders the trace: one line per window, the
 /// argmax label followed by every combined probability as raw f32 bits.
-fn render_trace(ensemble: &Ensemble, version: PlanVersion, threads: usize) -> String {
+fn render_trace(ensemble: &Ensemble, threads: usize) -> String {
     let artifacts = quick_trained(21, 21);
     let win = ensemble.window();
     let labeled = artifacts.data.windows(win, 25).expect("windows cut");
@@ -80,16 +76,13 @@ fn render_trace(ensemble: &Ensemble, version: PlanVersion, threads: usize) -> St
     }
 
     let pool = ExecPool::new(threads);
-    let mut scratch = EnsembleScratch::with_version(ensemble, version);
+    let mut scratch = EnsembleScratch::new(ensemble);
     let mut probas = vec![0.0f32; take * CLASSES];
     ensemble.predict_batch_into(&flat, take, CHANNELS, &pool, &mut scratch, &mut probas);
 
-    let tag = match version {
-        PlanVersion::V1 => "v1",
-        PlanVersion::V2 => "v2",
-    };
     let mut out = format!(
-        "# golden compressed label trace, plan {tag}: <label> <proba f32 bits, hex, per class>\n"
+        "# golden compressed label trace, plan {}: <label> <proba f32 bits, hex, per class>\n",
+        version_tag()
     );
     for b in 0..take {
         let row = &probas[b * CLASSES..(b + 1) * CLASSES];
@@ -100,6 +93,14 @@ fn render_trace(ensemble: &Ensemble, version: PlanVersion, threads: usize) -> St
         out.push('\n');
     }
     out
+}
+
+/// The fixture tag of the engine's numerics version. A new version makes
+/// this match non-exhaustive, which is the prompt to commit its traces.
+fn version_tag() -> &'static str {
+    match PlanVersion::runtime_default() {
+        PlanVersion::V2 => "v2",
+    }
 }
 
 /// Seeded random `[rows, cols]` tensor with roughly `density` of its
@@ -210,37 +211,31 @@ fn golden_compressed_traces_survive_the_kernel_swap() {
     for (tag, compress) in variants() {
         let mut ensemble = artifacts.ensemble.clone();
         compress(&mut ensemble);
-        for version in [PlanVersion::V1, PlanVersion::V2] {
-            let rendered = render_trace(&ensemble, version, 1);
-            // Thread-count invariance, in-test: the compressed kernels run
-            // inside per-lane scratch, so the pool size can never reach the
-            // numerics.
-            let on_four = render_trace(&ensemble, version, 4);
-            assert_eq!(
-                rendered, on_four,
-                "{tag}: thread count changed compressed {version:?} bits"
-            );
+        let rendered = render_trace(&ensemble, 1);
+        // Thread-count invariance, in-test: the compressed kernels run
+        // inside per-lane scratch, so the pool size can never reach the
+        // numerics.
+        let on_four = render_trace(&ensemble, 4);
+        assert_eq!(
+            rendered, on_four,
+            "{tag}: thread count changed compressed bits"
+        );
 
-            let vtag = match version {
-                PlanVersion::V1 => "v1",
-                PlanVersion::V2 => "v2",
-            };
-            let name = format!("trace_{tag}_{vtag}.txt");
-            let path = fixture_path(&name);
-            if regen {
-                std::fs::create_dir_all(path.parent().expect("fixtures dir")).expect("mkdir");
-                std::fs::write(&path, &rendered).expect("write fixture");
-                continue;
-            }
-            let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                panic!("missing fixture {name} ({e}); run with COGARM_REGEN_FIXTURES=1")
-            });
-            assert_eq!(
-                committed, rendered,
-                "{name}: the compressed {vtag} path no longer reproduces its committed \
-                 golden trace — the kernel swap moved bits; execution-format kernels must \
-                 be bit-identical to the storage kernels they replace"
-            );
+        let name = format!("trace_{tag}_{}.txt", version_tag());
+        let path = fixture_path(&name);
+        if regen {
+            std::fs::create_dir_all(path.parent().expect("fixtures dir")).expect("mkdir");
+            std::fs::write(&path, &rendered).expect("write fixture");
+            continue;
         }
+        let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!("missing fixture {name} ({e}); run with COGARM_REGEN_FIXTURES=1")
+        });
+        assert_eq!(
+            committed, rendered,
+            "{name}: the compressed path no longer reproduces its committed golden \
+             trace — the kernel swap moved bits; execution-format kernels must be \
+             bit-identical to the storage kernels they replace"
+        );
     }
 }

@@ -1,59 +1,25 @@
-//! The numerics-version contract between plan **v1** (the frozen PR 5
-//! per-window path) and plan **v2** (stacked multi-window GEMMs):
+//! The numerics contract of the one inference engine (plan **v2**,
+//! stacked multi-window GEMMs):
 //!
-//! 1. a seeded property sweep pinning how far v2 logits may drift from v1
-//!    across weight representations (dense f32, 70%-pruned CSR, calibrated
-//!    int8) and batch sizes {1, 3, 16, 64};
-//! 2. v1 batched ensemble calls stay **bit-identical** to the legacy
-//!    per-window API at 1 and 4 threads — upgrading the default to v2 must
-//!    not move the fallback by a single bit;
-//! 3. golden label traces for both versions, locked as committed fixtures
-//!    (regenerate deliberately with `COGARM_REGEN_FIXTURES=1 cargo test -q
-//!    --test plan_versions`).
-//!
-//! Version selection everywhere here is explicit (`compile_with` /
-//! `with_version`), never the `COGARM_PLAN` environment variable — tests
-//! run concurrently and must not race on process state.
+//! 1. a seeded sweep pinning how far compiled-plan outputs may sit from
+//!    the training graph's, for a CNN, an LSTM and a transformer at batch
+//!    sizes {1, 3, 16, 64};
+//! 2. batched ensemble calls stay **bit-identical** to per-window calls at
+//!    1 and 4 threads, at a batch large enough that the lanes get chunked;
+//! 3. the golden label trace, locked as a committed fixture (regenerate
+//!    deliberately with `COGARM_REGEN_FIXTURES=1 cargo test -q --test
+//!    plan_versions`).
 
 use std::path::PathBuf;
 
-use cognitive_arm::eval::{quick_cnn_config, train_genome, TrainBudget, TrainedArtifact};
-use eeg::dataset::train_val_split;
 use eeg::CHANNELS;
-use evo::Genome;
 use exec::ExecPool;
-use integration_tests::{quick_data, quick_trained};
-use ml::compress::{prune_global, quantize, QuantMode};
+use integration_tests::quick_trained;
 use ml::ensemble::EnsembleScratch;
-use ml::infer::InferModel;
-use ml::models::CLASSES;
-use ml::optim::OptimizerKind;
+use ml::infer::{compile_cnn, compile_lstm, compile_transformer, softmax_into, InferModel};
+use ml::models::{CnnConfig, ConvSpec, LstmConfig, Model, PoolKind, TransformerConfig, CLASSES};
 use ml::plan::{InferPlan, PlanVersion};
-
-/// How far a v2 logit may sit from its v1 counterpart, per element:
-/// `|v2 - v1| ≤ ABS_TOL + REL_TOL · |v1|`. The only reassociation v2
-/// performs is the dense blocked kernel's paired-`k` accumulation (CSR and
-/// int8 kernels are shared bit-exactly), so the drift is a handful of
-/// ulps per dot product; 1e-4 absolute + 1e-4 relative is ~two orders of
-/// magnitude of headroom while still catching any real kernel bug.
-const ABS_TOL: f32 = 1e-4;
-const REL_TOL: f32 = 1e-4;
-
-fn trained_cnn() -> InferModel {
-    let data = quick_data(13);
-    let genome = Genome::Cnn {
-        config: quick_cnn_config(),
-        optimizer: OptimizerKind::Adam { lr: 3e-3 },
-    };
-    let all = data.windows(100, 25).expect("windows cut");
-    let (train, val) = train_val_split(all, 0.25, 1);
-    let (artifact, _) =
-        train_genome(&genome, &train, &val, &TrainBudget::quick(), 3).expect("trains");
-    match artifact {
-        TrainedArtifact::Net(m) => m,
-        TrainedArtifact::Forest(_) => unreachable!("cnn genome"),
-    }
-}
+use ml::train::predict_proba;
 
 /// Deterministic pseudo-EEG windows, seeded per batch so every batch size
 /// sweeps different data.
@@ -66,56 +32,113 @@ fn seeded_windows(per_window: usize, batch: usize, seed: u32) -> Vec<f32> {
         .collect()
 }
 
-#[test]
-fn v2_tracks_v1_within_tolerance_across_reps_and_batches() {
-    let dense = trained_cnn();
-    let mut csr = dense.clone();
-    prune_global(&mut csr, 0.7);
-    let mut int8 = dense.clone();
-    quantize(&mut int8, QuantMode::Calibrated).expect("dense model quantizes");
+/// The fixture tag of the engine's numerics version. A new version makes
+/// this match non-exhaustive, which is the prompt to commit its traces.
+fn version_tag() -> &'static str {
+    match PlanVersion::runtime_default() {
+        PlanVersion::V2 => "v2",
+    }
+}
 
-    for (rep, model) in [("dense", &dense), ("csr_70pct", &csr), ("int8", &int8)] {
-        let mut v1 = InferPlan::compile_with(model, PlanVersion::V1);
-        let mut v2 = InferPlan::compile_with(model, PlanVersion::V2);
-        let per_window = CHANNELS * model.window();
+#[test]
+fn compiled_plan_tracks_training_graph_across_batches() {
+    let cnn = CnnConfig {
+        convs: vec![
+            ConvSpec {
+                filters: 6,
+                kernel: 3,
+                stride: 2,
+            },
+            ConvSpec {
+                filters: 4,
+                kernel: 3,
+                stride: 1,
+            },
+        ],
+        pool: PoolKind::Max,
+        window: 40,
+        channels: 16,
+        dropout: 0.0,
+    }
+    .build(3)
+    .expect("cnn builds");
+    let lstm = LstmConfig {
+        hidden: 12,
+        layers: 2,
+        dropout: 0.0,
+        window: 32,
+        channels: 16,
+        time_stride: 4,
+    }
+    .build(4)
+    .expect("lstm builds");
+    let tf = TransformerConfig {
+        layers: 2,
+        heads: 2,
+        d_model: 16,
+        dim_ff: 32,
+        dropout: 0.0,
+        window: 32,
+        channels: 16,
+        time_stride: 4,
+    }
+    .build(5)
+    .expect("transformer builds");
+    // The tolerances of the single-window graph checks in `ml::infer`:
+    // the plan reassociates float adds (blocked dense kernel, im2col,
+    // fused gates), so it tracks the graph to rounding, not bit for bit.
+    let cases: [(&dyn Model, InferModel, f32); 3] = [
+        (&cnn, compile_cnn(&cnn), 1e-4),
+        (&lstm, compile_lstm(&lstm), 1e-4),
+        (&tf, compile_transformer(&tf), 1e-3),
+    ];
+
+    for (graph, compiled, tol) in &cases {
+        let mut plan = InferPlan::compile(compiled);
+        let per_window = compiled.channels() * compiled.window();
+        let classes = compiled.classes();
         for (bi, &batch) in [1usize, 3, 16, 64].iter().enumerate() {
-            let windows = seeded_windows(per_window, batch, 0xC0A7 + bi as u32);
-            let mut out1 = vec![0.0f32; batch * CLASSES];
-            let mut out2 = vec![0.0f32; batch * CLASSES];
-            v1.predict_logits_into(model, &windows, batch, &mut out1);
-            v2.predict_logits_into(model, &windows, batch, &mut out2);
-            for (i, (&a, &b)) in out1.iter().zip(&out2).enumerate() {
-                let tol = ABS_TOL + REL_TOL * a.abs();
-                assert!(
-                    (a - b).abs() <= tol,
-                    "{rep} batch {batch} logit {i}: v1 {a} vs v2 {b} (tol {tol})"
-                );
+            let flat = seeded_windows(per_window, batch, 0xC0A7 + bi as u32);
+            let mut logits = vec![0.0f32; batch * classes];
+            plan.predict_logits_into(compiled, &flat, batch, &mut logits);
+            let xs: Vec<Vec<f32>> = flat.chunks(per_window).map(<[f32]>::to_vec).collect();
+            let want = predict_proba(*graph, &xs, batch);
+            let mut got = vec![0.0f32; classes];
+            for (b, want) in want.iter().enumerate() {
+                softmax_into(&logits[b * classes..(b + 1) * classes], &mut got);
+                for (c, (&g, &w)) in got.iter().zip(want).enumerate() {
+                    assert!(
+                        (g - w).abs() <= *tol,
+                        "{} batch {batch} window {b} class {c}: plan {g} vs graph {w}",
+                        compiled.kind()
+                    );
+                }
             }
         }
     }
 }
 
 #[test]
-fn v1_is_bit_identical_to_the_per_window_path_at_1_and_4_threads() {
-    // The PR 5 contract, frozen: a v1 batched call must reproduce, bit for
-    // bit, the per-window path it generalized — at any thread count. (The
-    // convenience APIs `predict_proba[_with]` now compile the runtime
-    // default, so the per-window reference is an explicit `batch = 1` v1
-    // scratch.)
+fn batched_is_bit_identical_to_the_per_window_path_at_1_and_4_threads() {
+    // Row-count invariance end to end: a batched ensemble call must
+    // reproduce, bit for bit, the same windows classified one at a time —
+    // at any thread count. Batch 6 on a 4-thread pool splits each member's
+    // batch into several chunk lanes, so chunking is covered too.
     let artifacts = quick_trained(21, 21);
     let ensemble = &artifacts.ensemble;
     let per_window = CHANNELS * ensemble.window();
     let batch = 6;
     let windows = seeded_windows(per_window, batch, 0xBEEF);
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
 
-    let mut per_thread_count: Vec<Vec<f32>> = Vec::new();
+    let mut per_thread_count: Vec<Vec<u32>> = Vec::new();
     for threads in [1usize, 4] {
         let pool = ExecPool::new(threads);
-        let mut scratch = EnsembleScratch::with_version(ensemble, PlanVersion::V1);
+        let mut scratch = EnsembleScratch::new(ensemble);
         let mut probas = vec![0.0f32; batch * CLASSES];
         ensemble.predict_batch_into(&windows, batch, CHANNELS, &pool, &mut scratch, &mut probas);
 
-        let mut solo_scratch = EnsembleScratch::with_version(ensemble, PlanVersion::V1);
+        let mut solo_scratch = EnsembleScratch::new(ensemble);
         for b in 0..batch {
             let mut solo = vec![0.0f32; CLASSES];
             ensemble.predict_batch_into(
@@ -127,20 +150,20 @@ fn v1_is_bit_identical_to_the_per_window_path_at_1_and_4_threads() {
                 &mut solo,
             );
             assert_eq!(
-                solo,
-                probas[b * CLASSES..(b + 1) * CLASSES].to_vec(),
-                "v1 batched window {b} drifted from the per-window path at {threads} threads"
+                bits(&solo),
+                bits(&probas[b * CLASSES..(b + 1) * CLASSES]),
+                "batched window {b} drifted from the per-window path at {threads} threads"
             );
         }
-        per_thread_count.push(probas);
+        per_thread_count.push(bits(&probas));
     }
     assert_eq!(
         per_thread_count[0], per_thread_count[1],
-        "thread count changed v1 bits"
+        "thread count changed the bits"
     );
 }
 
-// --- golden label traces ------------------------------------------------------
+// --- golden label trace -------------------------------------------------------
 
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -148,10 +171,10 @@ fn fixture_path(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// Classifies 24 real (synthetic-EEG) windows under one plan version on a
-/// 1-thread pool and renders the trace: one line per window, the argmax
-/// label followed by every combined probability as raw f32 bits.
-fn render_trace(version: PlanVersion) -> String {
+/// Classifies 24 real (synthetic-EEG) windows on a 1-thread pool and
+/// renders the trace: one line per window, the argmax label followed by
+/// every combined probability as raw f32 bits.
+fn render_trace() -> String {
     let artifacts = quick_trained(21, 21);
     let ensemble = &artifacts.ensemble;
     let win = ensemble.window();
@@ -163,16 +186,13 @@ fn render_trace(version: PlanVersion) -> String {
     }
 
     let pool = ExecPool::new(1);
-    let mut scratch = EnsembleScratch::with_version(ensemble, version);
+    let mut scratch = EnsembleScratch::new(ensemble);
     let mut probas = vec![0.0f32; take * CLASSES];
     ensemble.predict_batch_into(&flat, take, CHANNELS, &pool, &mut scratch, &mut probas);
 
-    let tag = match version {
-        PlanVersion::V1 => "v1",
-        PlanVersion::V2 => "v2",
-    };
     let mut out = format!(
-        "# golden label trace, plan {tag}: <label> <proba f32 bits, hex, per class>\n"
+        "# golden label trace, plan {}: <label> <proba f32 bits, hex, per class>\n",
+        version_tag()
     );
     for b in 0..take {
         let row = &probas[b * CLASSES..(b + 1) * CLASSES];
@@ -186,39 +206,21 @@ fn render_trace(version: PlanVersion) -> String {
 }
 
 #[test]
-fn golden_label_trace_fixtures_lock_both_versions() {
-    let v1 = render_trace(PlanVersion::V1);
-    let v2 = render_trace(PlanVersion::V2);
-
-    // v2 is a *real* numerics change (the blocked dense kernel
-    // reassociates float adds), so the probability bits must differ…
-    assert_ne!(v1, v2, "plan v2 produced v1's exact bits — versioning is vacuous");
-    // …while staying classification-invisible on real windows: every
-    // label column agrees.
-    let labels = |t: &str| -> Vec<String> {
-        t.lines()
-            .skip(1)
-            .map(|l| l.split_whitespace().next().expect("label column").to_owned())
-            .collect()
-    };
-    assert_eq!(labels(&v1), labels(&v2), "v2 drift flipped a label");
-
-    let regen = std::env::var_os("COGARM_REGEN_FIXTURES").is_some();
-    for (name, rendered) in [("trace_v1.txt", &v1), ("trace_v2.txt", &v2)] {
-        let path = fixture_path(name);
-        if regen {
-            std::fs::create_dir_all(path.parent().expect("fixtures dir")).expect("mkdir");
-            std::fs::write(&path, rendered).expect("write fixture");
-            continue;
-        }
-        let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!("missing fixture {name} ({e}); run with COGARM_REGEN_FIXTURES=1")
-        });
-        assert_eq!(
-            committed, **rendered,
-            "{name}: the {} path no longer reproduces its committed golden trace — \
-             an unversioned numerics change; add a new PlanVersion and regenerate deliberately",
-            name.trim_end_matches(".txt").trim_start_matches("trace_"),
-        );
+fn golden_label_trace_fixture_locks_the_engine() {
+    let rendered = render_trace();
+    let name = format!("trace_{}.txt", version_tag());
+    let path = fixture_path(&name);
+    if std::env::var_os("COGARM_REGEN_FIXTURES").is_some() {
+        std::fs::create_dir_all(path.parent().expect("fixtures dir")).expect("mkdir");
+        std::fs::write(&path, &rendered).expect("write fixture");
+        return;
     }
+    let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("missing fixture {name} ({e}); run with COGARM_REGEN_FIXTURES=1")
+    });
+    assert_eq!(
+        committed, rendered,
+        "{name}: the engine no longer reproduces its committed golden trace — \
+         an unversioned numerics change; add a new PlanVersion and regenerate deliberately"
+    );
 }
