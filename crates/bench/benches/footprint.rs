@@ -26,7 +26,7 @@ use cognitive_arm::pipeline::PipelineConfig;
 use ml::ensemble::{Ensemble, Member, Voting};
 use ml::infer::{compile_cnn, compile_lstm, compile_transformer};
 use ml::models::{CnnConfig, LstmConfig, TransformerConfig};
-use model_io::{tags, LazyContainer, SavedModel, WeightImage};
+use model_io::{tags, SavedModel, WeightImage};
 use serve::{SessionManager, SessionSpec};
 
 /// Counts every byte the process requests from the allocator.
@@ -152,15 +152,15 @@ fn main() {
 
     // The denominator of every ratio below: the weight payload (the ENSM
     // section) of the artifact on disk.
-    let weight_bytes = LazyContainer::open(&v2_path)
+    let weight_bytes = WeightImage::open(&v2_path)
         .expect("artifact opens")
-        .section_len(tags::ENSEMBLE)
-        .expect("ensemble section present") as f64;
+        .section(tags::ENSEMBLE)
+        .expect("ensemble section present")
+        .len() as f64;
     record(&mut metrics, "weight_image_bytes", weight_bytes, "bytes");
 
-    // Cold start: mmap + validate + decode, vs the eager zero-copy read.
-    // (The inference bench's `cold_load_zero_copy` is the historical
-    // reference; the acceptance bar is mmap ≤ zero-copy.)
+    // Cold start: mmap + validate + decode, from a v2 file and through
+    // the in-memory v1 upgrade.
     let time_ns = |f: &mut dyn FnMut()| {
         let reps = 20u32;
         f(); // warm the page cache / branch predictors once
@@ -175,10 +175,6 @@ fn main() {
         std::hint::black_box(image.decode().expect("image decodes"));
     });
     record(&mut metrics, "cold_start_mmap_ns", mmap_ns, "ns");
-    let zero_copy_ns = time_ns(&mut || {
-        std::hint::black_box(SavedModel::load_zero_copy(&v2_path).expect("loads"));
-    });
-    record(&mut metrics, "cold_start_zero_copy_ns", zero_copy_ns, "ns");
     let upgrade_ns = time_ns(&mut || {
         let image = WeightImage::open(&v1_path).expect("v1 image opens");
         std::hint::black_box(image.decode().expect("v1 image decodes"));
@@ -189,7 +185,7 @@ fn main() {
     //
     //   * the **weight handoff** — acquiring a model for the session
     //     (shared path: clone the interned arena-backed model, a refcount
-    //     bump; eager path: `load_zero_copy` a private copy per session);
+    //     bump; eager path: decode a private owned image per session);
     //   * **session scratch** — the per-subject board ring buffer, filter
     //     state, sliding window and inference scratch, which is the same
     //     in both worlds and deliberately NOT weights.
@@ -199,6 +195,7 @@ fn main() {
     // eager session allocates for its weights. Scratch is reported
     // separately (and honestly — it dominates per-session memory, as
     // "per-session memory is scratch-only" demands).
+    let file_bytes = std::fs::read(&v2_path).expect("artifact reads");
     let mut eager_weights_1 = 0.0f64;
     for n in [1usize, 16, 128] {
         // Shared path: one interned image; the handoff is
@@ -237,11 +234,16 @@ fn main() {
         record(&mut metrics, format!("admit_{n}_ns"), admit_ns, "ns");
         drop(mgr);
 
-        // Eager path (the old world): every session decodes its own model.
+        // Eager path (the old world): every session copies the artifact
+        // into its own image and decodes its own model.
         let mut mgr = SessionManager::with_shared_pool();
         let before = allocated();
         let models: Vec<SavedModel> = (0..n)
-            .map(|_| SavedModel::load_zero_copy(&v2_path).expect("loads"))
+            .map(|_| {
+                WeightImage::from_bytes(&file_bytes)
+                    .and_then(|image| image.decode())
+                    .expect("loads")
+            })
             .collect();
         let eager_weights = (allocated() - before) as f64;
         let before = allocated();

@@ -1,8 +1,8 @@
 //! The inference engine's scorecard: single-window latency (legacy
 //! allocating path vs compiled plan), batched throughput at batch
 //! 1/4/16/64, the batched-vs-sequential comparison the serving
-//! micro-batcher banks on, and cold-load time (lazy streaming loader vs
-//! zero-copy image decode).
+//! micro-batcher banks on, and cold-load time through the weight image
+//! (mmap + validate + decode).
 //!
 //! `batch_16` vs `sequential_16` is the acceptance comparison: one
 //! batched tick (stacked multi-window GEMMs) against 16 solo calls on the
@@ -95,7 +95,8 @@ fn bench_inference(c: &mut Criterion) {
         });
     }
 
-    // Cold start: the lazy streaming loader vs the zero-copy image decode.
+    // Cold start through the one reader: mmap + validate + decode, with
+    // aligned weight payloads borrowed from the image.
     let saved = SavedModel {
         pipeline: cognitive_arm::pipeline::PipelineConfig::default(),
         ensemble: ensemble.clone(),
@@ -103,14 +104,6 @@ fn bench_inference(c: &mut Criterion) {
     };
     let path = std::env::temp_dir().join("bench-inference-model.cogm");
     saved.save(&path).expect("artifact saves");
-    group.bench_function("cold_load_lazy", |b| {
-        b.iter(|| SavedModel::load(&path).expect("loads"));
-    });
-    group.bench_function("cold_load_zero_copy", |b| {
-        b.iter(|| SavedModel::load_zero_copy(&path).expect("loads"));
-    });
-    // The fleet-scale path: mmap + validate + arena-view decode (no eager
-    // weight copies). Acceptance: at or under `cold_load_zero_copy`.
     group.bench_function("cold_load_mmap", |b| {
         b.iter(|| {
             model_io::WeightImage::open(&path)

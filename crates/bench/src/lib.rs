@@ -25,14 +25,9 @@
 //!
 //! Regression log (investigate before re-pinning — deltas have causes):
 //!
-//! * `inference/cold_load_lazy` drifted to +9..+16% over its pin across
-//!   repeated quiet runs (never below the pin's 321 µs). Root cause:
-//!   `Vec<T>` decode issued one 4-byte buffered read per element —
-//!   ~16 k reads for the quick ensemble — so the lazy path paid per-read
-//!   overhead proportional to parameter count. Fixed by the bulk
-//!   `Persist::read_many` chunk decode (model-io); the same pin now
-//!   reads ~−35%, with lazy load at parity with `cold_load_zero_copy`.
-//!   Pin deliberately kept: the delta documents the win.
+//! * `inference/cold_load_mmap` times the one load path:
+//!   `model_io::WeightImage` (mmap + one validation pass) and the slice
+//!   decoder every `Persist` type reads through.
 //! * `inference/batch_16` readings of −14%..+5% across back-to-back
 //!   quiet runs bracket the pin: scheduler noise on a shared 1-core
 //!   container, not a regression. Left pinned; judge it by the

@@ -26,13 +26,19 @@ use crate::{DspError, Result};
 #[derive(Debug, Clone, Copy)]
 pub struct Butterworth;
 
+/// The highest prototype order the designer accepts. The paper uses 9;
+/// the ceiling exists so a forged order (say, from a corrupt artifact)
+/// is a typed error instead of an arithmetic overflow or a pole vector
+/// sized by it.
+pub const MAX_ORDER: usize = 64;
+
 impl Butterworth {
     /// Designs a digital low-pass filter of the given order.
     ///
     /// # Errors
     ///
-    /// Returns an error when `order == 0` or `cutoff` is outside
-    /// `(0, fs / 2)`.
+    /// Returns an error when `order` is outside `1..=`[`MAX_ORDER`] or
+    /// `cutoff` is outside `(0, fs / 2)`.
     pub fn lowpass(order: usize, cutoff: f64, fs: f64) -> Result<SosFilter> {
         validate(order, cutoff, fs)?;
         let warped = prewarp(cutoff, fs);
@@ -50,8 +56,8 @@ impl Butterworth {
     ///
     /// # Errors
     ///
-    /// Returns an error when `order == 0` or `cutoff` is outside
-    /// `(0, fs / 2)`.
+    /// Returns an error when `order` is outside `1..=`[`MAX_ORDER`] or
+    /// `cutoff` is outside `(0, fs / 2)`.
     pub fn highpass(order: usize, cutoff: f64, fs: f64) -> Result<SosFilter> {
         validate(order, cutoff, fs)?;
         let warped = prewarp(cutoff, fs);
@@ -73,8 +79,8 @@ impl Butterworth {
     ///
     /// # Errors
     ///
-    /// Returns an error when `order == 0`, either edge is outside
-    /// `(0, fs / 2)`, or `low >= high`.
+    /// Returns an error when `order` is outside `1..=`[`MAX_ORDER`],
+    /// either edge is outside `(0, fs / 2)`, or `low >= high`.
     pub fn bandpass(order: usize, low: f64, high: f64, fs: f64) -> Result<SosFilter> {
         if order == 0 {
             return Err(DspError::ZeroOrder);
@@ -115,6 +121,12 @@ fn w0_to_hz(w0: f64, fs: f64) -> f64 {
 fn validate(order: usize, f: f64, fs: f64) -> Result<()> {
     if order == 0 {
         return Err(DspError::ZeroOrder);
+    }
+    if order > MAX_ORDER {
+        return Err(DspError::OrderTooLarge {
+            order,
+            max: MAX_ORDER,
+        });
     }
     if !(f > 0.0 && f < fs / 2.0) {
         return Err(DspError::InvalidFrequency {
@@ -325,6 +337,27 @@ mod tests {
             Butterworth::bandpass(4, 0.0, 45.0, FS),
             Err(DspError::InvalidBand { .. }) | Err(DspError::InvalidFrequency { .. })
         ));
+    }
+
+    #[test]
+    fn orders_above_the_ceiling_are_typed_errors() {
+        // A forged order must be refused before it sizes anything — the
+        // largest orders used to overflow `2 * order` in the design.
+        assert!(Butterworth::bandpass(MAX_ORDER, 0.5, 45.0, FS).is_ok());
+        for order in [MAX_ORDER + 1, 1 << 40, usize::MAX] {
+            assert!(matches!(
+                Butterworth::bandpass(order, 0.5, 45.0, FS),
+                Err(DspError::OrderTooLarge { max: MAX_ORDER, .. })
+            ));
+            assert!(matches!(
+                Butterworth::lowpass(order, 10.0, FS),
+                Err(DspError::OrderTooLarge { .. })
+            ));
+            assert!(matches!(
+                Butterworth::highpass(order, 10.0, FS),
+                Err(DspError::OrderTooLarge { .. })
+            ));
+        }
     }
 
     #[test]

@@ -6,6 +6,13 @@ use std::fmt;
 pub enum DspError {
     /// A filter was requested with order zero.
     ZeroOrder,
+    /// A filter order above the design's sanity ceiling.
+    OrderTooLarge {
+        /// The requested order.
+        order: usize,
+        /// The largest order the designer accepts.
+        max: usize,
+    },
     /// A corner frequency is outside `(0, fs / 2)`.
     InvalidFrequency {
         /// The offending frequency in Hz.
@@ -20,7 +27,7 @@ pub enum DspError {
         /// Upper band edge in Hz.
         high: f64,
     },
-    /// A quality factor must be strictly positive.
+    /// A quality factor must be strictly positive (NaN is not).
     InvalidQuality(f64),
     /// The input signal is too short for the requested operation.
     SignalTooShort {
@@ -44,6 +51,9 @@ impl fmt::Display for DspError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DspError::ZeroOrder => write!(f, "filter order must be at least 1"),
+            DspError::OrderTooLarge { order, max } => {
+                write!(f, "filter order {order} exceeds the maximum of {max}")
+            }
             DspError::InvalidFrequency {
                 frequency,
                 sample_rate,
@@ -56,7 +66,7 @@ impl fmt::Display for DspError {
                 write!(f, "band edges are invalid: low {low} Hz, high {high} Hz")
             }
             DspError::InvalidQuality(q) => {
-                write!(f, "quality factor must be positive, got {q}")
+                write!(f, "quality factor must be a positive number, got {q}")
             }
             DspError::SignalTooShort { required, actual } => write!(
                 f,

@@ -17,7 +17,7 @@ use crate::{DspError, Result};
 /// # Errors
 ///
 /// Returns [`DspError::InvalidFrequency`] when `f0` is outside `(0, fs / 2)`
-/// and [`DspError::InvalidQuality`] when `q <= 0`.
+/// and [`DspError::InvalidQuality`] unless `q > 0` (NaN included).
 ///
 /// # Examples
 ///
@@ -37,7 +37,9 @@ pub fn notch_filter(f0: f64, q: f64, fs: f64) -> Result<SosFilter> {
             sample_rate: fs,
         });
     }
-    if q <= 0.0 {
+    // NaN fails every comparison, so it needs its own check; it would
+    // otherwise slip through and produce NaN coefficients.
+    if q.is_nan() || q <= 0.0 {
         return Err(DspError::InvalidQuality(q));
     }
 
@@ -116,5 +118,15 @@ mod tests {
             notch_filter(50.0, 0.0, FS),
             Err(DspError::InvalidQuality(_))
         ));
+    }
+
+    #[test]
+    fn nan_quality_is_rejected() {
+        for q in [f64::NAN, -f64::NAN, -1.0, f64::NEG_INFINITY] {
+            assert!(
+                matches!(notch_filter(50.0, q, FS), Err(DspError::InvalidQuality(_))),
+                "q = {q} accepted"
+            );
+        }
     }
 }

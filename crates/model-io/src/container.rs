@@ -20,7 +20,7 @@
 //! an 8-byte boundary; with each payload padded to a multiple of 8, every
 //! section *starts* 8-aligned. Since all wire length prefixes are `u64`,
 //! `f32`/`i8` runs inside a section land at least 4-aligned — the
-//! zero-copy decoders ([`crate::view`]) can borrow them straight out of a
+//! decoder ([`crate::rw::ViewCursor`]) can borrow them straight out of a
 //! page-aligned mapping.
 //!
 //! Format **v1** (still accepted, never written by default) is the same
@@ -43,12 +43,13 @@
 //! golden-fixture suite pins both formats.
 
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 
 use crate::crc32::crc32;
 use crate::error::{ModelIoError, Result};
-use crate::rw::{from_bytes, to_bytes, Persist};
+use crate::image::WeightImage;
+use crate::rw::{to_bytes, Persist};
 
 /// The four magic bytes opening every artifact file.
 pub const MAGIC: [u8; 4] = *b"COGM";
@@ -135,48 +136,6 @@ impl Container {
         Ok(())
     }
 
-    /// The raw payload of the first section with `tag`, if present.
-    #[must_use]
-    pub fn section(&self, tag: [u8; 4]) -> Option<&[u8]> {
-        self.sections
-            .iter()
-            .find(|(t, _)| *t == tag)
-            .map(|(_, payload)| payload.as_slice())
-    }
-
-    /// Section tags in file order.
-    #[must_use]
-    pub fn tags(&self) -> Vec<[u8; 4]> {
-        self.sections.iter().map(|(t, _)| *t).collect()
-    }
-
-    /// Decodes the section under `tag` as a `T`, requiring the payload to
-    /// be fully consumed.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelIoError::MissingSection`] when absent; the value's typed
-    /// decode errors otherwise.
-    pub fn get<T: Persist>(&self, tag: [u8; 4]) -> Result<T> {
-        let payload = self
-            .section(tag)
-            .ok_or(ModelIoError::MissingSection { tag })?;
-        from_bytes(payload)
-    }
-
-    /// Like [`Container::get`] but returns `None` for a missing section
-    /// instead of an error (for optional sections).
-    ///
-    /// # Errors
-    ///
-    /// The value's typed decode errors when the section exists.
-    pub fn get_optional<T: Persist>(&self, tag: [u8; 4]) -> Result<Option<T>> {
-        match self.section(tag) {
-            None => Ok(None),
-            Some(payload) => from_bytes(payload).map(Some),
-        }
-    }
-
     /// Writes the container in the on-disk layout shown in the module docs.
     ///
     /// # Errors
@@ -213,35 +172,6 @@ impl Container {
         encode_image(FORMAT_VERSION_V1, &refs)
     }
 
-    /// Reads a container from `r`, verifying magic, version and checksum
-    /// before touching the section table.
-    ///
-    /// The stream is drained to its end first, so allocation is bounded by
-    /// the bytes that actually exist — never by a length field.
-    ///
-    /// # Errors
-    ///
-    /// Every malformed input yields a typed [`ModelIoError`]; nothing
-    /// panics.
-    pub fn read_from<R: Read>(r: &mut R) -> Result<Self> {
-        let mut buf = Vec::new();
-        r.read_to_end(&mut buf).map_err(ModelIoError::Io)?;
-        Self::from_file_bytes(&buf)
-    }
-
-    /// [`Container::read_from`] over an in-memory file image.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Container::read_from`].
-    pub fn from_file_bytes(buf: &[u8]) -> Result<Self> {
-        let sections = parse_sections(buf)?
-            .into_iter()
-            .map(|(tag, payload)| (tag, payload.to_vec()))
-            .collect();
-        Ok(Self { sections })
-    }
-
     /// Writes the container to a file at `path` atomically: the bytes land
     /// in a same-directory temp file first and are renamed over the target
     /// only after a successful sync, so a crash or full disk mid-save never
@@ -263,24 +193,13 @@ impl Container {
     pub fn save_v1<P: AsRef<Path>>(&self, path: P) -> Result<()> {
         save_bytes_atomically(path.as_ref(), &self.to_file_bytes_v1())
     }
-
-    /// Loads a container from a file at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Container::read_from`], plus open failures.
-    pub fn load<P: AsRef<Path>>(path: P) -> Result<Self> {
-        let mut file = File::open(path)?;
-        Self::read_from(&mut file)
-    }
 }
 
 /// Validates a complete `.cogm` file image — magic, version, checksum
 /// (verified before any payload is touched), section table — and returns
 /// each section's tag and payload as slices **borrowed from `buf`**,
-/// copying nothing. [`Container::from_file_bytes`] copies these payloads
-/// into an owned container; the zero-copy load path
-/// ([`crate::view`]) decodes values straight out of them.
+/// copying nothing. [`crate::WeightImage`] runs this once at open and
+/// decodes values straight out of the returned payloads.
 ///
 /// # Errors
 ///
@@ -469,14 +388,13 @@ pub fn save_section<T: Persist, P: AsRef<Path>>(path: P, tag: [u8; 4], value: &T
 }
 
 /// Loads one [`Persist`] value from a single-section file written by
-/// [`save_section`], streaming through [`crate::LazyContainer`] so the
-/// value decodes straight from disk.
+/// [`save_section`], through a [`WeightImage`].
 ///
 /// # Errors
 ///
 /// Typed errors for malformed files or a missing section.
 pub fn load_section<T: Persist, P: AsRef<Path>>(path: P, tag: [u8; 4]) -> Result<T> {
-    crate::LazyContainer::open(path)?.get(tag)
+    WeightImage::open(path)?.get(tag)
 }
 
 #[cfg(test)]
@@ -490,25 +408,29 @@ mod tests {
         c
     }
 
+    /// Asserts `bytes` is a valid image holding exactly `sample()`'s
+    /// sections and values.
+    fn assert_holds_sample(bytes: &[u8]) {
+        let tags: Vec<[u8; 4]> = parse_sections(bytes).unwrap().iter().map(|s| s.0).collect();
+        assert_eq!(tags, vec![*b"ONE ", *b"TWO "]);
+        let image = WeightImage::from_bytes(bytes).unwrap();
+        assert_eq!(image.get::<Vec<u32>>(*b"ONE ").unwrap(), vec![1, 2, 3]);
+        assert_eq!(image.get::<String>(*b"TWO ").unwrap(), "hello");
+    }
+
     #[test]
     fn container_round_trips() {
-        let c = sample();
-        let bytes = c.to_file_bytes();
-        let back = Container::from_file_bytes(&bytes).unwrap();
-        assert_eq!(back, c);
-        assert_eq!(back.get::<Vec<u32>>(*b"ONE ").unwrap(), vec![1, 2, 3]);
-        assert_eq!(back.get::<String>(*b"TWO ").unwrap(), "hello");
-        assert_eq!(back.tags(), vec![*b"ONE ", *b"TWO "]);
+        assert_holds_sample(&sample().to_file_bytes());
     }
 
     #[test]
     fn missing_section_is_typed() {
-        let c = sample();
+        let image = WeightImage::from_bytes(&sample().to_file_bytes()).unwrap();
         assert!(matches!(
-            c.get::<u32>(*b"NOPE").unwrap_err(),
+            image.get::<u32>(*b"NOPE").unwrap_err(),
             ModelIoError::MissingSection { .. }
         ));
-        assert_eq!(c.get_optional::<u32>(*b"NOPE").unwrap(), None);
+        assert_eq!(image.get_optional::<u32>(*b"NOPE").unwrap(), None);
     }
 
     #[test]
@@ -516,13 +438,13 @@ mod tests {
         let mut bytes = sample().to_file_bytes();
         bytes[0] = b'X';
         assert!(matches!(
-            Container::from_file_bytes(&bytes).unwrap_err(),
+            parse_sections(&bytes).unwrap_err(),
             ModelIoError::BadMagic { .. }
         ));
         let mut bytes = sample().to_file_bytes();
         bytes[4] = 99;
         assert!(matches!(
-            Container::from_file_bytes(&bytes).unwrap_err(),
+            parse_sections(&bytes).unwrap_err(),
             ModelIoError::UnsupportedVersion { found: 99 }
         ));
     }
@@ -532,7 +454,7 @@ mod tests {
         let bytes = sample().to_file_bytes();
         for cut in 0..bytes.len() {
             assert!(
-                Container::from_file_bytes(&bytes[..cut]).is_err(),
+                parse_sections(&bytes[..cut]).is_err(),
                 "truncation to {cut} bytes accepted"
             );
         }
@@ -545,7 +467,7 @@ mod tests {
             let mut flipped = bytes.clone();
             flipped[i] ^= 0xFF;
             assert!(
-                Container::from_file_bytes(&flipped).is_err(),
+                parse_sections(&flipped).is_err(),
                 "flip at byte {i} accepted"
             );
         }
@@ -576,8 +498,7 @@ mod tests {
         let v1 = c.to_file_bytes_v1();
         assert_eq!(u16::from_le_bytes(v1[4..6].try_into().unwrap()), 1);
         assert!(v1.len() < c.to_file_bytes().len(), "v1 has no padding");
-        let back = Container::from_file_bytes(&v1).unwrap();
-        assert_eq!(back, c);
+        assert_holds_sample(&v1);
     }
 
     #[test]
@@ -589,7 +510,7 @@ mod tests {
         // produces for the same sections; a v2 file is a fixed point.
         assert_eq!(upgraded, c.to_file_bytes());
         assert_eq!(upgrade_file_bytes(&upgraded).unwrap(), upgraded);
-        assert_eq!(Container::from_file_bytes(&upgraded).unwrap(), c);
+        assert_holds_sample(&upgraded);
         // Upgrade validates: corrupt input is refused, not re-encoded.
         let mut corrupt = v1.clone();
         let tail = corrupt.len() - 1;
@@ -604,7 +525,7 @@ mod tests {
         let bytes = sample().to_file_bytes_v1();
         for cut in 0..bytes.len() {
             assert!(
-                Container::from_file_bytes(&bytes[..cut]).is_err(),
+                parse_sections(&bytes[..cut]).is_err(),
                 "v1 truncation to {cut} bytes accepted"
             );
         }
@@ -612,7 +533,7 @@ mod tests {
             let mut flipped = bytes.clone();
             flipped[i] ^= 0xFF;
             assert!(
-                Container::from_file_bytes(&flipped).is_err(),
+                parse_sections(&flipped).is_err(),
                 "v1 flip at byte {i} accepted"
             );
         }
@@ -632,7 +553,7 @@ mod tests {
         // First entry's reserved bytes live at offset 8 + 4.
         let mut forged = bytes.clone();
         forged[12] = 1;
-        let err = Container::from_file_bytes(&refresh(forged)).unwrap_err();
+        let err = parse_sections(&refresh(forged)).unwrap_err();
         assert!(matches!(err, ModelIoError::Malformed { .. }), "{err}");
         // First section is 20 payload bytes (8-byte len prefix + 3 × u32),
         // so its pad is 4 bytes; flip one of them.
@@ -642,7 +563,7 @@ mod tests {
         assert_ne!(pad_offset % 8, 0, "sample's first section needs padding");
         let mut forged = bytes.clone();
         forged[pad_offset] = 1;
-        let err = Container::from_file_bytes(&refresh(forged)).unwrap_err();
+        let err = parse_sections(&refresh(forged)).unwrap_err();
         assert!(matches!(err, ModelIoError::Malformed { .. }), "{err}");
     }
 
@@ -652,7 +573,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sample.cogm");
         sample().save(&path).unwrap();
-        assert_eq!(Container::load(&path).unwrap(), sample());
+        assert_holds_sample(&std::fs::read(&path).unwrap());
         save_section(&path, *b"SOLO", &7u64).unwrap();
         assert_eq!(load_section::<u64, _>(&path, *b"SOLO").unwrap(), 7);
         std::fs::remove_file(&path).unwrap();

@@ -29,8 +29,7 @@ const TABLE: [u32; 256] = {
 };
 
 /// Incremental CRC-32: feed chunks with [`Crc32::update`], read the digest
-/// with [`Crc32::finish`]. Lets the lazy loader verify a whole artifact
-/// through a fixed-size buffer instead of materializing the file.
+/// with [`Crc32::finish`].
 #[derive(Debug, Clone)]
 pub struct Crc32 {
     crc: u32,

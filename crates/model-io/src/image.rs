@@ -1,11 +1,12 @@
-//! [`WeightImage`]: one validated, shared, read-only `.cogm` image that
-//! every session of an artifact decodes through.
+//! [`WeightImage`]: one validated, shared, read-only `.cogm` image — the
+//! crate's only artifact reader, and what every session of an artifact
+//! decodes through.
 //!
 //! Loading used to mean "copy the file into private buffers per model" —
 //! per-session weight memory scaled with session count. A `WeightImage`
 //! inverts that: the artifact's bytes live once (memory-mapped on unix,
 //! an aligned owned buffer otherwise), validation runs once at open, and
-//! every [`WeightImage::decode`] hands out an
+//! every [`WeightImage::decode`] (or [`WeightImage::get`]) hands out an
 //! [`Ensemble`](ml::ensemble::Ensemble) whose large tensors are
 //! [`ArenaVec`](ml::arena::ArenaVec) views **borrowing the image** —
 //! cloning such a model for another session bumps a refcount instead of
@@ -22,12 +23,12 @@ use std::path::Path;
 use std::sync::Arc;
 
 use ml::arena::ArenaOwner;
-use ml::ensemble::Ensemble;
 
 use crate::container::{image_version, parse_sections, upgrade_file_bytes, FORMAT_VERSION};
 use crate::error::{ModelIoError, Result};
 use crate::impl_core::{tags, SavedModel};
 use crate::mmap::{AlignedBytes, ImageBytes};
+use crate::rw::{Persist, ViewCursor};
 
 /// A validated `.cogm` image shared by every session of one artifact.
 ///
@@ -111,42 +112,60 @@ impl WeightImage {
         })
     }
 
-    /// Decodes the full model. The returned ensemble's tensors borrow
-    /// this image (refcounted), so cloning the model per session shares
-    /// the weights; config and normalization are tiny and owned.
+    /// Decodes the full model (sections `PCFG` + `ENSM` [+ `NORM`]). The
+    /// returned ensemble's tensors borrow this image (refcounted), so
+    /// cloning the model per session shares the weights; config and
+    /// normalization are tiny and owned.
     ///
     /// # Errors
     ///
     /// Typed errors for every malformed input; never panics.
     pub fn decode(&self) -> Result<SavedModel> {
-        let find = |tag: [u8; 4]| {
-            self.sections
-                .iter()
-                .find(|(t, _)| *t == tag)
-                .map(|(_, r)| &self.bytes[r.clone()])
-        };
-        let pipeline = crate::from_bytes(
-            find(tags::PIPELINE).ok_or(ModelIoError::MissingSection {
-                tag: tags::PIPELINE,
-            })?,
-        )?;
-        let ensemble = self.decode_ensemble_payload(find(tags::ENSEMBLE).ok_or(
-            ModelIoError::MissingSection {
-                tag: tags::ENSEMBLE,
-            },
-        )?)?;
-        let normalization = find(tags::NORMALIZATION)
-            .map(crate::from_bytes)
-            .transpose()?;
-        SavedModel::from_parts(pipeline, ensemble, normalization)
+        SavedModel::from_parts(
+            self.get(tags::PIPELINE)?,
+            self.get(tags::ENSEMBLE)?,
+            self.get_optional(tags::NORMALIZATION)?,
+        )
     }
 
-    fn decode_ensemble_payload(&self, payload: &[u8]) -> Result<Ensemble> {
+    /// Decodes the section under `tag` as a `T`, requiring the payload to
+    /// be fully consumed. Bulk `f32`/`i8` payloads borrow this image.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelIoError::MissingSection`] when absent; the value's typed
+    /// decode errors otherwise.
+    pub fn get<T: Persist>(&self, tag: [u8; 4]) -> Result<T> {
+        self.get_optional(tag)?
+            .ok_or(ModelIoError::MissingSection { tag })
+    }
+
+    /// Like [`WeightImage::get`] but returns `None` for a missing section
+    /// instead of an error (for optional sections).
+    ///
+    /// # Errors
+    ///
+    /// The value's typed decode errors when the section exists.
+    pub fn get_optional<T: Persist>(&self, tag: [u8; 4]) -> Result<Option<T>> {
+        let Some(payload) = self.section(tag) else {
+            return Ok(None);
+        };
         let owner: ArenaOwner = self.bytes.clone();
         // SAFETY: `payload` borrows from `self.bytes`, and `owner` is a
         // clone of that same Arc — the bytes outlive every ArenaVec that
-        // captures the owner.
-        unsafe { crate::view::decode_ensemble_with(payload, owner) }
+        // captures the owner, and nothing writes to them.
+        unsafe { ViewCursor::with_arena(payload, owner) }
+            .decode_all()
+            .map(Some)
+    }
+
+    /// The raw payload of the first section with `tag`, if present.
+    #[must_use]
+    pub fn section(&self, tag: [u8; 4]) -> Option<&[u8]> {
+        self.sections
+            .iter()
+            .find(|(t, _)| *t == tag)
+            .map(|(_, r)| &self.bytes[r.clone()])
     }
 
     /// The image's content hash (its trailing CRC32, post-upgrade) —
@@ -181,5 +200,127 @@ impl WeightImage {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.bytes.is_empty()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::container::Container;
+
+    fn temp_file(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("model-io-image-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        dir.join(name)
+    }
+
+    fn sample() -> Container {
+        let mut c = Container::new();
+        c.add(*b"ONE ", &vec![1u32, 2, 3]).unwrap();
+        c.add(*b"TWO ", &String::from("hello")).unwrap();
+        c.add(*b"BIG ", &vec![0.5f32; 40_000]).unwrap();
+        c
+    }
+
+    #[test]
+    fn sections_read_back_as_written() {
+        let path = temp_file("sample.cogm");
+        sample().save(&path).unwrap();
+        let image = WeightImage::open(&path).unwrap();
+        assert_eq!(image.get::<Vec<u32>>(*b"ONE ").unwrap(), vec![1, 2, 3]);
+        assert_eq!(image.get::<String>(*b"TWO ").unwrap(), "hello");
+        assert_eq!(
+            image.get::<Vec<f32>>(*b"BIG ").unwrap(),
+            vec![0.5f32; 40_000]
+        );
+        // Repeated and out-of-order reads both work.
+        assert_eq!(image.get::<Vec<u32>>(*b"ONE ").unwrap(), vec![1, 2, 3]);
+        assert_eq!(image.section(*b"TWO ").unwrap().len(), 8 + "hello".len());
+    }
+
+    #[test]
+    fn missing_sections_are_typed() {
+        let image = WeightImage::from_bytes(&sample().to_file_bytes()).unwrap();
+        assert!(matches!(
+            image.get::<u32>(*b"NOPE").unwrap_err(),
+            ModelIoError::MissingSection { .. }
+        ));
+        assert_eq!(image.get_optional::<u32>(*b"NOPE").unwrap(), None);
+        assert!(image.section(*b"NOPE").is_none());
+    }
+
+    /// Offsets to probe in the 160 KB sample: the structure boundaries plus
+    /// a stride (the container suite sweeps every offset of a small
+    /// image; here the per-probe checksum over the whole file dominates).
+    fn probes(len: usize, boundaries: [usize; 7]) -> impl Iterator<Item = usize> {
+        (0..len).step_by(977).chain(boundaries)
+    }
+
+    #[test]
+    fn every_truncation_is_rejected_at_open() {
+        let bytes = sample().to_file_bytes();
+        let path = temp_file("trunc.cogm");
+        for cut in probes(
+            bytes.len(),
+            [4, 7, 8, 11, 12, bytes.len() - 5, bytes.len() - 1],
+        ) {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            assert!(
+                WeightImage::open(&path).is_err(),
+                "truncation to {cut} bytes accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn every_byte_flip_is_rejected_at_open() {
+        let bytes = sample().to_file_bytes();
+        let path = temp_file("flip.cogm");
+        for i in probes(
+            bytes.len(),
+            [5, 6, 9, 15, 20, bytes.len() - 4, bytes.len() - 1],
+        ) {
+            let mut corrupt = bytes.clone();
+            corrupt[i] ^= 0xFF;
+            std::fs::write(&path, &corrupt).unwrap();
+            assert!(
+                WeightImage::open(&path).is_err(),
+                "flip at byte {i} accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn partial_section_consumes_are_rejected_at_get() {
+        // The checksum is fine (the writer wrote the file), so open
+        // succeeds — but decoding a section as a type that consumes only a
+        // prefix of its payload must be a typed error, exactly like
+        // `from_bytes`' trailing-bytes rule.
+        let payload = vec![0xAAu8, 0xBB, 0xCC];
+        let mut c = Container::new();
+        c.add(*b"RAWB", &payload).unwrap();
+        let image = WeightImage::from_bytes(&c.to_file_bytes()).unwrap();
+        assert_eq!(image.get::<Vec<u8>>(*b"RAWB").unwrap(), payload);
+        // The section's bytes are 8 (length prefix) + 3; a bare u64
+        // consumes just the prefix and must be refused.
+        assert!(matches!(
+            image.get::<u64>(*b"RAWB").unwrap_err(),
+            ModelIoError::Malformed { .. }
+        ));
+    }
+
+    #[test]
+    fn empty_and_garbage_files_are_typed_errors() {
+        let path = temp_file("empty.cogm");
+        std::fs::write(&path, b"").unwrap();
+        assert!(matches!(
+            WeightImage::open(&path).unwrap_err(),
+            ModelIoError::Truncated { .. }
+        ));
+        std::fs::write(&path, b"NOPEnope").unwrap();
+        assert!(matches!(
+            WeightImage::open(&path).unwrap_err(),
+            ModelIoError::BadMagic { .. }
+        ));
     }
 }

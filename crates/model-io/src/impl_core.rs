@@ -2,7 +2,7 @@
 //! top-level artifacts: [`SavedModel`] (a deployable trained system) and
 //! [`SearchCheckpoint`] (a completed evolutionary-search state).
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 
 use arm::controller::ControllerConfig;
@@ -15,9 +15,10 @@ use ml::ensemble::Ensemble;
 
 use crate::container::Container;
 use crate::error::{ModelIoError, Result};
+use crate::image::WeightImage;
 use crate::impl_ml::ensure;
 use crate::persist_struct;
-use crate::rw::{write_slice, Persist};
+use crate::rw::{write_slice, Persist, ViewCursor};
 
 /// Section tags used by the top-level artifact files.
 pub mod tags {
@@ -59,7 +60,7 @@ impl Persist for PipelineConfig {
         self.safety.write_to(w)
     }
 
-    fn read_from<R: Read>(r: &mut R) -> Result<Self> {
+    fn read_from(r: &mut ViewCursor<'_>) -> Result<Self> {
         Ok(PipelineConfig {
             label_every: Persist::read_from(r)?,
             filter: Persist::read_from(r)?,
@@ -76,7 +77,7 @@ impl Persist for Zscore {
         write_slice(self.stds(), w)
     }
 
-    fn read_from<R: Read>(r: &mut R) -> Result<Self> {
+    fn read_from(r: &mut ViewCursor<'_>) -> Result<Self> {
         let means = Vec::<f32>::read_from(r)?;
         let stds = Vec::<f32>::read_from(r)?;
         // Name the actual invariant: `DspError`'s Display here would talk
@@ -131,82 +132,19 @@ impl SavedModel {
         Ok(container)
     }
 
-    /// Loads a model saved by [`SavedModel::save`], section by section
-    /// through a [`crate::LazyContainer`] — the checksum is verified by
-    /// streaming and only the three model sections are ever materialized.
+    /// Loads a model saved by [`SavedModel::save`] through a
+    /// [`WeightImage`]: the file is mapped (or read into an aligned
+    /// buffer), validated once, and the ensemble's bulk payloads borrow
+    /// the image.
     ///
     /// # Errors
     ///
     /// Typed errors for every malformed input; never panics.
     pub fn load<P: AsRef<Path>>(path: P) -> Result<Self> {
-        let mut lazy = crate::LazyContainer::open(path)?;
-        Self::from_parts(
-            lazy.get(tags::PIPELINE)?,
-            lazy.get(tags::ENSEMBLE)?,
-            lazy.get_optional(tags::NORMALIZATION)?,
-        )
+        WeightImage::open(path)?.decode()
     }
 
-    /// The zero-copy cold-start path: reads the whole file into one
-    /// buffer and decodes it with [`SavedModel::from_file_bytes`]. One
-    /// sequential read plus bulk tensor copies, instead of the lazy
-    /// loader's element-at-a-time streaming — `benches/inference.rs`
-    /// quantifies the gap. The loaded model is bit-identical to
-    /// [`SavedModel::load`]'s (the golden-fixture suite locks the label
-    /// traces).
-    ///
-    /// # Errors
-    ///
-    /// Typed errors for every malformed input; never panics.
-    pub fn load_zero_copy<P: AsRef<Path>>(path: P) -> Result<Self> {
-        let bytes = std::fs::read(path)?;
-        Self::from_file_bytes(&bytes)
-    }
-
-    /// Decodes a model from a complete `.cogm` image supplied as plain
-    /// bytes — the hook for memory-mapped buffers (any `&[u8]` works; the
-    /// format needs nothing else). The checksum is verified first, then
-    /// the ensemble's tensors decode as borrowed views over the image
-    /// with alignment-checked reinterpretation (safe copying fallback),
-    /// so building the owned model costs one bulk copy per tensor.
-    ///
-    /// # Errors
-    ///
-    /// Typed errors for every malformed input; never panics.
-    pub fn from_file_bytes(bytes: &[u8]) -> Result<Self> {
-        let sections = crate::container::parse_sections(bytes)?;
-        let find = |tag: [u8; 4]| sections.iter().find(|(t, _)| *t == tag).map(|(_, p)| *p);
-        let pipeline = crate::from_bytes(
-            find(tags::PIPELINE).ok_or(ModelIoError::MissingSection {
-                tag: tags::PIPELINE,
-            })?,
-        )?;
-        let ensemble = crate::view::decode_ensemble(find(tags::ENSEMBLE).ok_or(
-            ModelIoError::MissingSection {
-                tag: tags::ENSEMBLE,
-            },
-        )?)?;
-        let normalization = find(tags::NORMALIZATION)
-            .map(crate::from_bytes)
-            .transpose()?;
-        Self::from_parts(pipeline, ensemble, normalization)
-    }
-
-    /// Decodes a model from an already-parsed container.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SavedModel::load`], minus I/O.
-    pub fn from_container(container: &Container) -> Result<Self> {
-        Self::from_parts(
-            container.get(tags::PIPELINE)?,
-            container.get(tags::ENSEMBLE)?,
-            container.get_optional(tags::NORMALIZATION)?,
-        )
-    }
-
-    /// The shared validation gate every load path funnels through
-    /// (including [`crate::WeightImage::decode`]).
+    /// The validation gate [`WeightImage::decode`] funnels through.
     pub(crate) fn from_parts(
         pipeline: PipelineConfig,
         ensemble: Ensemble,
@@ -377,11 +315,11 @@ impl SearchCheckpoint {
     ///
     /// Typed errors for every malformed input; never panics.
     pub fn load<P: AsRef<Path>>(path: P) -> Result<Self> {
-        let mut lazy = crate::LazyContainer::open(path)?;
+        let image = WeightImage::open(path)?;
         let checkpoint = Self {
-            config: lazy.get(tags::EVO_CONFIG)?,
-            outcome: lazy.get_optional(tags::EVO_OUTCOME)?,
-            resume: lazy.get_optional(tags::EVO_RESUME)?,
+            config: image.get(tags::EVO_CONFIG)?,
+            outcome: image.get_optional(tags::EVO_OUTCOME)?,
+            resume: image.get_optional(tags::EVO_RESUME)?,
         };
         checkpoint.validate()?;
         Ok(checkpoint)

@@ -1,14 +1,14 @@
 //! [`Persist`] implementations for the `evo` crate: genomes, evaluated
 //! candidates and whole-search checkpoints.
 
-use std::io::{Read, Write};
+use std::io::Write;
 
 use evo::{Candidate, EvalResult, EvolutionConfig, EvolutionOutcome, Genome, SearchState};
 
 use crate::error::{ModelIoError, Result};
 use crate::impl_ml::ensure;
 use crate::persist_struct;
-use crate::rw::Persist;
+use crate::rw::{Persist, ViewCursor};
 
 impl Persist for Genome {
     fn write_to<W: Write>(&self, w: &mut W) -> Result<()> {
@@ -36,7 +36,7 @@ impl Persist for Genome {
         }
     }
 
-    fn read_from<R: Read>(r: &mut R) -> Result<Self> {
+    fn read_from(r: &mut ViewCursor<'_>) -> Result<Self> {
         match u8::read_from(r)? {
             0 => Ok(Genome::Cnn {
                 config: Persist::read_from(r)?,
@@ -105,7 +105,7 @@ impl Persist for SearchState {
         self.rng_state.write_to(w)
     }
 
-    fn read_from<R: Read>(r: &mut R) -> Result<Self> {
+    fn read_from(r: &mut ViewCursor<'_>) -> Result<Self> {
         let state = SearchState {
             generation: Persist::read_from(r)?,
             population: Persist::read_from(r)?,

@@ -6,9 +6,11 @@
 //! …) are used on the way in wherever the target type maintains
 //! invariants, so a decoded value is as well-formed as a freshly trained
 //! one. Cheap local consistency checks (dimension agreement, non-zero
-//! strides) guard the arithmetic the inference kernels perform.
+//! strides) guard the arithmetic the inference kernels perform. Tensor,
+//! CSR and int8 payloads decode through the cursor's arena-aware readers,
+//! so a [`crate::WeightImage`] read borrows them from the image.
 
-use std::io::{Read, Write};
+use std::io::Write;
 
 use ml::ensemble::{Classifier, Ensemble, ForestClassifier, Member, Voting};
 use ml::forest::{ForestConfig, RandomForest, Tree, TreeNode};
@@ -24,7 +26,7 @@ use ml::tensor::Tensor;
 
 use crate::error::{ModelIoError, Result};
 use crate::persist_struct;
-use crate::rw::{write_slice, Persist};
+use crate::rw::{write_slice, Persist, ViewCursor};
 
 /// Sanity ceiling on a classifier's window length in samples (~2.3 hours
 /// at 125 Hz; real windows are hundreds of samples). Bounds the ring
@@ -46,15 +48,15 @@ impl Persist for Tensor {
         write_slice(self.data(), w)
     }
 
-    fn read_from<R: Read>(r: &mut R) -> Result<Self> {
+    fn read_from(r: &mut ViewCursor<'_>) -> Result<Self> {
         let shape = Vec::<usize>::read_from(r)?;
-        let data = Vec::<f32>::read_from(r)?;
         let numel = shape
             .iter()
             .try_fold(1usize, |acc, &d| acc.checked_mul(d))
             .ok_or_else(|| ModelIoError::malformed("tensor shape overflows"))?;
-        ensure(numel == data.len(), "tensor shape disagrees with data length")?;
-        Ok(Tensor::new(shape, data))
+        let len = r.len_prefix("tensor data")?;
+        ensure(numel == len, "tensor shape disagrees with data length")?;
+        Ok(Tensor::new(shape, r.f32_arena(len, "tensor data")?))
     }
 }
 
@@ -67,12 +69,13 @@ impl Persist for CsrMatrix {
         write_slice(&self.values, w)
     }
 
-    fn read_from<R: Read>(r: &mut R) -> Result<Self> {
+    fn read_from(r: &mut ViewCursor<'_>) -> Result<Self> {
         let rows = usize::read_from(r)?;
         let cols = usize::read_from(r)?;
         let row_ptr = Vec::<usize>::read_from(r)?;
         let col_idx = Vec::<u32>::read_from(r)?;
-        let values = Vec::<f32>::read_from(r)?;
+        let n_values = r.len_prefix("csr values")?;
+        let values = r.f32_arena(n_values, "csr values")?;
         // The sparse matmul indexes `values[row_ptr[i]..row_ptr[i+1]]` and
         // columns up to `cols`; validate exactly what it assumes.
         ensure(
@@ -90,9 +93,9 @@ impl Persist for CsrMatrix {
         Ok(CsrMatrix {
             rows,
             cols,
-            row_ptr: row_ptr.into(),
-            col_idx: col_idx.into(),
-            values: values.into(),
+            row_ptr: r.share(row_ptr),
+            col_idx: r.share(col_idx),
+            values,
             exec: ExecCache::default(),
         })
     }
@@ -107,10 +110,11 @@ impl Persist for QuantMatrix {
         self.act_scale.write_to(w)
     }
 
-    fn read_from<R: Read>(r: &mut R) -> Result<Self> {
+    fn read_from(r: &mut ViewCursor<'_>) -> Result<Self> {
         let rows = usize::read_from(r)?;
         let cols = usize::read_from(r)?;
-        let data = Vec::<i8>::read_from(r)?;
+        let n = r.len_prefix("quant data")?;
+        let data = r.i8_arena(n, "quant data")?;
         let scale = f32::read_from(r)?;
         let act_scale = Option::<f32>::read_from(r)?;
         let numel = rows
@@ -120,7 +124,7 @@ impl Persist for QuantMatrix {
         Ok(QuantMatrix {
             rows,
             cols,
-            data: data.into(),
+            data,
             scale,
             act_scale,
             exec: ExecCache::default(),
@@ -146,7 +150,7 @@ impl Persist for MatRep {
         }
     }
 
-    fn read_from<R: Read>(r: &mut R) -> Result<Self> {
+    fn read_from(r: &mut ViewCursor<'_>) -> Result<Self> {
         match u8::read_from(r)? {
             0 => {
                 let t = Tensor::read_from(r)?;
@@ -173,7 +177,7 @@ impl Persist for Activation {
         tag.write_to(w)
     }
 
-    fn read_from<R: Read>(r: &mut R) -> Result<Self> {
+    fn read_from(r: &mut ViewCursor<'_>) -> Result<Self> {
         match u8::read_from(r)? {
             0 => Ok(Activation::None),
             1 => Ok(Activation::Relu),
@@ -196,7 +200,7 @@ impl Persist for PoolKind {
         tag.write_to(w)
     }
 
-    fn read_from<R: Read>(r: &mut R) -> Result<Self> {
+    fn read_from(r: &mut ViewCursor<'_>) -> Result<Self> {
         match u8::read_from(r)? {
             0 => Ok(PoolKind::Max),
             1 => Ok(PoolKind::Avg),
@@ -216,7 +220,7 @@ impl Persist for LinearInfer {
         self.act.write_to(w)
     }
 
-    fn read_from<R: Read>(r: &mut R) -> Result<Self> {
+    fn read_from(r: &mut ViewCursor<'_>) -> Result<Self> {
         let weight = MatRep::read_from(r)?;
         let bias = Vec::<f32>::read_from(r)?;
         let act = Activation::read_from(r)?;
@@ -244,7 +248,7 @@ impl Persist for ConvInfer {
         self.pool.write_to(w)
     }
 
-    fn read_from<R: Read>(r: &mut R) -> Result<Self> {
+    fn read_from(r: &mut ViewCursor<'_>) -> Result<Self> {
         let weight = MatRep::read_from(r)?;
         let bias = Vec::<f32>::read_from(r)?;
         let cin = usize::read_from(r)?;
@@ -287,7 +291,7 @@ impl Persist for CnnInfer {
         self.window.write_to(w)
     }
 
-    fn read_from<R: Read>(r: &mut R) -> Result<Self> {
+    fn read_from(r: &mut ViewCursor<'_>) -> Result<Self> {
         let convs = Vec::<ConvInfer>::read_from(r)?;
         let head = LinearInfer::read_from(r)?;
         let channels = usize::read_from(r)?;
@@ -313,7 +317,7 @@ impl Persist for LstmInfer {
         self.time_stride.write_to(w)
     }
 
-    fn read_from<R: Read>(r: &mut R) -> Result<Self> {
+    fn read_from(r: &mut ViewCursor<'_>) -> Result<Self> {
         let cells = Vec::<LinearInfer>::read_from(r)?;
         let hidden = usize::read_from(r)?;
         let head = LinearInfer::read_from(r)?;
@@ -358,7 +362,7 @@ impl Persist for TfBlockInfer {
         self.ln2.write_to(w)
     }
 
-    fn read_from<R: Read>(r: &mut R) -> Result<Self> {
+    fn read_from(r: &mut ViewCursor<'_>) -> Result<Self> {
         Ok(TfBlockInfer {
             wq: LinearInfer::read_from(r)?,
             wk: LinearInfer::read_from(r)?,
@@ -385,7 +389,7 @@ impl Persist for TfInfer {
         self.time_stride.write_to(w)
     }
 
-    fn read_from<R: Read>(r: &mut R) -> Result<Self> {
+    fn read_from(r: &mut ViewCursor<'_>) -> Result<Self> {
         let input_proj = LinearInfer::read_from(r)?;
         let blocks = Vec::<TfBlockInfer>::read_from(r)?;
         let head = LinearInfer::read_from(r)?;
@@ -450,7 +454,7 @@ impl Persist for InferModel {
         }
     }
 
-    fn read_from<R: Read>(r: &mut R) -> Result<Self> {
+    fn read_from(r: &mut ViewCursor<'_>) -> Result<Self> {
         match u8::read_from(r)? {
             0 => Ok(InferModel::Cnn(CnnInfer::read_from(r)?)),
             1 => Ok(InferModel::Lstm(LstmInfer::read_from(r)?)),
@@ -485,7 +489,7 @@ impl Persist for TreeNode {
         }
     }
 
-    fn read_from<R: Read>(r: &mut R) -> Result<Self> {
+    fn read_from(r: &mut ViewCursor<'_>) -> Result<Self> {
         match u8::read_from(r)? {
             0 => Ok(TreeNode::Leaf {
                 probs: Vec::<f32>::read_from(r)?,
@@ -509,7 +513,7 @@ impl Persist for Tree {
         write_slice(self.nodes(), w)
     }
 
-    fn read_from<R: Read>(r: &mut R) -> Result<Self> {
+    fn read_from(r: &mut ViewCursor<'_>) -> Result<Self> {
         let nodes = Vec::<TreeNode>::read_from(r)?;
         Tree::from_nodes(nodes).map_err(|e| ModelIoError::malformed(e.to_string()))
     }
@@ -529,7 +533,7 @@ impl Persist for RandomForest {
         write_slice(self.trees(), w)
     }
 
-    fn read_from<R: Read>(r: &mut R) -> Result<Self> {
+    fn read_from(r: &mut ViewCursor<'_>) -> Result<Self> {
         let config = ForestConfig::read_from(r)?;
         let trees = Vec::<Tree>::read_from(r)?;
         RandomForest::from_parts(config, trees).map_err(|e| ModelIoError::malformed(e.to_string()))
@@ -542,7 +546,7 @@ impl Persist for ForestClassifier {
         Classifier::window(self).write_to(w)
     }
 
-    fn read_from<R: Read>(r: &mut R) -> Result<Self> {
+    fn read_from(r: &mut ViewCursor<'_>) -> Result<Self> {
         let forest = RandomForest::read_from(r)?;
         let window = usize::read_from(r)?;
         ensure(window >= 1, "forest window must be positive")?;
@@ -559,7 +563,7 @@ impl Persist for Voting {
         tag.write_to(w)
     }
 
-    fn read_from<R: Read>(r: &mut R) -> Result<Self> {
+    fn read_from(r: &mut ViewCursor<'_>) -> Result<Self> {
         match u8::read_from(r)? {
             0 => Ok(Voting::Soft),
             1 => Ok(Voting::Hard),
@@ -586,7 +590,7 @@ impl Persist for Member {
         }
     }
 
-    fn read_from<R: Read>(r: &mut R) -> Result<Self> {
+    fn read_from(r: &mut ViewCursor<'_>) -> Result<Self> {
         match u8::read_from(r)? {
             0 => Ok(Member::Net(InferModel::read_from(r)?)),
             1 => Ok(Member::Forest(ForestClassifier::read_from(r)?)),
@@ -604,7 +608,7 @@ impl Persist for Ensemble {
         write_slice(self.members(), w)
     }
 
-    fn read_from<R: Read>(r: &mut R) -> Result<Self> {
+    fn read_from(r: &mut ViewCursor<'_>) -> Result<Self> {
         let voting = Voting::read_from(r)?;
         let members = Vec::<Member>::read_from(r)?;
         ensure(!members.is_empty(), "ensemble needs at least one member")?;
@@ -678,7 +682,7 @@ impl Persist for OptimizerKind {
         }
     }
 
-    fn read_from<R: Read>(r: &mut R) -> Result<Self> {
+    fn read_from(r: &mut ViewCursor<'_>) -> Result<Self> {
         match u8::read_from(r)? {
             0 => Ok(OptimizerKind::Sgd {
                 lr: f32::read_from(r)?,

@@ -13,7 +13,7 @@
 //! COGM | version u16 | section count u16 | section table | payloads | CRC32
 //! ```
 //!
-//! See [`container`] for the exact layout. Three guarantees:
+//! See [`container`] for the exact layout. Four guarantees:
 //!
 //! * **Total readers.** Any byte stream either decodes or returns a typed
 //!   [`ModelIoError`] — no panics, no unbounded allocation from forged
@@ -46,11 +46,18 @@
 //! * [`container::save_section`] / [`container::load_section`] — any
 //!   single [`Persist`] value as its own file.
 //!
-//! Loading goes through [`LazyContainer`] where possible: the section
-//! table is indexed and the checksum verified by **streaming** the file
-//! through a fixed-size buffer, then each requested section decodes
-//! straight from a buffered reader over its byte range — the whole
-//! artifact is never materialized in memory at once.
+//! # One reader, one decoder
+//!
+//! [`Container`] assembles sections and writes files. Every load goes
+//! through [`WeightImage`]: the file is memory-mapped (or read into an
+//! 8-aligned buffer; v1 files are upgraded to the aligned layout in
+//! memory), validated once, and each section decodes through
+//! [`Persist::read_from`] over a [`ViewCursor`] that carries the image as
+//! its arena owner — bulk `f32`/`i8` payloads borrow the image instead of
+//! being copied. [`from_bytes`] runs the same decoders over a bare payload
+//! with an arena-less cursor, copying instead. So there is exactly one
+//! decoder per type, and the hostile-input suites exercise it on both
+//! paths.
 //!
 //! ```no_run
 //! use model_io::ArmPersist;
@@ -70,21 +77,17 @@ pub mod image;
 mod impl_core;
 mod impl_evo;
 mod impl_ml;
-pub mod lazy;
 pub mod mmap;
 pub mod rw;
-pub mod view;
 
 pub use container::{
     image_version, load_section, save_section, upgrade_file_bytes, Container, FORMAT_VERSION,
     FORMAT_VERSION_V1, MAGIC,
 };
-pub use image::WeightImage;
-pub use lazy::LazyContainer;
 pub use error::{ModelIoError, Result};
+pub use image::WeightImage;
 pub use impl_core::{tags, ArmPersist, SavedModel, SearchCheckpoint};
-pub use rw::{from_bytes, to_bytes, Persist};
-pub use view::{FloatView, TensorView, ViewCursor};
+pub use rw::{from_bytes, to_bytes, Persist, ViewCursor};
 
 /// Field-by-field [`Persist`] for a plain struct with public fields.
 macro_rules! persist_struct {
@@ -95,7 +98,7 @@ macro_rules! persist_struct {
                 Ok(())
             }
 
-            fn read_from<R: std::io::Read>(r: &mut R) -> $crate::error::Result<Self> {
+            fn read_from(r: &mut $crate::rw::ViewCursor<'_>) -> $crate::error::Result<Self> {
                 Ok($ty { $( $field: $crate::rw::Persist::read_from(r)? ),+ })
             }
         }
@@ -185,6 +188,48 @@ mod tests {
         };
         assert!(matches!(
             from_bytes::<Tree>(&bytes).unwrap_err(),
+            ModelIoError::Malformed { .. }
+        ));
+    }
+
+    #[test]
+    fn quantized_cnn_round_trips_with_and_without_an_arena() {
+        // A mixed-representation member (int8 conv/head weights beside
+        // dense f32 ones) through both cursor modes: copied from a bare
+        // payload and borrowed from a weight image.
+        use ml::compress::{quantize, QuantMode};
+        use ml::ensemble::{Ensemble, Member, Voting};
+        let model = ml::models::CnnConfig::paper_best().build(7).unwrap();
+        let mut compiled = ml::infer::compile_cnn(&model);
+        quantize(&mut compiled, QuantMode::Calibrated).unwrap();
+        let ensemble = Ensemble::new(vec![Member::Net(compiled)], Voting::Soft);
+        let copied: Ensemble = from_bytes(&to_bytes(&ensemble).unwrap()).unwrap();
+        assert_eq!(copied, ensemble);
+        let mut c = Container::new();
+        c.add(tags::ENSEMBLE, &ensemble).unwrap();
+        let image = WeightImage::from_bytes(&c.to_file_bytes()).unwrap();
+        assert_eq!(image.get::<Ensemble>(tags::ENSEMBLE).unwrap(), ensemble);
+    }
+
+    #[test]
+    fn ensemble_truncations_and_trailing_bytes_are_typed() {
+        use ml::ensemble::{Ensemble, ForestClassifier, Member, Voting};
+        let ensemble = Ensemble::new(
+            vec![Member::Forest(ForestClassifier::new(toy_forest(11), 16))],
+            Voting::Hard,
+        );
+        let bytes = to_bytes(&ensemble).unwrap();
+        assert_eq!(from_bytes::<Ensemble>(&bytes).unwrap(), ensemble);
+        for cut in 0..bytes.len() {
+            assert!(
+                from_bytes::<Ensemble>(&bytes[..cut]).is_err(),
+                "truncation to {cut} accepted"
+            );
+        }
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert!(matches!(
+            from_bytes::<Ensemble>(&trailing).unwrap_err(),
             ModelIoError::Malformed { .. }
         ));
     }

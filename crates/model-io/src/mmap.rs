@@ -9,7 +9,7 @@
 //! read-only wrapper. Non-unix targets — and callers that already hold
 //! the bytes (tests, network loads, the v1 → v2 in-memory upgrade) — use
 //! [`AlignedBytes`], an owned buffer with the same 8-byte base alignment
-//! a page-aligned mapping guarantees, so the zero-copy decoders behave
+//! a page-aligned mapping guarantees, so the borrowing decoder behaves
 //! identically over both.
 
 use std::fs::File;
@@ -49,7 +49,7 @@ mod sys {
 /// The mapping is `PROT_READ | MAP_PRIVATE`: the kernel shares the
 /// backing pages across every process (and every [`Mmap`]) of the same
 /// file, and nothing here can write through it. Page alignment of the
-/// base pointer gives the zero-copy decoders their required 8-byte
+/// base pointer gives the borrowing decoder its required 8-byte
 /// alignment for free.
 #[cfg(unix)]
 #[derive(Debug)]

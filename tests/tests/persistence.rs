@@ -18,7 +18,10 @@
 //! 3. **Corruption sweeps**: every prefix truncation and every
 //!    single-byte flip of a valid artifact must yield a typed
 //!    `ModelIoError` — never a panic, never a wrong-but-`Ok` model —
-//!    over both the current (v2, aligned) and legacy (v1) layouts.
+//!    over both the current (v2, aligned) and legacy (v1) layouts; and
+//!    payload mutations behind a recomputed CRC must reach the decoder
+//!    and still never panic it. Every sweep loads through the one reader,
+//!    `WeightImage`.
 
 use std::path::PathBuf;
 
@@ -32,7 +35,7 @@ use ml::models::{CnnConfig, ConvSpec, PoolKind};
 use ml::optim::OptimizerKind;
 use ml::tensor::Tensor;
 use model_io::{
-    from_bytes, to_bytes, ArmPersist, Container, ModelIoError, Persist, SavedModel,
+    from_bytes, to_bytes, ArmPersist, Container, ModelIoError, Persist, SavedModel, WeightImage,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -243,56 +246,9 @@ fn saved_model_preserves_normalization_and_config() {
     assert_eq!(&saved.ensemble, system.ensemble());
 }
 
-// --- zero-copy load path -----------------------------------------------------
-
-/// The zero-copy loader must produce a model structurally identical to the
-/// streaming loader's, on both a trained artifact and the small fixture
-/// model.
-#[test]
-fn zero_copy_load_matches_streamed_load() {
-    let artifacts = quick_trained(21, 21);
-    let path = temp_path("zero-copy.cogm");
-    let mut system = CognitiveArm::new(PipelineConfig::default(), artifacts.ensemble.clone(), 21);
-    system.set_normalization(artifacts.data.zscores[0].clone());
-    system.save_model(&path).expect("saves");
-
-    let streamed = SavedModel::load(&path).expect("streamed load");
-    let zero_copy = SavedModel::load_zero_copy(&path).expect("zero-copy load");
-    assert_eq!(streamed, zero_copy);
-
-    let small = small_saved_model();
-    let small_path = temp_path("zero-copy-small.cogm");
-    small.save(&small_path).expect("saves");
-    assert_eq!(
-        SavedModel::load_zero_copy(&small_path).expect("loads"),
-        small
-    );
-}
-
-/// A zero-copy-loaded system's label trace must be bit-identical to the
-/// in-memory system's — the acceptance bar for the whole fast path.
-#[test]
-fn zero_copy_loaded_model_reproduces_traces_bitwise() {
-    let artifacts = quick_trained(33, 33);
-    let path = temp_path("zero-copy-trace.cogm");
-    let run = |mut system: CognitiveArm| -> SessionTrace {
-        system.set_normalization(artifacts.data.zscores[0].clone());
-        system.set_subject_action(Action::Left);
-        system.run_for(2.0).expect("runs")
-    };
-    let system = CognitiveArm::new(PipelineConfig::default(), artifacts.ensemble.clone(), 33);
-    system.save_model(&path).expect("saves");
-    let reference = run(system);
-    assert!(!reference.labels.is_empty());
-    let loaded = SavedModel::load_zero_copy(&path).expect("loads").into_system(33);
-    assert_traces_identical(&reference, &run(loaded), "zero-copy loaded");
-}
-
-/// The mmap-backed weight image is held to the same trace-level bar as
-/// every other loader: a model decoded through the shared image — from a
-/// v2 file directly and from a v1 file via the in-memory upgrade — must
-/// reproduce the in-memory system's label trace bit-for-bit at 1 and 4
-/// worker threads.
+/// A model decoded through the weight image — from a v2 file directly and
+/// from a v1 file via the in-memory upgrade — must reproduce the
+/// in-memory system's label trace bit-for-bit at 1 and 4 worker threads.
 #[test]
 fn weight_image_models_reproduce_traces_across_thread_counts() {
     let artifacts = quick_trained(33, 33);
@@ -320,7 +276,7 @@ fn weight_image_models_reproduce_traces_across_thread_counts() {
         .expect("saves v1");
 
     for (path, label) in [(&v2_path, "v2 image"), (&v1_path, "v1-upgraded image")] {
-        let image = model_io::WeightImage::open(path).expect("image opens");
+        let image = WeightImage::open(path).expect("image opens");
         let mut model = image.decode().expect("image decodes");
         assert_traces_identical(
             &reference,
@@ -332,32 +288,6 @@ fn weight_image_models_reproduce_traces_across_thread_counts() {
             &reference,
             &run(model.into_system(33)),
             &format!("{label} @4 threads"),
-        );
-    }
-}
-
-/// The zero-copy loader is held to the same total-reader bar as the
-/// container parser: every truncation and every byte flip of a saved
-/// model is a typed error, never a panic or a wrong-but-`Ok` model.
-#[test]
-fn zero_copy_loader_survives_the_corruption_sweep() {
-    let bytes = small_saved_model()
-        .to_container()
-        .expect("persistable")
-        .to_file_bytes();
-    assert!(SavedModel::from_file_bytes(&bytes).is_ok());
-    for cut in 0..bytes.len() {
-        assert!(
-            SavedModel::from_file_bytes(&bytes[..cut]).is_err(),
-            "truncation to {cut} bytes accepted"
-        );
-    }
-    for i in 0..bytes.len() {
-        let mut flipped = bytes.clone();
-        flipped[i] ^= 0xFF;
-        assert!(
-            SavedModel::from_file_bytes(&flipped).is_err(),
-            "flip at byte {i} accepted"
         );
     }
 }
@@ -468,39 +398,26 @@ fn golden_fixtures_are_reproduced_byte_for_byte() {
 
 #[test]
 fn golden_fixtures_are_accepted_by_the_reader() {
-    let tensor_file = Container::load(fixture_path("tensor.cogm")).expect("tensor fixture parses");
-    let tensor: Tensor = tensor_file.get(*b"TENS").expect("tensor decodes");
+    let tensor: Tensor = model_io::load_section(fixture_path("tensor.cogm"), *b"TENS")
+        .expect("tensor fixture decodes");
     assert_eq!(tensor.shape(), &[4, 3]);
 
-    let forest: RandomForest = Container::load(fixture_path("forest.cogm"))
-        .expect("forest fixture parses")
-        .get(*b"FRST")
-        .expect("forest decodes");
+    let forest: RandomForest = model_io::load_section(fixture_path("forest.cogm"), *b"FRST")
+        .expect("forest fixture decodes");
     assert_eq!(forest, toy_forest(11, 3, Some(4)));
 
-    let genome: evo::Genome = Container::load(fixture_path("genome.cogm"))
-        .expect("genome fixture parses")
-        .get(*b"GENO")
-        .expect("genome decodes");
+    let genome: evo::Genome = model_io::load_section(fixture_path("genome.cogm"), *b"GENO")
+        .expect("genome fixture decodes");
     assert_eq!(genome.window(), 100);
 
-    let model = SavedModel::from_container(
-        &Container::load(fixture_path("model.cogm")).expect("model fixture parses"),
-    )
-    .expect("model decodes");
+    let model = SavedModel::load(fixture_path("model.cogm")).expect("model fixture decodes");
     assert_eq!(model, small_saved_model());
-
-    // The zero-copy loader must accept the committed fixture and agree
-    // with the streaming reader on it.
-    let zero_copy =
-        SavedModel::load_zero_copy(fixture_path("model.cogm")).expect("zero-copy decodes");
-    assert_eq!(zero_copy, model);
 }
 
-/// The permanent v1 fixtures must load through every reader, decode to
-/// the same model as the v2 fixture, and upgrade **byte-identically** to
-/// the committed v2 encoding — the upgrade is canonical, so a v1 file
-/// upgraded in memory and the same model saved as v2 are the same image.
+/// The permanent v1 fixtures must load, decode to the same model as the v2
+/// fixture, and upgrade **byte-identically** to the committed v2 encoding
+/// — the upgrade is canonical, so a v1 file upgraded in memory and the
+/// same model saved as v2 are the same image.
 #[test]
 fn v1_fixtures_load_and_upgrade_bit_identically() {
     let v1 = std::fs::read(fixture_path("model_v1.cogm")).expect("v1 fixture present");
@@ -508,11 +425,12 @@ fn v1_fixtures_load_and_upgrade_bit_identically() {
     assert_eq!(model_io::image_version(&v1).expect("v1 envelope"), 1);
     assert_eq!(model_io::image_version(&v2).expect("v2 envelope"), 2);
 
-    // The streaming reader accepts the legacy layout directly.
-    let model =
-        SavedModel::from_container(&Container::from_file_bytes(&v1).expect("v1 parses"))
-            .expect("v1 decodes");
+    // The file loader accepts the legacy layout directly.
+    let model = SavedModel::load(fixture_path("model_v1.cogm")).expect("v1 decodes");
     assert_eq!(model, small_saved_model());
+    let forest: RandomForest = model_io::load_section(fixture_path("forest_v1.cogm"), *b"FRST")
+        .expect("v1 forest decodes");
+    assert_eq!(forest, toy_forest(11, 3, Some(4)));
 
     // Canonical upgrade: re-encoding the v1 bytes as v2 reproduces the
     // committed v2 fixture exactly (and v2 is a fixed point).
@@ -522,8 +440,8 @@ fn v1_fixtures_load_and_upgrade_bit_identically() {
 
     // The weight image runs the same upgrade internally: both fixtures
     // intern to one content hash and decode to the same model.
-    let from_v1 = model_io::WeightImage::from_bytes(&v1).expect("v1 image");
-    let from_v2 = model_io::WeightImage::from_bytes(&v2).expect("v2 image");
+    let from_v1 = WeightImage::from_bytes(&v1).expect("v1 image");
+    let from_v2 = WeightImage::from_bytes(&v2).expect("v2 image");
     assert_eq!(from_v1.source_version(), 1);
     assert_eq!(from_v2.source_version(), 2);
     assert_eq!(from_v1.content_hash(), from_v2.content_hash());
@@ -533,6 +451,12 @@ fn v1_fixtures_load_and_upgrade_bit_identically() {
 
 // --- corruption and truncation sweeps ----------------------------------------
 
+/// Opens `bytes` as a weight image and decodes the full model — the one
+/// load path every sweep below drives.
+fn load_image(bytes: &[u8]) -> model_io::Result<SavedModel> {
+    WeightImage::from_bytes(bytes)?.decode()
+}
+
 /// Every prefix truncation of a valid saved model must fail with a typed
 /// error — exercised on a complete `CognitiveArm` artifact.
 #[test]
@@ -541,20 +465,19 @@ fn every_truncation_of_a_saved_model_errors() {
         .to_container()
         .expect("persistable")
         .to_file_bytes();
+    assert_eq!(
+        load_image(&bytes).expect("intact artifact loads"),
+        small_saved_model()
+    );
     for cut in 0..bytes.len() {
-        match Container::from_file_bytes(&bytes[..cut]) {
-            Err(_) => {}
-            Ok(c) => {
-                // A shorter valid container is impossible: the checksum
-                // covers length-bearing structure. Reaching here means the
-                // reader accepted corrupt input.
-                panic!(
-                    "truncation to {cut}/{} bytes parsed as sections {:?}",
-                    bytes.len(),
-                    c.tags()
-                );
-            }
-        }
+        // A shorter valid image is impossible: the checksum covers
+        // length-bearing structure. `Ok` means the reader accepted
+        // corrupt input.
+        assert!(
+            load_image(&bytes[..cut]).is_err(),
+            "truncation to {cut}/{} bytes loaded",
+            bytes.len()
+        );
     }
 }
 
@@ -571,7 +494,7 @@ fn every_byte_flip_of_a_saved_model_errors() {
     for i in 0..bytes.len() {
         let mut flipped = bytes.clone();
         flipped[i] ^= 0xFF;
-        match Container::from_file_bytes(&flipped) {
+        match load_image(&flipped) {
             Err(ModelIoError::BadMagic { .. }) | Err(ModelIoError::UnsupportedVersion { .. }) => {
                 kinds[0] += 1;
             }
@@ -585,49 +508,43 @@ fn every_byte_flip_of_a_saved_model_errors() {
 }
 
 /// Flips must also be caught when they land *inside a section payload* and
-/// the file is then fed to the full model decoder (not just the container
-/// parser).
+/// the file is then fed to the full model decoder (not just the envelope
+/// check).
 #[test]
 fn flipped_payloads_never_produce_a_wrong_but_ok_model() {
-    let container = small_saved_model().to_container().expect("persistable");
-    let bytes = container.to_file_bytes();
+    let bytes = small_saved_model()
+        .to_container()
+        .expect("persistable")
+        .to_file_bytes();
     for i in (0..bytes.len()).step_by(3) {
         let mut flipped = bytes.clone();
         flipped[i] ^= 0x10;
-        let result =
-            Container::from_file_bytes(&flipped).and_then(|c| SavedModel::from_container(&c));
-        assert!(result.is_err(), "flip at byte {i} produced an Ok model");
+        assert!(
+            load_image(&flipped).is_err(),
+            "flip at byte {i} produced an Ok model"
+        );
     }
 }
 
 /// Truncations and flips on the committed golden fixtures — both format
 /// generations — so the sweep also covers bytes written by *past*
-/// versions of the writer, and the v1-upgrading [`model_io::WeightImage`]
-/// path is held to the same total-reader bar as the container parser.
+/// versions of the writer, including the v1-upgrading open path.
 #[test]
 fn fixture_corruption_sweep() {
-    for name in ["forest.cogm", "forest_v1.cogm"] {
+    for name in ["forest.cogm", "forest_v1.cogm", "model_v1.cogm"] {
         let bytes = std::fs::read(fixture_path(name)).expect("fixture present");
         for cut in 0..bytes.len() {
             assert!(
-                Container::from_file_bytes(&bytes[..cut]).is_err(),
+                WeightImage::from_bytes(&bytes[..cut]).is_err(),
                 "{name} truncation to {cut} accepted"
-            );
-            assert!(
-                model_io::WeightImage::from_bytes(&bytes[..cut]).is_err(),
-                "{name} truncation to {cut} accepted as a weight image"
             );
         }
         for i in 0..bytes.len() {
             let mut flipped = bytes.clone();
             flipped[i] ^= 0xFF;
             assert!(
-                Container::from_file_bytes(&flipped).is_err(),
+                WeightImage::from_bytes(&flipped).is_err(),
                 "{name} flip at {i} accepted"
-            );
-            assert!(
-                model_io::WeightImage::from_bytes(&flipped).is_err(),
-                "{name} flip at {i} accepted as a weight image"
             );
         }
     }
@@ -642,9 +559,38 @@ fn hostile_filter_spec_is_rejected_at_load_time() {
     model.pipeline.filter.low_hz = 90.0; // above the 45 Hz high edge
     model.pipeline.filter.high_hz = 10.0;
     let bytes = model.to_container().expect("serializes").to_file_bytes();
-    let err = Container::from_file_bytes(&bytes)
-        .and_then(|c| SavedModel::from_container(&c))
-        .unwrap_err();
+    let err = load_image(&bytes).unwrap_err();
+    assert!(
+        matches!(err, ModelIoError::Malformed { .. }),
+        "expected Malformed, got {err}"
+    );
+}
+
+/// A CRC-valid file whose pipeline section forges an absurd filter order
+/// must be a typed error: the Butterworth design would otherwise overflow
+/// (or size its pole vectors and filter state by the forged order).
+#[test]
+fn forged_filter_order_is_rejected_at_load_time() {
+    for order in [dsp::butterworth::MAX_ORDER + 1, 1 << 40, usize::MAX] {
+        let mut model = small_saved_model();
+        model.pipeline.filter.order = order;
+        let bytes = model.to_container().expect("serializes").to_file_bytes();
+        let err = load_image(&bytes).unwrap_err();
+        assert!(
+            matches!(err, ModelIoError::Malformed { .. }),
+            "order {order}: expected Malformed, got {err}"
+        );
+    }
+}
+
+/// A NaN notch quality factor would design NaN coefficients and turn
+/// every filtered sample into NaN; it must be refused at load time.
+#[test]
+fn nan_notch_quality_is_rejected_at_load_time() {
+    let mut model = small_saved_model();
+    model.pipeline.filter.notch_q = f64::NAN;
+    let bytes = model.to_container().expect("serializes").to_file_bytes();
+    let err = load_image(&bytes).unwrap_err();
     assert!(
         matches!(err, ModelIoError::Malformed { .. }),
         "expected Malformed, got {err}"
@@ -686,11 +632,11 @@ fn hostile_csr_column_index_is_rejected_at_load_time() {
     };
     // Control: the same bytes with in-range indices load fine, so the
     // hostile variant below fails for the right reason.
-    let good = Container::from_file_bytes(&encode(vec![1, 2])).expect("envelope");
+    let good = WeightImage::from_bytes(&encode(vec![1, 2])).expect("envelope");
     let raw: Vec<u8> = good.get(*b"RAWB").expect("payload");
     assert!(from_bytes::<CsrMatrix>(&raw).is_ok(), "control fixture rejected");
     // Forged: column index 3 in a 3-column matrix.
-    let bad = Container::from_file_bytes(&encode(vec![1, 3])).expect("envelope is valid");
+    let bad = WeightImage::from_bytes(&encode(vec![1, 3])).expect("envelope is valid");
     let raw: Vec<u8> = bad.get(*b"RAWB").expect("payload");
     let err = from_bytes::<CsrMatrix>(&raw).unwrap_err();
     assert!(
@@ -712,9 +658,126 @@ fn forged_inner_lengths_are_rejected_without_allocation() {
     Vec::<f32>::new().write_to(&mut payload).unwrap();
     container.add(*b"RAWB", &payload).unwrap();
     let bytes = container.to_file_bytes();
-    let parsed = Container::from_file_bytes(&bytes).expect("envelope is valid");
+    let parsed = WeightImage::from_bytes(&bytes).expect("envelope is valid");
     let raw: Vec<u8> = parsed.get(*b"RAWB").expect("raw bytes round-trip");
     assert!(from_bytes::<Tensor>(&raw).is_err(), "forged tensor accepted");
+}
+
+/// A small artifact (tens of KB) carrying every weight representation a
+/// deployed ensemble uses — a dense LSTM, a CSR-pruned transformer, an
+/// int8 CNN and a forest member — plus `PCFG` and `NORM` sections.
+fn mixed_saved_model() -> SavedModel {
+    use dsp::normalize::Zscore;
+    use ml::compress::{prune_global, quantize, QuantMode};
+    use ml::infer::{compile_cnn, compile_lstm, compile_transformer, MatRep};
+    use ml::models::{LstmConfig, TransformerConfig};
+    let (window, channels) = (40, eeg::CHANNELS);
+    let lstm = LstmConfig {
+        hidden: 8,
+        layers: 1,
+        dropout: 0.0,
+        window,
+        channels,
+        time_stride: 4,
+    };
+    let transformer = TransformerConfig {
+        layers: 1,
+        heads: 2,
+        d_model: 8,
+        dim_ff: 16,
+        dropout: 0.0,
+        window,
+        channels,
+        time_stride: 4,
+    };
+    let cnn = CnnConfig {
+        convs: vec![ConvSpec {
+            filters: 4,
+            kernel: 3,
+            stride: 2,
+        }],
+        pool: PoolKind::Max,
+        window,
+        channels,
+        dropout: 0.0,
+    };
+    let dense = compile_lstm(&lstm.build(1).expect("lstm builds"));
+    let mut sparse = compile_transformer(&transformer.build(2).expect("transformer builds"));
+    prune_global(&mut sparse, 0.8);
+    let mut csr = 0;
+    sparse.visit_weights(|w| csr += usize::from(matches!(w, MatRep::Sparse(_))));
+    assert!(csr > 0, "pruning produced no CSR matrices");
+    let mut int8 = compile_cnn(&cnn.build(3).expect("cnn builds"));
+    quantize(&mut int8, QuantMode::Calibrated).expect("quantizes");
+    let forest = ForestClassifier::new(toy_forest(4, 3, Some(4)), window);
+    SavedModel {
+        pipeline: PipelineConfig::default(),
+        ensemble: Ensemble::new(
+            vec![
+                Member::Net(dense),
+                Member::Net(sparse),
+                Member::Net(int8),
+                Member::Forest(forest),
+            ],
+            Voting::Soft,
+        ),
+        normalization: Some(
+            Zscore::from_parts(vec![0.25; channels], vec![1.5; channels]).expect("valid"),
+        ),
+    }
+}
+
+/// Forged-CRC mutation sweep: single bytes inside the payloads of a valid
+/// artifact are overwritten at seeded offsets and the trailing CRC is
+/// recomputed, so every mutant passes the envelope and reaches the
+/// decoder's own validation. Each must load or fail with a typed error —
+/// never panic. (Compiling or predicting a mutant that loads is a
+/// separate trust question and out of scope here.)
+#[test]
+fn forged_crc_mutations_never_panic_the_decoder() {
+    let bytes = mixed_saved_model()
+        .to_container()
+        .expect("persistable")
+        .to_file_bytes();
+    assert!(
+        bytes.len() < 64 * 1024,
+        "sweep artifact grew to {} bytes",
+        bytes.len()
+    );
+    let base = bytes.as_ptr() as usize;
+    let payloads: Vec<std::ops::Range<usize>> = model_io::container::parse_sections(&bytes)
+        .expect("intact envelope")
+        .iter()
+        .map(|(_, p)| p.as_ptr() as usize - base..p.as_ptr() as usize - base + p.len())
+        .collect();
+    assert_eq!(payloads.len(), 3, "PCFG + ENSM + NORM");
+    assert_eq!(
+        load_image(&bytes).expect("intact artifact loads"),
+        mixed_saved_model()
+    );
+
+    let mut rng = StdRng::seed_from_u64(0xC06A);
+    let (mut loaded, mut refused) = (0usize, 0usize);
+    for mutation in 0..2400 {
+        let range = &payloads[rng.gen_range(0..payloads.len())];
+        let offset = rng.gen_range(range.clone());
+        let mut forged = bytes.clone();
+        forged[offset] ^= rng.gen_range(1..=255u8);
+        let tail = forged.len() - 4;
+        let crc = model_io::crc32::crc32(&forged[..tail]);
+        forged[tail..].copy_from_slice(&crc.to_le_bytes());
+        match std::panic::catch_unwind(|| load_image(&forged)) {
+            Ok(Ok(_)) => loaded += 1,
+            Ok(Err(_)) => refused += 1,
+            Err(_) => panic!("mutation {mutation} (byte {offset}) panicked the decoder"),
+        }
+    }
+    // Both outcomes occur: weight bytes decode to other weights, while
+    // structure bytes trip the decoder's validation.
+    assert!(
+        loaded > 0 && refused > 0,
+        "loaded {loaded}, refused {refused}"
+    );
 }
 
 // --- resumable search checkpoints --------------------------------------------

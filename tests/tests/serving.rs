@@ -503,8 +503,8 @@ fn streaming_wire_reordering_is_label_invisible() {
 /// The artifact registry's contract: one interned `WeightImage` per
 /// distinct artifact no matter how many times — or through which format
 /// version — it is opened, and sessions admitted through the shared
-/// image trace bit-identically to sessions built from their own eagerly
-/// loaded copy, at 1 and 4 threads.
+/// image trace bit-identically to sessions built from their own
+/// privately loaded image, at 1 and 4 threads.
 #[test]
 fn interned_artifact_sessions_match_eager_sessions_bitwise() {
     let artifacts = quick_trained(21, 21);
@@ -540,10 +540,10 @@ fn interned_artifact_sessions_match_eager_sessions_bitwise() {
         }
         let shared = manager.run_for(2.0).expect("shared-image fleet runs");
 
-        // Eager path: each session decodes a private copy from disk.
+        // Private path: each session decodes its own image from disk.
         let mut manager = SessionManager::new(Arc::new(ExecPool::new(threads)));
         for &subject in &SUBJECTS {
-            let model = model_io::SavedModel::load_zero_copy(&v2).expect("loads");
+            let model = model_io::SavedModel::load(&v2).expect("loads");
             manager
                 .add_session(SessionSpec::from_saved(model, subject))
                 .expect("admits eager");
