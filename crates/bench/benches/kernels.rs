@@ -1,16 +1,23 @@
 //! Criterion micro-benchmarks for the numeric kernels: the paper's
-//! filters, the FFT, and the compiled per-architecture forward passes
-//! (the dense/CSR/int8 matvec group lives in `benches/matvec.rs`).
+//! filters, the FFT, the forest classify call, and the compiled
+//! per-architecture forward passes (the dense/CSR/int8 matvec group lives
+//! in `benches/matvec.rs`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use cognitive_arm::eval::DatasetBuilder;
 use dsp::butterworth::Butterworth;
 use dsp::fft::rfft;
 use dsp::notch::notch_filter;
+use eeg::dataset::Protocol;
+use eeg::CHANNELS;
+use exec::ExecPool;
 use ml::compress::{prune_global, quantize, QuantMode};
+use ml::ensemble::{Ensemble, EnsembleScratch, ForestClassifier, Member, Voting};
+use ml::forest::{window_stat_features, ForestConfig, RandomForest};
 use ml::infer::{compile_cnn, compile_lstm, compile_transformer, MatRep};
-use ml::models::{CnnConfig, LstmConfig, TransformerConfig};
+use ml::models::{CnnConfig, LstmConfig, TransformerConfig, CLASSES};
 use ml::plan::InferPlan;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,6 +39,60 @@ fn fft_kernels(c: &mut Criterion) {
     c.bench_function("rfft_1024", |b| {
         b.iter(|| black_box(rfft(&signal).expect("power of two")))
     });
+}
+
+/// One label's classification by the paper's best forest (200 trees,
+/// depth 20, window 90) at the serving benchmark's `stream_forest` shape:
+/// fitted with seed 1 on the one-subject quick study, served as a
+/// single-member ensemble on one thread. `batch_1` is one session's
+/// label; `batch_32` is 32 windows in one call.
+fn forest_classify(c: &mut Criterion) {
+    const WINDOW: usize = 90;
+    let data = DatasetBuilder::new(Protocol::quick(), 1, 1)
+        .build()
+        .expect("quick study builds");
+    let windows = data.windows(WINDOW, 10).expect("windows");
+    let features: Vec<Vec<f32>> = windows
+        .iter()
+        .map(|w| window_stat_features(&w.data, CHANNELS))
+        .collect();
+    let labels: Vec<usize> = windows.iter().map(|w| w.label.label()).collect();
+    let pool = ExecPool::new(1);
+    let config = ForestConfig {
+        seed: 1,
+        ..ForestConfig::paper_best()
+    };
+    let forest = RandomForest::fit_with(config, &features, &labels, &pool).expect("fits");
+    let ensemble = Ensemble::new(
+        vec![Member::Forest(ForestClassifier::new(forest, WINDOW))],
+        Voting::Soft,
+    );
+    let mut g = c.benchmark_group("forest_classify");
+    for batch in [1, 32] {
+        let flat: Vec<f32> = windows
+            .iter()
+            .step_by(windows.len() / batch)
+            .take(batch)
+            .flat_map(|w| w.data.iter().copied())
+            .collect();
+        let mut scratch = EnsembleScratch::new(&ensemble);
+        let mut out = vec![0.0f32; batch * CLASSES];
+        ensemble.predict_batch_into(&flat, batch, CHANNELS, &pool, &mut scratch, &mut out);
+        g.bench_function(&format!("batch_{batch}"), |b| {
+            b.iter(|| {
+                ensemble.predict_batch_into(
+                    black_box(&flat),
+                    batch,
+                    CHANNELS,
+                    &pool,
+                    &mut scratch,
+                    &mut out,
+                );
+                black_box(out[0])
+            })
+        });
+    }
+    g.finish();
 }
 
 fn forward_passes(c: &mut Criterion) {
@@ -123,5 +184,5 @@ fn forward_passes(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, filter_kernels, fft_kernels, forward_passes);
+criterion_group!(benches, filter_kernels, fft_kernels, forest_classify, forward_passes);
 criterion_main!(benches);

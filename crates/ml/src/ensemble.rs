@@ -448,6 +448,9 @@ impl Ensemble {
     /// per-matrix shared caches, so cloning the ensemble afterwards — the
     /// per-session handoff in `serve` — shares one compiled set across
     /// all sessions of an artifact instead of recompiling per session.
+    /// Forest members need nothing here: a forest compiles its lockstep
+    /// node table at construction (`fit_with` / `from_parts`) and its
+    /// clones share it.
     pub fn precompile_exec(&self) {
         for m in &self.members {
             if let Member::Net(net) = m {

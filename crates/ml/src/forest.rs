@@ -6,6 +6,18 @@
 //! that vector from a channel-major window, and the Fig. 9 Pareto point "D"
 //! reports total node count as the parameter measure (the paper annotates
 //! "72000 total nodes").
+//!
+//! [`Tree`]/[`TreeNode`] are the fitted and persisted form. Prediction
+//! never walks them: `fit_with` and `from_parts` compile the trees once
+//! into one flat table of 16-byte nodes (absolute `u32` child indices,
+//! leaves looping to themselves, leaf distributions in one contiguous
+//! `f32` table), shared by every clone. [`RandomForest::predict_proba_into`]
+//! walks eight trees in lockstep for their block's longest root-to-leaf
+//! path with a branch-free child select, then adds the leaf distributions
+//! in tree order — the same sums, in the same order, as a per-tree walk.
+//! The feature body likewise advances eight channels per pass, each
+//! channel keeping the scalar operation order, so both are bit-identical
+//! to their one-at-a-time references (`tests/tests/forest_engine.rs`).
 
 use std::sync::Arc;
 
@@ -16,6 +28,10 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::{MlError, Result};
+
+/// Trees walked, or channels summarized, together in one pass: enough
+/// independent dependency chains to hide load and add latency.
+const LANES: usize = 8;
 
 /// Random-forest hyperparameters (Table III: 100–500 trees, depth 10–None).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -61,9 +77,19 @@ pub fn window_stat_features(window: &[f32], channels: usize) -> Vec<f32> {
 /// [`window_stat_features`] into a reused buffer (cleared first) — the
 /// allocation-free serving path; identical arithmetic.
 ///
+/// Channels are summarized eight at a time so their f64 sum/variance
+/// and f32 min/max chains overlap. Each channel still sums its samples in
+/// order from `-0.0` (as `Iterator::sum::<f64>` does), then its squared
+/// deviations, so every statistic has the one-channel-at-a-time bits. A
+/// partial block repeats its last channel in the spare lanes and keeps
+/// only the real ones.
+///
 /// # Panics
 ///
 /// Panics if `window.len()` is not a multiple of `channels`.
+// The sample index walks all eight rows in lockstep; iterating one row
+// would hide that.
+#[allow(clippy::needless_range_loop)]
 pub fn window_stat_features_into(window: &[f32], channels: usize, out: &mut Vec<f32>) {
     assert!(
         channels > 0 && window.len().is_multiple_of(channels),
@@ -71,27 +97,34 @@ pub fn window_stat_features_into(window: &[f32], channels: usize, out: &mut Vec<
         window.len()
     );
     let per = window.len() / channels;
+    let n = per as f64;
     out.clear();
-    for ch in 0..channels {
-        let row = &window[ch * per..(ch + 1) * per];
-        let n = row.len() as f64;
-        let mean = row.iter().map(|&x| f64::from(x)).sum::<f64>() / n;
-        let var = row
-            .iter()
-            .map(|&x| (f64::from(x) - mean).powi(2))
-            .sum::<f64>()
-            / n;
-        let mut min = f32::INFINITY;
-        let mut max = f32::NEG_INFINITY;
-        for &x in row {
-            min = min.min(x);
-            max = max.max(x);
+    for first in (0..channels).step_by(LANES) {
+        let lanes = LANES.min(channels - first);
+        let rows: [&[f32]; LANES] =
+            std::array::from_fn(|l| &window[(first + l.min(lanes - 1)) * per..][..per]);
+        let mut sum = [-0.0f64; LANES];
+        let mut min = [f32::INFINITY; LANES];
+        let mut max = [f32::NEG_INFINITY; LANES];
+        for i in 0..per {
+            for l in 0..LANES {
+                let x = rows[l][i];
+                sum[l] += f64::from(x);
+                min[l] = min[l].min(x);
+                max[l] = max[l].max(x);
+            }
         }
-        out.push(mean as f32);
-        out.push(var.sqrt() as f32);
-        out.push(min);
-        out.push(max);
-        out.push(var as f32);
+        let mean = sum.map(|s| s / n);
+        let mut sq = [-0.0f64; LANES];
+        for i in 0..per {
+            for l in 0..LANES {
+                sq[l] += (f64::from(rows[l][i]) - mean[l]).powi(2);
+            }
+        }
+        for l in 0..lanes {
+            let var = sq[l] / n;
+            out.extend([mean[l] as f32, var.sqrt() as f32, min[l], max[l], var as f32]);
+        }
     }
 }
 
@@ -129,16 +162,18 @@ pub struct Tree {
 
 impl Tree {
     /// Reassembles a tree from its node arena (the model-persistence load
-    /// path), enforcing the invariant [`Tree::predict_proba`] relies on for
+    /// path), enforcing the invariant prediction relies on for
     /// termination: every split's children live strictly after it in the
-    /// arena, so traversal from the root is acyclic.
+    /// arena, so every path from the root is acyclic and a node's depth
+    /// is known once its children's are.
     ///
     /// Feature indices cannot be bounds-checked here — the fitted feature
     /// count is not part of the tree — so predicting with a feature vector
     /// shorter than a split's `feature` index still panics, exactly as it
     /// does for a freshly fitted tree fed the wrong-length input.
     /// [`RandomForest::from_parts`] additionally checks leaf distributions
-    /// against the configured class count.
+    /// against the configured class count and for finite, non-negative
+    /// entries.
     ///
     /// # Errors
     ///
@@ -174,24 +209,165 @@ impl Tree {
         self.nodes.len()
     }
 
-    /// Class probabilities for one feature vector.
-    #[must_use]
-    pub fn predict_proba(&self, features: &[f32]) -> &[f32] {
-        let mut idx = 0usize;
-        loop {
-            match &self.nodes[idx] {
-                TreeNode::Leaf { probs } => return probs,
-                TreeNode::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    idx = if features[*feature] <= *threshold {
-                        *left
-                    } else {
-                        *right
-                    };
+    /// Longest root-to-leaf path, in splits. Children follow their parent
+    /// in the arena, so one backward pass sees every child before its
+    /// parent (shared children included).
+    fn depth(&self) -> usize {
+        let mut depth = vec![0usize; self.nodes.len()];
+        for (i, node) in self.nodes.iter().enumerate().rev() {
+            if let TreeNode::Split { left, right, .. } = node {
+                depth[i] = 1 + depth[*left].max(depth[*right]);
+            }
+        }
+        depth[0]
+    }
+}
+
+/// One node of the compiled table: a split with absolute child indices,
+/// or a leaf whose children are itself.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    feature: u32,
+    threshold: f32,
+    left: u32,
+    right: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Node>() == 16);
+
+/// Up to [`LANES`] consecutive trees, walked in lockstep.
+#[derive(Debug)]
+struct Block {
+    /// Each lane's root; lanes past `trees` repeat the last tree's root.
+    roots: [u32; LANES],
+    /// Real trees in the block.
+    trees: usize,
+    /// Steps that bring every lane to a leaf: its longest tree's depth.
+    depth: usize,
+}
+
+/// A forest's compiled execution form (see the module docs).
+struct ForestTable {
+    nodes: Vec<Node>,
+    /// Per node, the first of its `classes` entries in `probs` (leaves
+    /// only; splits keep 0 and are never read).
+    leaf_row: Vec<u32>,
+    /// Every leaf's class distribution, contiguous.
+    probs: Vec<f32>,
+    blocks: Vec<Block>,
+    classes: usize,
+}
+
+impl std::fmt::Debug for ForestTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "ForestTable({} nodes, {} blocks)",
+            self.nodes.len(),
+            self.blocks.len()
+        )
+    }
+}
+
+/// `i` as a table index, or a typed error when it does not fit `u32`.
+fn table_index(i: usize, what: &str) -> Result<u32> {
+    u32::try_from(i).map_err(|_| MlError::BadConfig(format!("{what} {i} does not fit u32")))
+}
+
+impl ForestTable {
+    /// Compiles `trees` (validated by [`Tree::from_nodes`]), checking every
+    /// leaf: exactly `classes` entries, each finite and non-negative.
+    fn compile(trees: &[Tree], classes: usize) -> Result<Self> {
+        let total: usize = trees.iter().map(Tree::node_count).sum();
+        table_index(total, "node count")?;
+        let mut nodes = Vec::with_capacity(total);
+        let mut leaf_row = Vec::with_capacity(total);
+        let mut probs = Vec::new();
+        let mut roots = Vec::with_capacity(trees.len());
+        let mut depths = Vec::with_capacity(trees.len());
+        for (t, tree) in trees.iter().enumerate() {
+            let base = nodes.len();
+            roots.push(table_index(base, "node index")?);
+            depths.push(tree.depth());
+            for node in tree.nodes() {
+                let at = table_index(nodes.len(), "node index")?;
+                let (compiled, row) = match node {
+                    TreeNode::Leaf { probs: p } => {
+                        if p.len() != classes {
+                            return Err(MlError::BadConfig(format!(
+                                "tree {t} leaf has {} probabilities for {classes} classes",
+                                p.len()
+                            )));
+                        }
+                        if let Some(bad) = p.iter().find(|v| !v.is_finite() || **v < 0.0) {
+                            return Err(MlError::BadConfig(format!(
+                                "tree {t} leaf has probability {bad}"
+                            )));
+                        }
+                        let row = table_index(probs.len(), "leaf offset")?;
+                        probs.extend_from_slice(p);
+                        let leaf = Node {
+                            feature: 0,
+                            threshold: 0.0,
+                            left: at,
+                            right: at,
+                        };
+                        (leaf, row)
+                    }
+                    TreeNode::Split {
+                        feature,
+                        threshold,
+                        left,
+                        right,
+                    } => {
+                        let split = Node {
+                            feature: table_index(*feature, "feature index")?,
+                            threshold: *threshold,
+                            left: table_index(base + left, "node index")?,
+                            right: table_index(base + right, "node index")?,
+                        };
+                        (split, 0)
+                    }
+                };
+                nodes.push(compiled);
+                leaf_row.push(row);
+            }
+        }
+        let blocks = roots
+            .chunks(LANES)
+            .zip(depths.chunks(LANES))
+            .map(|(r, d)| Block {
+                roots: std::array::from_fn(|l| r[l.min(r.len() - 1)]),
+                trees: r.len(),
+                depth: d.iter().copied().max().unwrap_or(0),
+            })
+            .collect();
+        Ok(Self {
+            nodes,
+            leaf_row,
+            probs,
+            blocks,
+            classes,
+        })
+    }
+
+    /// Sums every tree's leaf distribution for `features` into `out`
+    /// (fully overwritten), in tree order.
+    fn vote_into(&self, features: &[f32], out: &mut [f32]) {
+        out.fill(0.0);
+        for block in &self.blocks {
+            let mut at = block.roots;
+            for _ in 0..block.depth {
+                for a in &mut at {
+                    let node = self.nodes[*a as usize];
+                    let go_left = features[node.feature as usize] <= node.threshold;
+                    *a = if go_left { node.left } else { node.right };
+                }
+            }
+            for &leaf in &at[..block.trees] {
+                let row = self.leaf_row[leaf as usize] as usize;
+                for (o, p) in out.iter_mut().zip(&self.probs[row..row + self.classes]) {
+                    *o += p;
                 }
             }
         }
@@ -199,10 +375,20 @@ impl Tree {
 }
 
 /// A trained random forest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RandomForest {
     config: ForestConfig,
     trees: Vec<Tree>,
+    /// The trees' compiled execution form, shared by clones.
+    table: Arc<ForestTable>,
+}
+
+/// Equality is the configuration and the fitted trees; the table is
+/// derived from them.
+impl PartialEq for RandomForest {
+    fn eq(&self, other: &Self) -> bool {
+        self.config == other.config && self.trees == other.trees
+    }
 }
 
 impl RandomForest {
@@ -266,19 +452,27 @@ impl RandomForest {
                 nodes: Arc::new(builder.nodes),
             }
         });
-        Ok(Self { config, trees })
+        let table = Arc::new(ForestTable::compile(&trees, config.classes)?);
+        Ok(Self {
+            config,
+            trees,
+            table,
+        })
     }
 
     /// Reassembles a forest from a configuration and fitted trees (the
-    /// model-persistence load path).
+    /// model-persistence load path), compiling its execution table.
     ///
     /// # Errors
     ///
     /// Returns [`MlError::BadConfig`] when the tree count disagrees with
     /// `config.n_estimators`, the class count is zero (prediction averages
-    /// over trees and classes, so both must be non-degenerate), or any
-    /// leaf's probability vector is not `config.classes` long (a short
-    /// leaf would silently skew [`RandomForest::predict_proba`]'s vote).
+    /// over trees and classes, so both must be non-degenerate), any leaf's
+    /// probability vector is not `config.classes` long (a short leaf would
+    /// silently skew [`RandomForest::predict_proba`]'s vote) or holds a
+    /// NaN, infinite or negative entry (the vote must stay a finite,
+    /// comparable number), or a node or feature index does not fit the
+    /// table's `u32` fields.
     pub fn from_parts(config: ForestConfig, trees: Vec<Tree>) -> Result<Self> {
         if config.classes == 0 {
             return Err(MlError::BadConfig("zero classes".into()));
@@ -290,20 +484,12 @@ impl RandomForest {
                 config.n_estimators
             )));
         }
-        for (t, tree) in trees.iter().enumerate() {
-            for node in tree.nodes() {
-                if let TreeNode::Leaf { probs } = node {
-                    if probs.len() != config.classes {
-                        return Err(MlError::BadConfig(format!(
-                            "tree {t} leaf has {} probabilities for {} classes",
-                            probs.len(),
-                            config.classes
-                        )));
-                    }
-                }
-            }
-        }
-        Ok(Self { config, trees })
+        let table = Arc::new(ForestTable::compile(&trees, config.classes)?);
+        Ok(Self {
+            config,
+            trees,
+            table,
+        })
     }
 
     /// The fitted trees.
@@ -333,20 +519,17 @@ impl RandomForest {
     }
 
     /// [`RandomForest::predict_proba`] into a preallocated buffer (fully
-    /// overwritten) — the allocation-free serving path; trees vote in the
-    /// same fixed order, so the result is bit-identical.
+    /// overwritten) — the allocation-free serving path. It reads only the
+    /// compiled table; trees vote in their fixed order, so the result has
+    /// the bits of walking each tree in turn.
     ///
     /// # Panics
     ///
-    /// Panics if `out.len() != classes`.
+    /// Panics if `out.len() != classes`, or if a split on the path reads a
+    /// feature index past `features`.
     pub fn predict_proba_into(&self, features: &[f32], out: &mut [f32]) {
         assert_eq!(out.len(), self.config.classes, "class buffer size");
-        out.fill(0.0);
-        for tree in &self.trees {
-            for (a, p) in out.iter_mut().zip(tree.predict_proba(features)) {
-                *a += p;
-            }
-        }
+        self.table.vote_into(features, out);
         let n = self.trees.len() as f32;
         for a in out.iter_mut() {
             *a /= n;
@@ -631,6 +814,72 @@ mod tests {
             RandomForest::fit(ForestConfig::paper_best(), &[vec![0.0]], &[7]),
             Err(MlError::BadLabel { .. })
         ));
+    }
+
+    /// A one-tree forest over three classes.
+    fn one_tree_config() -> ForestConfig {
+        ForestConfig {
+            n_estimators: 1,
+            max_depth: None,
+            min_samples_split: 2,
+            classes: 3,
+            seed: 0,
+        }
+    }
+
+    fn stump(feature: usize, right_leaf: Vec<f32>) -> Tree {
+        Tree::from_nodes(vec![
+            TreeNode::Split {
+                feature,
+                threshold: 0.0,
+                left: 1,
+                right: 2,
+            },
+            TreeNode::Leaf {
+                probs: vec![0.5, 0.5, 0.0],
+            },
+            TreeNode::Leaf { probs: right_leaf },
+        ])
+        .expect("arena is valid")
+    }
+
+    #[test]
+    fn non_finite_or_negative_leaf_probabilities_are_rejected() {
+        // A NaN entry used to load and then panic the vote's argmax on the
+        // first window routed to that leaf.
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.25] {
+            let tree = stump(0, vec![bad, 0.5, 0.5]);
+            assert!(
+                matches!(
+                    RandomForest::from_parts(one_tree_config(), vec![tree]),
+                    Err(MlError::BadConfig(_))
+                ),
+                "leaf entry {bad} accepted"
+            );
+        }
+        let zeros = stump(0, vec![-0.0, 1.0, 0.0]);
+        let forest = RandomForest::from_parts(one_tree_config(), vec![zeros]).expect("valid");
+        assert_eq!(forest.predict(&[1.0]), 1);
+    }
+
+    #[test]
+    fn indices_past_u32_are_typed_errors() {
+        let wide = stump(u32::MAX as usize + 1, vec![0.0, 0.0, 1.0]);
+        assert!(matches!(
+            RandomForest::from_parts(one_tree_config(), vec![wide]),
+            Err(MlError::BadConfig(_))
+        ));
+        let widest = stump(u32::MAX as usize, vec![0.0, 0.0, 1.0]);
+        assert!(RandomForest::from_parts(one_tree_config(), vec![widest]).is_ok());
+    }
+
+    #[test]
+    fn clones_share_the_compiled_table() {
+        let (xs, ys) = toy(60, 6);
+        let forest = RandomForest::fit(one_tree_config(), &xs, &ys).unwrap();
+        let clone = forest.clone();
+        assert!(Arc::ptr_eq(&forest.table, &clone.table));
+        assert_eq!(clone, forest);
     }
 
     #[test]

@@ -18,7 +18,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 use cognitive_arm::eval::{train_default_ensemble, DatasetBuilder, PreparedData, TrainBudget};
 use cognitive_arm::pipeline::{CognitiveArm, PipelineConfig};
 use eeg::dataset::Protocol;
+use eeg::CHANNELS;
+use exec::ExecPool;
 use ml::ensemble::Ensemble;
+use ml::forest::{window_stat_features, ForestConfig, RandomForest};
 
 /// A lazily initialized once-per-process artifact cache keyed by seed.
 /// Each key gets its own `OnceLock` cell, so the map lock is only held for
@@ -195,4 +198,25 @@ pub fn quick_system(seed: u64) -> CognitiveArm {
     let mut system = CognitiveArm::new(PipelineConfig::default(), artifacts.ensemble.clone(), seed);
     system.set_normalization(artifacts.data.zscores[0].clone());
     system
+}
+
+/// Window length of the paper's best forest (Sec. V).
+pub const FOREST_WINDOW: usize = 90;
+
+/// The serving benchmark's forest recipe: the Table III features of every
+/// [`FOREST_WINDOW`]-sample window of `data` (stride 10), fitted with
+/// `config` on `pool`.
+///
+/// # Panics
+///
+/// Panics if windowing or fitting fails.
+#[must_use]
+pub fn window_forest(data: &PreparedData, config: ForestConfig, pool: &ExecPool) -> RandomForest {
+    let windows = data.windows(FOREST_WINDOW, 10).expect("windows");
+    let features: Vec<Vec<f32>> = windows
+        .iter()
+        .map(|w| window_stat_features(&w.data, CHANNELS))
+        .collect();
+    let labels: Vec<usize> = windows.iter().map(|w| w.label.label()).collect();
+    RandomForest::fit_with(config, &features, &labels, pool).expect("forest fits")
 }

@@ -34,8 +34,9 @@ use cognitive_arm::pipeline::{
 use eeg::types::Action;
 use eeg::CHANNELS;
 use exec::ExecPool;
-use integration_tests::quick_trained;
-use ml::ensemble::EnsembleScratch;
+use integration_tests::{quick_data, quick_trained, window_forest, FOREST_WINDOW};
+use ml::ensemble::{Ensemble, EnsembleScratch, ForestClassifier, Member, Voting};
+use ml::forest::ForestConfig;
 use ml::models::CLASSES;
 use serve::{SessionSpec, StreamSession};
 use stream::clock::SimClock;
@@ -171,6 +172,59 @@ fn label_tick_head_is_allocation_free_once_warm() {
     assert_eq!(
         allocs, 0,
         "steady-state label ticks allocated {allocs} times"
+    );
+}
+
+#[test]
+fn forest_label_tick_is_allocation_free_once_warm() {
+    // The paper's forest family serves through its own member path — the
+    // window tail, the Table III features, the compiled lockstep node
+    // table — and keeps the same contract as the networks above.
+    let data = quick_data(21);
+    let config = ForestConfig {
+        n_estimators: 27,
+        seed: 21,
+        ..ForestConfig::paper_best()
+    };
+    let forest = window_forest(&data, config, &ExecPool::new(1));
+    let ensemble = Ensemble::new(
+        vec![Member::Forest(ForestClassifier::new(forest, FOREST_WINDOW))],
+        Voting::Soft,
+    );
+
+    let pool = ExecPool::new(1);
+    let controller = Controller::new(
+        ControllerConfig::default(),
+        SafetyGate::new(SafetyConfig::default()),
+    );
+    let mut head = InferenceHead::new(ensemble, controller);
+    let mut trace = SessionTrace::default();
+    trace.labels.reserve(512);
+    trace.joints.reserve(512);
+    let mut latency = LatencyReport::default();
+    // Real windows of every class, so the vote and the controller move.
+    let windows = data.windows(FOREST_WINDOW, 10).expect("windows");
+    let ticks: Vec<&[f32]> = windows
+        .iter()
+        .step_by(windows.len() / 8)
+        .map(|w| w.data.as_slice())
+        .collect();
+
+    for (i, w) in ticks.iter().cycle().take(16).enumerate() {
+        head.step(w, &pool, i as f64, 8, &mut trace, &mut latency)
+            .expect("warm step");
+    }
+    let allocs = count_allocs(|| {
+        for (i, w) in ticks.iter().cycle().take(16).enumerate() {
+            head.step(w, &pool, 100.0 + i as f64, 8, &mut trace, &mut latency)
+                .expect("measured step");
+        }
+    });
+    let voted: std::collections::BTreeSet<usize> = trace.labels.iter().map(|l| l.label).collect();
+    assert!(voted.len() > 1, "the forest only ever voted {voted:?}");
+    assert_eq!(
+        allocs, 0,
+        "steady-state forest label ticks allocated {allocs} times"
     );
 }
 

@@ -22,6 +22,14 @@
 //!    as the token `nan`: Rust does not pin NaN payloads or signs, and
 //!    every split sends any NaN right, so only NaN-ness is observable.
 //!
+//! Beside the golden file, the compiled engine is compared with the
+//! one-at-a-time references it replaced, kept here: the per-tree enum
+//! walk over `Tree::nodes` and the one-channel-at-a-time feature body.
+//! Those sweeps cover the shapes a lockstep walk can get wrong — tree
+//! counts around the 8-tree block, single-leaf and unbounded-depth
+//! trees, blocks mixing depth 0 with depth 20, and arenas with shared
+//! children — and channel counts around the 8-channel block.
+//!
 //! Pools are explicit (`ExecPool::new`), never `COGARM_THREADS` — tests
 //! run concurrently and must not race on process state.
 
@@ -35,8 +43,9 @@ use eeg::dataset::Protocol;
 use eeg::types::Action;
 use eeg::CHANNELS;
 use exec::ExecPool;
+use integration_tests::{window_forest, FOREST_WINDOW};
 use ml::ensemble::{Ensemble, ForestClassifier, Member, Voting};
-use ml::forest::{window_stat_features, ForestConfig, RandomForest, TreeNode};
+use ml::forest::{window_stat_features, ForestConfig, RandomForest, Tree, TreeNode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serve::{SessionManager, SessionSpec};
@@ -44,10 +53,6 @@ use stream::transport::TransportParams;
 
 /// Seed of the study and the forest (the serving benchmark's fixture seed).
 const SEED: u64 = 1;
-/// The paper's best forest reads 90-sample windows.
-const WINDOW: usize = 90;
-/// Training-window stride.
-const STEP: usize = 10;
 /// Three full blocks of 8 trees and one partial block of 3.
 const TREES: usize = 27;
 /// Served subjects.
@@ -99,25 +104,19 @@ fn study() -> &'static (PreparedData, RandomForest) {
             .with_pool(Arc::clone(&pool))
             .build()
             .expect("quick study builds");
-        let windows = data.windows(WINDOW, STEP).expect("windows");
-        let features: Vec<Vec<f32>> = windows
-            .iter()
-            .map(|w| window_stat_features(&w.data, CHANNELS))
-            .collect();
-        let labels: Vec<usize> = windows.iter().map(|w| w.label.label()).collect();
         let config = ForestConfig {
             n_estimators: TREES,
             seed: SEED,
             ..ForestConfig::paper_best()
         };
-        let forest = RandomForest::fit_with(config, &features, &labels, &pool).expect("fits");
+        let forest = window_forest(&data, config, &pool);
         (data, forest)
     })
 }
 
 fn ensemble() -> Ensemble {
     Ensemble::new(
-        vec![Member::Forest(ForestClassifier::new(study().1.clone(), WINDOW))],
+        vec![Member::Forest(ForestClassifier::new(study().1.clone(), FOREST_WINDOW))],
         Voting::Soft,
     )
 }
@@ -232,7 +231,7 @@ const SPECIALS: [f32; 12] = [
 /// (exact `<=` ties and their neighbours), and wide-scale random rows.
 fn probe_features() -> Vec<Vec<f32>> {
     let (data, forest) = study();
-    let windows = data.windows(WINDOW, 7).expect("windows");
+    let windows = data.windows(FOREST_WINDOW, 7).expect("windows");
     let width = CHANNELS * 5;
     let splits: Vec<(usize, f32)> = forest
         .trees()
@@ -369,4 +368,273 @@ fn golden_forest_trace_is_bit_identical() {
         .collect();
     assert!(labels.len() > 1, "the forest only ever voted {labels:?}");
     check_fixture("trace_forest.txt", &render_golden(&mono, &streaming));
+}
+
+// --- the compiled engine against its references ------------------------------
+
+/// The reference walk: each tree's enum arena from the root, its leaf
+/// distribution added in tree order, then the mean.
+fn reference_proba(forest: &RandomForest, features: &[f32]) -> Vec<f32> {
+    let mut acc = vec![0.0f32; forest.config().classes];
+    for tree in forest.trees() {
+        let mut idx = 0;
+        let probs = loop {
+            match &tree.nodes()[idx] {
+                TreeNode::Leaf { probs } => break probs,
+                TreeNode::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => idx = if features[*feature] <= *threshold { *left } else { *right },
+            }
+        };
+        for (a, p) in acc.iter_mut().zip(probs) {
+            *a += p;
+        }
+    }
+    let n = forest.trees().len() as f32;
+    for a in &mut acc {
+        *a /= n;
+    }
+    acc
+}
+
+/// The reference feature body: one channel at a time.
+fn reference_features(window: &[f32], channels: usize) -> Vec<f32> {
+    let per = window.len() / channels;
+    let mut out = Vec::with_capacity(channels * 5);
+    for ch in 0..channels {
+        let row = &window[ch * per..(ch + 1) * per];
+        let n = row.len() as f64;
+        let mean = row.iter().map(|&x| f64::from(x)).sum::<f64>() / n;
+        let var = row
+            .iter()
+            .map(|&x| (f64::from(x) - mean).powi(2))
+            .sum::<f64>()
+            / n;
+        let mut min = f32::INFINITY;
+        let mut max = f32::NEG_INFINITY;
+        for &x in row {
+            min = min.min(x);
+            max = max.max(x);
+        }
+        out.push(mean as f32);
+        out.push(var.sqrt() as f32);
+        out.push(min);
+        out.push(max);
+        out.push(var as f32);
+    }
+    out
+}
+
+/// Bitwise equality, except that any NaN equals any NaN.
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len()
+        && a
+            .iter()
+            .zip(b)
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
+/// Rows of `width` features with random labels, so unbounded trees grow
+/// deep before they are pure.
+fn noisy_rows(n: usize, width: usize, seed: u64) -> (Vec<Vec<f32>>, Vec<usize>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let rows = (0..n)
+        .map(|_| (0..width).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
+        .collect();
+    let labels = (0..n).map(|_| rng.gen_range(0..3)).collect();
+    (rows, labels)
+}
+
+fn fit(trees: usize, max_depth: Option<usize>, seed: u64) -> RandomForest {
+    let (rows, labels) = noisy_rows(2000, 6, seed);
+    RandomForest::fit_with(
+        ForestConfig {
+            n_estimators: trees,
+            max_depth,
+            min_samples_split: 2,
+            classes: 3,
+            seed,
+        },
+        &rows,
+        &labels,
+        &ExecPool::new(1),
+    )
+    .expect("fits")
+}
+
+/// `trees` as a forest of their own.
+fn assemble(trees: Vec<Tree>) -> RandomForest {
+    let config = ForestConfig {
+        n_estimators: trees.len(),
+        max_depth: None,
+        min_samples_split: 2,
+        classes: 3,
+        seed: 0,
+    };
+    RandomForest::from_parts(config, trees).expect("valid forest")
+}
+
+fn leaf_tree(probs: [f32; 3]) -> Tree {
+    Tree::from_nodes(vec![TreeNode::Leaf {
+        probs: probs.to_vec(),
+    }])
+    .expect("valid arena")
+}
+
+/// Longest root-to-leaf path of a tree, in splits.
+fn depth(tree: &Tree) -> usize {
+    fn walk(nodes: &[TreeNode], at: usize) -> usize {
+        match &nodes[at] {
+            TreeNode::Leaf { .. } => 0,
+            TreeNode::Split { left, right, .. } => 1 + walk(nodes, *left).max(walk(nodes, *right)),
+        }
+    }
+    walk(tree.nodes(), 0)
+}
+
+/// Probe vectors of `width`: uniform values, split-threshold ties and
+/// their neighbours, and specials.
+fn probes(forest: &RandomForest, width: usize, seed: u64) -> Vec<Vec<f32>> {
+    let thresholds: Vec<(usize, f32)> = forest
+        .trees()
+        .iter()
+        .flat_map(|t| t.nodes())
+        .filter_map(|n| match n {
+            TreeNode::Split {
+                feature, threshold, ..
+            } => Some((*feature, *threshold)),
+            TreeNode::Leaf { .. } => None,
+        })
+        .collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..300)
+        .map(|i| {
+            let mut row: Vec<f32> = (0..width).map(|_| rng.gen_range(-1.2f32..1.2)).collect();
+            if i % 3 == 1 && !thresholds.is_empty() {
+                for _ in 0..width {
+                    let (f, t) = thresholds[rng.gen_range(0..thresholds.len())];
+                    let nudge = rng.gen_range(-1i32..=1);
+                    row[f] = f32::from_bits(t.to_bits().wrapping_add_signed(nudge));
+                }
+            }
+            if i % 3 == 2 {
+                for x in &mut row {
+                    if rng.gen_range(0.0f32..1.0) < 0.3 {
+                        *x = SPECIALS[rng.gen_range(0..SPECIALS.len())];
+                    }
+                }
+            }
+            row
+        })
+        .collect()
+}
+
+fn assert_matches_reference(forest: &RandomForest, width: usize, context: &str) {
+    for (i, row) in probes(forest, width, 0xEC0 + width as u64).iter().enumerate() {
+        let got = forest.predict_proba(row);
+        let want = reference_proba(forest, row);
+        assert!(
+            same_bits(&got, &want),
+            "{context}: probe {i} {got:?} vs reference {want:?}"
+        );
+        assert!(got.iter().all(|p| p.is_finite()), "{context}: probe {i}");
+    }
+}
+
+#[test]
+fn lockstep_walk_matches_the_enum_walk_across_tree_counts() {
+    for trees in [1, 7, 8, 9, 200] {
+        let forest = fit(trees, Some(20), trees as u64);
+        assert_matches_reference(&forest, 6, &format!("{trees} trees"));
+    }
+    assert_matches_reference(&study().1, CHANNELS * 5, "served forest");
+}
+
+#[test]
+fn lockstep_walk_matches_the_enum_walk_on_leaves_and_deep_trees() {
+    let unbounded = fit(9, None, 41);
+    let capped = fit(9, Some(20), 42);
+    let deepest = unbounded.trees().iter().map(depth).max().unwrap_or(0);
+    assert!(deepest > 20, "unbounded trees only reached depth {deepest}");
+    assert_matches_reference(&unbounded, 6, "max_depth None");
+    assert_matches_reference(&capped, 6, "max_depth 20");
+
+    // Every tree a single leaf: blocks of depth 0, nothing to walk.
+    let leaves: Vec<Tree> = (0..11)
+        .map(|i| leaf_tree([i as f32 / 10.0, 1.0 - i as f32 / 10.0, 0.0]))
+        .collect();
+    assert_matches_reference(&assemble(leaves), 6, "single leaves");
+
+    // Blocks mixing depth 0 and depth 20: the leaves idle in their own
+    // loop while their block walks its deepest tree.
+    let mut mixed = Vec::new();
+    for (i, tree) in capped.trees().iter().enumerate() {
+        mixed.push(leaf_tree([0.2, 0.3, 0.5]));
+        if i % 2 == 0 {
+            mixed.push(leaf_tree([1.0, 0.0, 0.0]));
+        }
+        mixed.push(tree.clone());
+    }
+    assert!(mixed.iter().any(|t| depth(t) == 20), "no depth-20 tree");
+    assert_matches_reference(&assemble(mixed), 6, "mixed depths");
+}
+
+#[test]
+fn lockstep_walk_matches_the_enum_walk_on_shared_children() {
+    // `Tree::from_nodes` only asks for forward children, so an arena may
+    // share a subtree between parents: 0 and 1 both reach node 3, and
+    // the longest path (0 → 1 → 3 → 5) is longer than the other routes.
+    let leaf = |p: [f32; 3]| TreeNode::Leaf { probs: p.to_vec() };
+    let split = |feature: usize, threshold: f32, left: usize, right: usize| TreeNode::Split {
+        feature,
+        threshold,
+        left,
+        right,
+    };
+    let shared = Tree::from_nodes(vec![
+        split(0, 0.0, 1, 3),
+        split(1, 0.25, 2, 3),
+        leaf([1.0, 0.0, 0.0]),
+        split(2, -0.5, 4, 5),
+        leaf([0.0, 1.0, 0.0]),
+        leaf([0.0, 0.0, 1.0]),
+    ])
+    .expect("forward children");
+    let diamond = Tree::from_nodes(vec![
+        split(3, 0.1, 1, 2),
+        split(4, 0.0, 3, 3),
+        split(5, 0.0, 3, 4),
+        leaf([0.25, 0.25, 0.5]),
+        leaf([0.5, 0.5, 0.0]),
+    ])
+    .expect("forward children");
+    let mut trees = vec![shared, diamond];
+    trees.extend(fit(8, Some(6), 7).trees().iter().cloned());
+    assert_matches_reference(&assemble(trees), 6, "shared children");
+}
+
+#[test]
+fn interleaved_features_match_the_scalar_body() {
+    let mut rng = StdRng::seed_from_u64(0xFEA7);
+    for channels in [1, 3, 7, 8, 9, 16, 17] {
+        for len in [1, 2, 90, 190] {
+            for round in 0..4 {
+                let window: Vec<f32> = (0..channels)
+                    .flat_map(|ch| adversarial_channel((ch + round * 3 + len) % 10, len, &mut rng))
+                    .collect();
+                let got = window_stat_features(&window, channels);
+                let want = reference_features(&window, channels);
+                assert!(
+                    same_bits(&got, &want),
+                    "{channels} channels × {len}, round {round}: {got:?} vs {want:?}"
+                );
+            }
+        }
+    }
+    // An all-`-0.0` channel keeps its sign through the mean.
+    let f = window_stat_features(&[-0.0; 9 * 4], 9);
+    assert!(f.chunks(5).all(|c| c[0].to_bits() == (-0.0f32).to_bits()));
 }

@@ -30,7 +30,7 @@ use eeg::types::Action;
 use evo::{EvolutionarySearch, Family, SearchSpace};
 use integration_tests::quick_trained;
 use ml::ensemble::{Ensemble, ForestClassifier, Member, Voting};
-use ml::forest::{ForestConfig, RandomForest};
+use ml::forest::{ForestConfig, RandomForest, TreeNode};
 use ml::models::{CnnConfig, ConvSpec, PoolKind};
 use ml::optim::OptimizerKind;
 use ml::tensor::Tensor;
@@ -595,6 +595,47 @@ fn nan_notch_quality_is_rejected_at_load_time() {
         matches!(err, ModelIoError::Malformed { .. }),
         "expected Malformed, got {err}"
     );
+}
+
+/// A NaN, infinite or negative leaf probability used to load `Ok` and
+/// then panic the first label routed to that leaf (the vote's argmax
+/// needs comparable numbers); it must be refused at load time. The leaf
+/// is forged in place in a valid artifact and the CRC recomputed.
+#[test]
+fn non_finite_forest_leaf_is_rejected_at_load_time() {
+    let model = small_saved_model();
+    let bytes = model.to_container().expect("serializes").to_file_bytes();
+    let Member::Forest(member) = &model.ensemble.members()[0] else {
+        panic!("the small model is a forest")
+    };
+    let leaf = member.forest().trees()[0]
+        .nodes()
+        .iter()
+        .find(|n| matches!(n, TreeNode::Leaf { .. }))
+        .expect("a leaf")
+        .clone();
+    let encoded = to_bytes(&leaf).expect("serializes");
+    let at = bytes
+        .windows(encoded.len())
+        .position(|w| w == encoded)
+        .expect("the leaf's bytes are in the artifact");
+    for bad in [f32::NAN, f32::INFINITY, -0.5] {
+        let TreeNode::Leaf { mut probs } = leaf.clone() else {
+            unreachable!("found as a leaf")
+        };
+        probs[0] = bad;
+        let mut forged = bytes.clone();
+        forged[at..at + encoded.len()]
+            .copy_from_slice(&to_bytes(&TreeNode::Leaf { probs }).expect("serializes"));
+        let tail = forged.len() - 4;
+        let crc = model_io::crc32::crc32(&forged[..tail]);
+        forged[tail..].copy_from_slice(&crc.to_le_bytes());
+        let err = load_image(&forged).unwrap_err();
+        assert!(
+            matches!(err, ModelIoError::Malformed { .. }),
+            "leaf entry {bad}: expected Malformed, got {err}"
+        );
+    }
 }
 
 #[test]
