@@ -1,5 +1,7 @@
 use std::fmt;
 
+use crate::kinematics::Joint;
+
 /// Errors produced by the prosthetic-arm substrate.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -26,6 +28,9 @@ pub enum ArmError {
     },
     /// The emergency stop is latched; motion commands are refused.
     EmergencyStopped,
+    /// A joint command was NaN; the safety gate refused it and kept the
+    /// last safe command.
+    NonFiniteCommand(Joint),
 }
 
 impl fmt::Display for ArmError {
@@ -46,6 +51,9 @@ impl fmt::Display for ArmError {
                 write!(f, "calibration failed for servo {servo}: residual {residual}°")
             }
             ArmError::EmergencyStopped => write!(f, "emergency stop is latched"),
+            ArmError::NonFiniteCommand(joint) => {
+                write!(f, "NaN command for {joint:?} refused")
+            }
         }
     }
 }

@@ -50,13 +50,20 @@ impl SafetyGate {
     }
 
     /// Filters a joint command, returning the safe value to send.
+    /// `±Inf` clamps to the joint's range like any out-of-range command.
     ///
     /// # Errors
     ///
-    /// Returns [`ArmError::EmergencyStopped`] while the e-stop is latched.
+    /// Returns [`ArmError::EmergencyStopped`] while the e-stop is latched,
+    /// and [`ArmError::NonFiniteCommand`] for a NaN command, which leaves
+    /// the last safe command in place: a stored NaN would defeat the rate
+    /// limit, since every comparison against NaN is false.
     pub fn filter(&mut self, joint: Joint, value: f64) -> Result<f64> {
         if self.estopped {
             return Err(ArmError::EmergencyStopped);
+        }
+        if value.is_nan() {
+            return Err(ArmError::NonFiniteCommand(joint));
         }
         let idx = joint_index(joint);
         let (lo, hi) = joint.range();
@@ -143,6 +150,36 @@ mod tests {
         assert!(gate.is_stopped());
         gate.reset();
         assert!(gate.filter(Joint::Grip, 50.0).is_ok());
+    }
+
+    #[test]
+    fn nan_commands_are_refused_and_keep_the_last_safe_command() {
+        let mut gate = SafetyGate::new(SafetyConfig { max_step: 10.0 });
+        let before = gate.last_command(Joint::Lift);
+        assert_eq!(
+            gate.filter(Joint::Lift, f64::NAN),
+            Err(ArmError::NonFiniteCommand(Joint::Lift))
+        );
+        assert_eq!(gate.last_command(Joint::Lift).to_bits(), before.to_bits());
+        assert_eq!(gate.clamps, 0);
+        // The rate limit still holds for the next large move.
+        assert_eq!(gate.filter(Joint::Lift, 120.0).unwrap(), before + 10.0);
+    }
+
+    #[test]
+    fn infinite_commands_clamp_and_rate_limit() {
+        let mut gate = SafetyGate::new(SafetyConfig { max_step: 10.0 });
+        let start = gate.last_command(Joint::Wrist);
+        assert_eq!(
+            gate.filter(Joint::Wrist, f64::INFINITY).unwrap(),
+            start + 10.0
+        );
+        assert_eq!(gate.filter(Joint::Wrist, f64::NEG_INFINITY).unwrap(), start);
+        assert_eq!(gate.last_command(Joint::Wrist), start);
+        assert_eq!(
+            gate.clamps, 4,
+            "each command clamps to range, then rate-limits"
+        );
     }
 
     #[test]

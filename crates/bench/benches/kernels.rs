@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the numeric kernels: the paper's
-//! filters, the FFT, the forest classify call, and the compiled
-//! per-architecture forward passes (the dense/CSR/int8 matvec group lives
-//! in `benches/matvec.rs`).
+//! filters, the FFT, the forest classify call, the compiled
+//! per-architecture forward passes, and the paper-scale Transformer label
+//! (the dense/CSR/int8 matvec group lives in `benches/matvec.rs`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -184,5 +184,39 @@ fn forward_passes(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, filter_kernels, fft_kernels, forest_classify, forward_passes);
+/// One label of the paper's Transformer member at the serving benchmark's
+/// `paper_solo` shape: `TransformerConfig::paper_best` (d_model 128, two
+/// heads of 64, t = 48) at seed 2, pruned 70 % as served and dense, one
+/// window through a warm `InferPlan` on one thread.
+fn paper_transformer(c: &mut Criterion) {
+    let window: Vec<f32> = {
+        let mut rng = StdRng::seed_from_u64(7);
+        (0..16 * 190).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
+    };
+    let dense = compile_transformer(&TransformerConfig::paper_best().build(2).expect("builds"));
+    let mut pruned = dense.clone();
+    prune_global(&mut pruned, 0.7);
+    let mut g = c.benchmark_group("paper_transformer");
+    for (name, model) in [("pruned_70", &pruned), ("dense", &dense)] {
+        let mut plan = InferPlan::compile(model);
+        let mut logits = vec![0.0f32; plan.classes()];
+        plan.predict_logits_into(model, &window, 1, &mut logits);
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                plan.predict_logits_into(model, black_box(&window), 1, &mut logits);
+                black_box(logits[0])
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    filter_kernels,
+    fft_kernels,
+    forest_classify,
+    forward_passes,
+    paper_transformer
+);
 criterion_main!(benches);

@@ -785,22 +785,6 @@ pub(crate) fn layer_norm_slice(data: &mut [f32], m: usize, n: usize, gamma: &[f3
     }
 }
 
-/// Copies a `[m, width]` column block starting at `from` out of a `[m, n]`
-/// row-major slice.
-pub(crate) fn slice_cols_into(
-    src: &[f32],
-    m: usize,
-    n: usize,
-    from: usize,
-    width: usize,
-    out: &mut [f32],
-) {
-    for i in 0..m {
-        out[i * width..(i + 1) * width]
-            .copy_from_slice(&src[i * n + from..i * n + from + width]);
-    }
-}
-
 // --- compilers ---------------------------------------------------------------
 
 /// Compiles a trained CNN into the deployment representation.

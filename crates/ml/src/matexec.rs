@@ -33,7 +33,7 @@
 use std::sync::{Arc, OnceLock};
 
 use crate::sparse::CsrMatrix;
-use crate::tensor::matmul_kernel;
+use crate::tensor::{matmul_kernel, transpose_into};
 
 /// Memoized compiled execution format, attached to a storage matrix.
 ///
@@ -334,11 +334,7 @@ impl CscExec {
         // Transpose x [m, k] -> xt [k, m] so one column's entries read
         // contiguous activation panels across the batch.
         xt.resize(k * m, 0.0);
-        for p in 0..k {
-            for i in 0..m {
-                xt[p * m + i] = x[i * k + p];
-            }
-        }
+        transpose_into(x, k, m, k, xt);
         yt.resize(n * m, 0.0);
         #[cfg(target_arch = "x86_64")]
         let tail_start = if crate::simd::enabled() && m >= 8 {
@@ -350,11 +346,7 @@ impl CscExec {
         };
         self.batch_scalar(xt, m, tail_start, yt);
         // Transpose yt [n, m] back into out [m, n].
-        for i in 0..m {
-            for c in 0..n {
-                out[i * n + c] = yt[c * m + i];
-            }
-        }
+        transpose_into(yt, m, n, m, out);
     }
 
     /// `m == 1` kernel: one serial multiply-add chain per output element,
@@ -401,12 +393,15 @@ impl CscExec {
         }
     }
 
-    /// Batched AVX2 kernel over transposed activations: eight-row batch
-    /// panels whose accumulators live in registers across a column's whole
-    /// entry list; per entry one broadcast, one multiply, one add
+    /// Batched AVX2 kernel over transposed activations: each column's
+    /// entry list is walked once for up to six eight-row batch panels (48,
+    /// then 32, 16 and 8 rows), whose accumulators live in registers across
+    /// the whole list; per entry and panel one multiply, one add
     /// (`vmulps`/`vaddps`, never FMA) — the storage kernel's exact
-    /// per-element sequence. Returns the first batch row left for the
-    /// scalar tail.
+    /// per-element sequence. Six panels cover the paper Transformer's
+    /// 48-step window in one walk; with fewer, each walk's short entry
+    /// lists leave the add latency exposed. Returns the first batch row
+    /// left for the scalar tail.
     ///
     /// # Safety
     ///
@@ -415,28 +410,55 @@ impl CscExec {
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn batch_panels_avx2(&self, xt: &[f32], m: usize, yt: &mut [f32]) -> usize {
+        let mut i = 0;
+        while i + 48 <= m {
+            self.panels_avx2::<6>(xt, m, i, yt);
+            i += 48;
+        }
+        if i + 32 <= m {
+            self.panels_avx2::<4>(xt, m, i, yt);
+            i += 32;
+        }
+        if i + 16 <= m {
+            self.panels_avx2::<2>(xt, m, i, yt);
+            i += 16;
+        }
+        if i + 8 <= m {
+            self.panels_avx2::<1>(xt, m, i, yt);
+            i += 8;
+        }
+        i
+    }
+
+    /// Batch rows `i0..i0 + 8·P` of [`CscExec::batch_panels_avx2`], every
+    /// output column.
+    ///
+    /// # Safety
+    ///
+    /// As [`CscExec::batch_panels_avx2`], with `i0 + 8*P <= m`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn panels_avx2<const P: usize>(&self, xt: &[f32], m: usize, i0: usize, yt: &mut [f32]) {
         use std::arch::x86_64::{
             _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
             _mm256_storeu_ps,
         };
-        let panels = m - m % 8;
-        let mut i = 0;
-        while i + 8 <= m {
-            for c in 0..self.n {
-                let start = self.col_ptr[c] as usize;
-                let end = self.col_ptr[c + 1] as usize;
-                let mut acc = _mm256_setzero_ps();
-                for e in start..end {
-                    let p = *self.row_idx.get_unchecked(e) as usize;
-                    let v = _mm256_set1_ps(*self.values.get_unchecked(e));
-                    let xs = _mm256_loadu_ps(xt.as_ptr().add(p * m + i));
-                    acc = _mm256_add_ps(acc, _mm256_mul_ps(v, xs));
+        for c in 0..self.n {
+            let start = self.col_ptr[c] as usize;
+            let end = self.col_ptr[c + 1] as usize;
+            let mut acc = [_mm256_setzero_ps(); P];
+            for e in start..end {
+                let p = *self.row_idx.get_unchecked(e) as usize;
+                let v = _mm256_set1_ps(*self.values.get_unchecked(e));
+                let xs = xt.as_ptr().add(p * m + i0);
+                for (x, a) in acc.iter_mut().enumerate() {
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(v, _mm256_loadu_ps(xs.add(8 * x))));
                 }
-                _mm256_storeu_ps(yt.as_mut_ptr().add(c * m + i), acc);
             }
-            i += 8;
+            for (x, &a) in acc.iter().enumerate() {
+                _mm256_storeu_ps(yt.as_mut_ptr().add(c * m + i0 + 8 * x), a);
+            }
         }
-        panels
     }
 
     /// Scalar batch kernel for rows `[i0, m)` of the transposed
@@ -939,6 +961,50 @@ mod tests {
                         got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                         "density {density} shape {k}x{n} m {m}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn csc_panels_match_scalar_twin_and_storage_kernel() {
+        // Batch widths straddle every panel walk (48, 32, 16 and 8 rows)
+        // and the scalar row tail; activations carry ±0.0, denormals,
+        // ±Inf and NaN, compared as NaN-ness. The dispatched kernel, its
+        // scalar body and the storage CSR kernel must all agree.
+        let canon = |v: &[f32]| -> Vec<u32> {
+            v.iter()
+                .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+                .collect()
+        };
+        for (k, n, density, seed) in [(40, 24, 0.2, 20), (17, 9, 0.5, 21), (64, 3, 0.3, 22)] {
+            let csr = random_sparse(k, n, density, seed);
+            let csc = CscExec::from_csr(&csr);
+            for m in [
+                1usize, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 17, 24, 31, 32, 33, 40, 47, 48, 49, 56,
+                64, 80, 97,
+            ] {
+                let mut x = random_x(m, k, seed + m as u64);
+                for (i, v) in x.iter_mut().enumerate() {
+                    match i % 41 {
+                        1 => *v = -0.0,
+                        2 => *v = 1e-40,
+                        3 if i % 3 == 0 => *v = f32::INFINITY,
+                        4 if i % 3 == 0 => *v = f32::NAN,
+                        _ => {}
+                    }
+                }
+                let mut want = vec![0.0f32; m * n];
+                csr.left_matmul_into(&x, m, &mut want);
+                let mut got = vec![1.0f32; m * n];
+                let (mut xt, mut yt) = (Vec::new(), Vec::new());
+                csc.left_matmul_into(&x, m, &mut got, &mut xt, &mut yt);
+                assert_eq!(canon(&want), canon(&got), "shape {k}x{n} m {m}");
+                if m > 1 {
+                    // The batched path's scalar body over the same staging.
+                    let mut twin = vec![1.0f32; n * m];
+                    csc.batch_scalar(&xt, m, 0, &mut twin);
+                    assert_eq!(canon(&yt), canon(&twin), "shape {k}x{n} m {m}");
                 }
             }
         }

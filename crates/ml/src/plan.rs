@@ -7,7 +7,7 @@
 //! through **stacked multi-window GEMMs** — the batch's windows become
 //! matrix rows and every linear stage runs once at
 //! `m = batch·rows_per_window` (dense weights through
-//! [`crate::tensor::matmul_blocked_kernel`], the 4-row-blocked, paired-`k`
+//! [`crate::tensor::matmul_blocked_kernel`], the row-blocked, paired-`k`
 //! kernel), writing logits into a caller-provided buffer. The
 //! steady-state call performs **zero heap allocations**.
 //!
@@ -30,7 +30,7 @@
 //! version stays only while something consumes it.
 
 use crate::infer::{self, CnnInfer, ExecScratch, InferModel, LstmInfer, TfInfer};
-use crate::tensor::{matmul_kernel, matmul_t_kernel};
+use crate::tensor::{attention_mix_into, attention_scores_into};
 
 /// Which numerics generation the engine runs — see the module docs for
 /// the contract a version carries.
@@ -96,7 +96,15 @@ struct LstmPlan {
     z_out: Vec<f32>,
 }
 
-/// Encoder activation buffers sized to a batch of windows' sequences.
+/// Encoder activation buffers sized to a batch of windows' stacked
+/// `[batch·t, ·]` rows, plus two per-head scratch blocks reused by every
+/// window and head.
+///
+/// Attention reads each head in place: its Q, K and V are the `dh`-wide
+/// column blocks of the stacked `q`/`k`/`v` projections (row stride
+/// `d_model`), and its output goes straight into its column block of
+/// `merged`. Only K is copied, transposed once per head into `kt` so the
+/// score kernel streams contiguous rows.
 #[derive(Debug, Clone)]
 struct TfPlan {
     rows: Vec<f32>,
@@ -104,11 +112,10 @@ struct TfPlan {
     q: Vec<f32>,
     k: Vec<f32>,
     v: Vec<f32>,
-    head_q: Vec<f32>,
-    head_k: Vec<f32>,
-    head_v: Vec<f32>,
+    /// One head's keys, transposed: `[dh, t]`.
+    kt: Vec<f32>,
+    /// One head's `[t, t]` scores, softmaxed in place.
     scores: Vec<f32>,
-    ho: Vec<f32>,
     merged: Vec<f32>,
     attn: Vec<f32>,
     ff_mid: Vec<f32>,
@@ -349,8 +356,8 @@ impl LstmPlan {
 
 impl TfPlan {
     /// Sequence-shaped buffers for `batch` windows' stacked rows (the
-    /// per-window attention scratch — `head_q/k/v`, `scores`, `ho` — is
-    /// reused across windows and stays single-sized).
+    /// per-head scratch — `kt`, `scores` — is reused across windows and
+    /// stays single-sized).
     fn sized(m: &TfInfer, batch: usize) -> Self {
         let t = m.window.div_ceil(m.time_stride);
         let d = m.d_model;
@@ -368,11 +375,8 @@ impl TfPlan {
             q: vec![0.0; rows * d],
             k: vec![0.0; rows * d],
             v: vec![0.0; rows * d],
-            head_q: vec![0.0; t * dh],
-            head_k: vec![0.0; t * dh],
-            head_v: vec![0.0; t * dh],
+            kt: vec![0.0; dh * t],
             scores: vec![0.0; t * t],
-            ho: vec![0.0; t * dh],
             merged: vec![0.0; rows * d],
             attn: vec![0.0; rows * d],
             ff_mid: vec![0.0; rows * ff],
@@ -383,10 +387,10 @@ impl TfPlan {
 
     /// All projections and the feed-forward stages run once over the
     /// stacked `[batch·t, d]` rows; attention — inherently per-window
-    /// (each window owns a `t × t` score matrix) — loops over windows with
-    /// reused per-window scratch. LayerNorm, softmax and the residual adds
-    /// are all row-local, so every window's rows see exactly the
-    /// arithmetic a `batch = 1` call applies.
+    /// (each window owns a `t × t` score matrix) — loops over windows and
+    /// heads, reading every head in place (see the struct docs). LayerNorm,
+    /// softmax and the residual adds are all row-local, so every window's
+    /// rows see exactly the arithmetic a `batch = 1` call applies.
     fn run(
         &mut self,
         m: &TfInfer,
@@ -431,43 +435,27 @@ impl TfPlan {
                 .wv
                 .forward_into(&self.cur[..rows * d], rows, &mut self.v, qs);
             for b in 0..batch {
-                let span = b * t * d..(b + 1) * t * d;
                 for hidx in 0..m.heads {
-                    infer::slice_cols_into(
-                        &self.q[span.clone()],
-                        t,
+                    let head = b * t * d + hidx * dh;
+                    attention_scores_into(
+                        &self.q[head..],
+                        &self.k[head..],
                         d,
-                        hidx * dh,
-                        dh,
-                        &mut self.head_q,
-                    );
-                    infer::slice_cols_into(
-                        &self.k[span.clone()],
                         t,
-                        d,
-                        hidx * dh,
                         dh,
-                        &mut self.head_k,
+                        scale,
+                        &mut self.kt,
+                        &mut self.scores,
                     );
-                    infer::slice_cols_into(
-                        &self.v[span.clone()],
-                        t,
-                        d,
-                        hidx * dh,
-                        dh,
-                        &mut self.head_v,
-                    );
-                    matmul_t_kernel(&self.head_q, &self.head_k, t, dh, t, &mut self.scores);
-                    for s in &mut self.scores[..t * t] {
-                        *s *= scale;
-                    }
                     infer::softmax_rows_slice(&mut self.scores, t, t);
-                    matmul_kernel(&self.scores, &self.head_v, t, t, dh, &mut self.ho);
-                    for ti in 0..t {
-                        let row = (b * t + ti) * d;
-                        self.merged[row + hidx * dh..row + (hidx + 1) * dh]
-                            .copy_from_slice(&self.ho[ti * dh..(ti + 1) * dh]);
-                    }
+                    attention_mix_into(
+                        &self.scores,
+                        &self.v[head..],
+                        d,
+                        t,
+                        dh,
+                        &mut self.merged[head..],
+                    );
                 }
             }
             block

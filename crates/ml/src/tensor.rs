@@ -2,8 +2,10 @@
 //!
 //! Deliberately simple: contiguous row-major storage, explicit shapes, and
 //! a blocked `matmul` that is fast enough for the model sizes the paper
-//! deploys on a Jetson-class device. No views/strides — clarity over
-//! generality, since the autodiff layer above composes whole-tensor ops.
+//! deploys on a Jetson-class device. `Tensor` has no views/strides —
+//! clarity over generality, since the autodiff layer above composes
+//! whole-tensor ops; only the slice kernels the inference plan calls read
+//! strided column blocks, where a copy would cost more than the math.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -188,11 +190,7 @@ impl Tensor {
     pub fn transposed(&self) -> Tensor {
         let (m, n) = (self.rows(), self.cols());
         let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = self.data[i * n + j];
-            }
-        }
+        transpose_into(&self.data, n, m, n, &mut out);
         Tensor::new(vec![n, m], out)
     }
 
@@ -259,9 +257,9 @@ impl Tensor {
 
 /// The raw `a [m,k] × b [k,n] -> out [m,n]` kernel behind
 /// [`Tensor::matmul`], exposed over slices for the callers that run it
-/// into preallocated buffers: attention inside the compiled inference
-/// plan (`crate::plan`), the densified sparse execution format
-/// (`crate::matexec`), and training.
+/// into preallocated buffers: the densified sparse execution format
+/// (`crate::matexec`) and training. Attention's `softmax·V`
+/// ([`attention_mix_into`]) keeps its exact per-element sequence.
 ///
 /// `out` is fully overwritten (accumulation starts from zero).
 ///
@@ -352,26 +350,27 @@ unsafe fn matmul_v1_avx2(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out
 }
 
 /// The **plan-v2** dense GEMM: `a [m,k] × b [k,n] -> out [m,n]`, blocked
-/// four `a`-rows deep with the `k` loop unrolled in pairs.
+/// over `a` rows with the `k` loop unrolled in pairs.
 ///
 /// Two deliberate departures from [`matmul_kernel`]:
 ///
-/// * **Row blocking (MR = 4).** Four output rows advance together, so each
-///   streamed `b` row is reused four times from registers/L1 instead of
-///   once — at batch 16 the weight matrix crosses memory four times, not
-///   sixteen. This is pure scheduling: each output row still accumulates
-///   independently, so results are **row-count invariant** — row `i` of an
-///   `m`-row call is bit-identical to a 1-row call on the same data, which
-///   is what lets the batched serving tick share one numerics version with
-///   solo sessions.
+/// * **Row blocking.** Several output rows advance together (four in the
+///   scalar body; eight, then four, then one in the AVX2 body), so each
+///   streamed `b` row is reused from registers instead of reloaded per
+///   row — at batch 16 the weight matrix crosses memory two to four
+///   times, not sixteen. This is pure scheduling: each output row still
+///   accumulates independently, so results are **row-count invariant** —
+///   row `i` of an `m`-row call is bit-identical to a 1-row call on the
+///   same data, which is what lets the batched serving tick share one
+///   numerics version with solo sessions.
 /// * **Paired-`k` reassociation.** Each update folds two `k` terms at once
 ///   (`acc + (a0·b0 + a1·b1)` instead of `(acc + a0·b0) + a1·b1`), halving
 ///   the dependency chain on the accumulator. f32 addition is not
 ///   associative, so this produces *different bits* than
 ///   [`matmul_kernel`] — the reason the engine carries a numerics version
 ///   (`crate::plan::PlanVersion`). Odd `k` finishes with a single term;
-///   the remainder rows (`m % 4`) use the same per-row pairing, keeping
-///   the invariance above.
+///   the remainder rows use the same per-row pairing, keeping the
+///   invariance above.
 ///
 /// `out` is fully overwritten.
 ///
@@ -483,14 +482,15 @@ fn matmul_blocked_scalar(
 }
 
 /// AVX2 variant of the blocked GEMM: eight-column panels whose f32
-/// accumulators live in registers across the entire `k` loop, four `a`
-/// rows deep. Per output element the operation sequence is *identical* to
-/// [`matmul_blocked_scalar`] — broadcast-multiply the paired `k` terms,
-/// add the pair, fold into the accumulator (`vmulps`/`vaddps`, never
-/// `vfmadd`, which would skip the intermediate rounding the scalar kernel
-/// performs) — so the two variants agree bit for bit; lanes only change
-/// *which* independent columns advance together. Columns `n - n % 8..`
-/// are handled by the scalar tail.
+/// accumulators live in registers across the entire `k` loop, eight `a`
+/// rows deep, then a four-row block, then single rows. Per output element
+/// the operation sequence is *identical* to [`matmul_blocked_scalar`] —
+/// broadcast-multiply the paired `k` terms, add the pair, fold into the
+/// accumulator (`vmulps`/`vaddps`, never `vfmadd`, which would skip the
+/// intermediate rounding the scalar kernel performs) — so the two variants
+/// agree bit for bit; the block height only changes *which* independent
+/// rows and columns advance together. Columns `n - n % 8..` are handled
+/// by the scalar tail.
 ///
 /// # Safety
 ///
@@ -499,93 +499,74 @@ fn matmul_blocked_scalar(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn matmul_blocked_avx2(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+    let mut i = 0;
+    while i + 8 <= m {
+        blocked_rows_avx2::<8>(a, b, i, k, n, out);
+        i += 8;
+    }
+    if i + 4 <= m {
+        blocked_rows_avx2::<4>(a, b, i, k, n, out);
+        i += 4;
+    }
+    while i < m {
+        blocked_rows_avx2::<1>(a, b, i, k, n, out);
+        i += 1;
+    }
+    let panels = n - n % 8;
+    if panels < n {
+        matmul_blocked_scalar(a, b, m, k, n, panels, out);
+    }
+}
+
+/// Rows `i0..i0 + R` of [`matmul_blocked_avx2`] over every full
+/// eight-column panel: `R` accumulators, each `b` pair loaded once for all
+/// `R` rows.
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 is available, `a.len() >= (i0 + R)*k`,
+/// `b.len() >= k*n` and `out.len() >= (i0 + R)*n`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn blocked_rows_avx2<const R: usize>(
+    a: &[f32],
+    b: &[f32],
+    i0: usize,
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+) {
     use std::arch::x86_64::{
         _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
         _mm256_storeu_ps,
     };
-    let panels = n - n % 8;
-    let mut i = 0;
-    while i + 4 <= m {
-        let (a0, a1, a2, a3) = (
-            &a[i * k..(i + 1) * k],
-            &a[(i + 1) * k..(i + 2) * k],
-            &a[(i + 2) * k..(i + 3) * k],
-            &a[(i + 3) * k..(i + 4) * k],
-        );
-        let mut j = 0;
-        while j + 8 <= n {
-            let mut c0 = _mm256_setzero_ps();
-            let mut c1 = _mm256_setzero_ps();
-            let mut c2 = _mm256_setzero_ps();
-            let mut c3 = _mm256_setzero_ps();
-            let mut p = 0;
-            while p + 2 <= k {
-                let b0 = _mm256_loadu_ps(b.as_ptr().add(p * n + j));
-                let b1 = _mm256_loadu_ps(b.as_ptr().add((p + 1) * n + j));
-                let t0 = _mm256_add_ps(
-                    _mm256_mul_ps(_mm256_set1_ps(a0[p]), b0),
-                    _mm256_mul_ps(_mm256_set1_ps(a0[p + 1]), b1),
+    let a = a.as_ptr().add(i0 * k);
+    let mut j = 0;
+    while j + 8 <= n {
+        let mut c = [_mm256_setzero_ps(); R];
+        let mut p = 0;
+        while p + 2 <= k {
+            let b0 = _mm256_loadu_ps(b.as_ptr().add(p * n + j));
+            let b1 = _mm256_loadu_ps(b.as_ptr().add((p + 1) * n + j));
+            for (r, acc) in c.iter_mut().enumerate() {
+                let pair = _mm256_add_ps(
+                    _mm256_mul_ps(_mm256_set1_ps(*a.add(r * k + p)), b0),
+                    _mm256_mul_ps(_mm256_set1_ps(*a.add(r * k + p + 1)), b1),
                 );
-                let t1 = _mm256_add_ps(
-                    _mm256_mul_ps(_mm256_set1_ps(a1[p]), b0),
-                    _mm256_mul_ps(_mm256_set1_ps(a1[p + 1]), b1),
-                );
-                let t2 = _mm256_add_ps(
-                    _mm256_mul_ps(_mm256_set1_ps(a2[p]), b0),
-                    _mm256_mul_ps(_mm256_set1_ps(a2[p + 1]), b1),
-                );
-                let t3 = _mm256_add_ps(
-                    _mm256_mul_ps(_mm256_set1_ps(a3[p]), b0),
-                    _mm256_mul_ps(_mm256_set1_ps(a3[p + 1]), b1),
-                );
-                c0 = _mm256_add_ps(c0, t0);
-                c1 = _mm256_add_ps(c1, t1);
-                c2 = _mm256_add_ps(c2, t2);
-                c3 = _mm256_add_ps(c3, t3);
-                p += 2;
+                *acc = _mm256_add_ps(*acc, pair);
             }
-            if p < k {
-                let b0 = _mm256_loadu_ps(b.as_ptr().add(p * n + j));
-                c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_set1_ps(a0[p]), b0));
-                c1 = _mm256_add_ps(c1, _mm256_mul_ps(_mm256_set1_ps(a1[p]), b0));
-                c2 = _mm256_add_ps(c2, _mm256_mul_ps(_mm256_set1_ps(a2[p]), b0));
-                c3 = _mm256_add_ps(c3, _mm256_mul_ps(_mm256_set1_ps(a3[p]), b0));
-            }
-            _mm256_storeu_ps(out.as_mut_ptr().add(i * n + j), c0);
-            _mm256_storeu_ps(out.as_mut_ptr().add((i + 1) * n + j), c1);
-            _mm256_storeu_ps(out.as_mut_ptr().add((i + 2) * n + j), c2);
-            _mm256_storeu_ps(out.as_mut_ptr().add((i + 3) * n + j), c3);
-            j += 8;
+            p += 2;
         }
-        i += 4;
-    }
-    while i < m {
-        let arow = &a[i * k..(i + 1) * k];
-        let mut j = 0;
-        while j + 8 <= n {
-            let mut c0 = _mm256_setzero_ps();
-            let mut p = 0;
-            while p + 2 <= k {
-                let b0 = _mm256_loadu_ps(b.as_ptr().add(p * n + j));
-                let b1 = _mm256_loadu_ps(b.as_ptr().add((p + 1) * n + j));
-                let t = _mm256_add_ps(
-                    _mm256_mul_ps(_mm256_set1_ps(arow[p]), b0),
-                    _mm256_mul_ps(_mm256_set1_ps(arow[p + 1]), b1),
-                );
-                c0 = _mm256_add_ps(c0, t);
-                p += 2;
+        if p < k {
+            let b0 = _mm256_loadu_ps(b.as_ptr().add(p * n + j));
+            for (r, acc) in c.iter_mut().enumerate() {
+                *acc = _mm256_add_ps(*acc, _mm256_mul_ps(_mm256_set1_ps(*a.add(r * k + p)), b0));
             }
-            if p < k {
-                let b0 = _mm256_loadu_ps(b.as_ptr().add(p * n + j));
-                c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_set1_ps(arow[p]), b0));
-            }
-            _mm256_storeu_ps(out.as_mut_ptr().add(i * n + j), c0);
-            j += 8;
         }
-        i += 1;
-    }
-    if panels < n {
-        matmul_blocked_scalar(a, b, m, k, n, panels, out);
+        for (r, acc) in c.iter().enumerate() {
+            _mm256_storeu_ps(out.as_mut_ptr().add((i0 + r) * n + j), *acc);
+        }
+        j += 8;
     }
 }
 
@@ -609,10 +590,451 @@ pub fn matmul_t_kernel(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: 
     }
 }
 
+/// Transposes the `[rows, cols]` view starting at `src[0]` with row
+/// stride `ld` into `dst` as a contiguous `[cols, rows]` matrix:
+/// `dst[c·rows + r] = src[r·ld + c]`. A pure copy, so every bit (NaN
+/// payloads and signed zeros included) arrives unchanged on every
+/// dispatch; the AVX2 body moves 8×8 tiles through registers.
+///
+/// # Panics
+///
+/// Panics if `cols > ld` or a slice is shorter than the shapes imply.
+pub(crate) fn transpose_into(src: &[f32], ld: usize, rows: usize, cols: usize, dst: &mut [f32]) {
+    assert!(
+        src.len() >= strided_len(ld, rows, cols),
+        "source view shorter than its rows"
+    );
+    let dst = &mut dst[..rows * cols];
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::enabled() {
+        // SAFETY: AVX2 support was just detected; `src` holds `rows` rows
+        // of stride `ld` with `cols <= ld` columns each (asserted above)
+        // and `dst` was sliced to `rows*cols`.
+        unsafe { transpose_avx2(src, ld, rows, cols, dst) };
+        return;
+    }
+    transpose_scalar(src, ld, rows, cols, 0, 0, dst);
+}
+
+/// The scalar body of [`transpose_into`] for the source rows `r0..` and
+/// columns `c0..`, so it also serves as the SIMD variant's edge.
+fn transpose_scalar(
+    src: &[f32],
+    ld: usize,
+    rows: usize,
+    cols: usize,
+    r0: usize,
+    c0: usize,
+    dst: &mut [f32],
+) {
+    for r in r0..rows {
+        for (c, &v) in src[r * ld + c0..r * ld + cols].iter().enumerate() {
+            dst[(c0 + c) * rows + r] = v;
+        }
+    }
+}
+
+/// AVX2 body of [`transpose_into`]: full 8×8 tiles through eight
+/// registers (unpack, shuffle, lane permute), then the scalar edges —
+/// the last `cols % 8` columns of the tiled rows, and the last
+/// `rows % 8` rows whole.
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 is available, `cols <= ld`,
+/// `src.len() >= (rows-1)*ld + cols` and `dst.len() >= rows*cols`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn transpose_avx2(src: &[f32], ld: usize, rows: usize, cols: usize, dst: &mut [f32]) {
+    use std::arch::x86_64::{
+        _mm256_loadu_ps, _mm256_permute2f128_ps, _mm256_shuffle_ps, _mm256_storeu_ps,
+        _mm256_unpackhi_ps, _mm256_unpacklo_ps,
+    };
+    let (tr, tc) = (rows - rows % 8, cols - cols % 8);
+    let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
+    for r in (0..tr).step_by(8) {
+        for c in (0..tc).step_by(8) {
+            let row = |i: usize| _mm256_loadu_ps(sp.add((r + i) * ld + c));
+            let (t0, t1) = (row(0), row(1));
+            let (t2, t3) = (row(2), row(3));
+            let (t4, t5) = (row(4), row(5));
+            let (t6, t7) = (row(6), row(7));
+            let (u0, u1) = (_mm256_unpacklo_ps(t0, t1), _mm256_unpackhi_ps(t0, t1));
+            let (u2, u3) = (_mm256_unpacklo_ps(t2, t3), _mm256_unpackhi_ps(t2, t3));
+            let (u4, u5) = (_mm256_unpacklo_ps(t4, t5), _mm256_unpackhi_ps(t4, t5));
+            let (u6, u7) = (_mm256_unpacklo_ps(t6, t7), _mm256_unpackhi_ps(t6, t7));
+            let s0 = _mm256_shuffle_ps::<0x44>(u0, u2);
+            let s1 = _mm256_shuffle_ps::<0xEE>(u0, u2);
+            let s2 = _mm256_shuffle_ps::<0x44>(u1, u3);
+            let s3 = _mm256_shuffle_ps::<0xEE>(u1, u3);
+            let s4 = _mm256_shuffle_ps::<0x44>(u4, u6);
+            let s5 = _mm256_shuffle_ps::<0xEE>(u4, u6);
+            let s6 = _mm256_shuffle_ps::<0x44>(u5, u7);
+            let s7 = _mm256_shuffle_ps::<0xEE>(u5, u7);
+            let out = |i: usize| dp.add((c + i) * rows + r);
+            _mm256_storeu_ps(out(0), _mm256_permute2f128_ps::<0x20>(s0, s4));
+            _mm256_storeu_ps(out(1), _mm256_permute2f128_ps::<0x20>(s1, s5));
+            _mm256_storeu_ps(out(2), _mm256_permute2f128_ps::<0x20>(s2, s6));
+            _mm256_storeu_ps(out(3), _mm256_permute2f128_ps::<0x20>(s3, s7));
+            _mm256_storeu_ps(out(4), _mm256_permute2f128_ps::<0x31>(s0, s4));
+            _mm256_storeu_ps(out(5), _mm256_permute2f128_ps::<0x31>(s1, s5));
+            _mm256_storeu_ps(out(6), _mm256_permute2f128_ps::<0x31>(s2, s6));
+            _mm256_storeu_ps(out(7), _mm256_permute2f128_ps::<0x31>(s3, s7));
+        }
+        if tc < cols {
+            for i in r..r + 8 {
+                for c in tc..cols {
+                    *dp.add(c * rows + i) = *sp.add(i * ld + c);
+                }
+            }
+        }
+    }
+    if tr < rows {
+        transpose_scalar(src, ld, rows, cols, tr, 0, dst);
+    }
+}
+
+/// Scaled attention scores of one head, read in place from the stacked
+/// projections: `scores [t, t] = (Q · Kᵀ) · scale`, where `Q` and `K` are
+/// the `[t, dh]` column blocks starting at `q[0]` and `k[0]` of row-major
+/// matrices with row stride `ld`.
+///
+/// `K` is transposed once into `kt` (`[dh, t]`), so every score row
+/// streams contiguous `kt` rows and vectorizes across output columns.
+/// Per element the sum is [`matmul_t_kernel`]'s exact sequence — start at
+/// `+0.0`, then `acc + q·k` (multiply, then add; never FMA) in ascending
+/// `p`, with **no** zero skip — followed by one multiply by `scale`, the
+/// separate scaling pass it replaces. The bits therefore match that
+/// kernel plus the pass, on every dispatch.
+///
+/// # Panics
+///
+/// Panics if `dh > ld` or a slice is shorter than the shapes imply.
+// A kernel over strided views carries its operands, dims and scratch.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn attention_scores_into(
+    q: &[f32],
+    k: &[f32],
+    ld: usize,
+    t: usize,
+    dh: usize,
+    scale: f32,
+    kt: &mut [f32],
+    scores: &mut [f32],
+) {
+    let view = strided_len(ld, t, dh);
+    assert!(
+        q.len() >= view && k.len() >= view,
+        "head view shorter than its rows"
+    );
+    let kt = &mut kt[..dh * t];
+    transpose_into(k, ld, t, dh, kt);
+    let scores = &mut scores[..t * t];
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::enabled() {
+        // SAFETY: AVX2 support was just detected; `q` holds `t` rows of
+        // stride `ld` with `dh <= ld` columns each (asserted above), `kt`
+        // and `scores` were sliced to `dh*t` and `t*t`.
+        unsafe { scores_avx2(q, kt, ld, t, dh, scale, scores) };
+        return;
+    }
+    scores_scalar(q, kt, ld, t, dh, scale, 0, scores);
+}
+
+/// Elements a `[t, dh]` view of row stride `ld` spans: `(t-1)·ld + dh`
+/// (zero for an empty view). Asserts the view fits its stride.
+fn strided_len(ld: usize, t: usize, dh: usize) -> usize {
+    assert!(dh <= ld, "head width {dh} exceeds row stride {ld}");
+    if t == 0 {
+        0
+    } else {
+        (t - 1) * ld + dh
+    }
+}
+
+/// The scalar body of [`attention_scores_into`] over score columns
+/// `[j0, t)`; also the SIMD variant's column tail.
+#[allow(clippy::too_many_arguments)]
+fn scores_scalar(
+    q: &[f32],
+    kt: &[f32],
+    ld: usize,
+    t: usize,
+    dh: usize,
+    scale: f32,
+    j0: usize,
+    scores: &mut [f32],
+) {
+    for i in 0..t {
+        let qrow = &q[i * ld..i * ld + dh];
+        for j in j0..t {
+            let mut acc = 0.0f32;
+            for (p, &qv) in qrow.iter().enumerate() {
+                acc += qv * kt[p * t + j];
+            }
+            scores[i * t + j] = acc * scale;
+        }
+    }
+}
+
+/// AVX2 body of [`attention_scores_into`]: four score rows by sixteen
+/// columns per register block (eight accumulators), then narrower blocks
+/// and single rows, then the scalar column tail for `t % 8`. Each lane
+/// runs one element's serial `p` chain.
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 is available, `q.len() >= (t-1)*ld + dh`,
+/// `kt.len() >= dh*t` and `scores.len() >= t*t`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn scores_avx2(
+    q: &[f32],
+    kt: &[f32],
+    ld: usize,
+    t: usize,
+    dh: usize,
+    scale: f32,
+    scores: &mut [f32],
+) {
+    let shape = HeadShape { ld, t, dh };
+    let (qp, ktp, out) = (q.as_ptr(), kt.as_ptr(), scores.as_mut_ptr());
+    let mut i = 0;
+    while i < t {
+        let four = i + 4 <= t;
+        let mut j = 0;
+        while j + 16 <= t {
+            if four {
+                scores_block_avx2::<4, 2>(qp, ktp, shape, scale, i, j, out);
+            } else {
+                scores_block_avx2::<1, 2>(qp, ktp, shape, scale, i, j, out);
+            }
+            j += 16;
+        }
+        if j + 8 <= t {
+            if four {
+                scores_block_avx2::<4, 1>(qp, ktp, shape, scale, i, j, out);
+            } else {
+                scores_block_avx2::<1, 1>(qp, ktp, shape, scale, i, j, out);
+            }
+        }
+        i += if four { 4 } else { 1 };
+    }
+    let panels = t - t % 8;
+    if panels < t {
+        scores_scalar(q, kt, ld, t, dh, scale, panels, scores);
+    }
+}
+
+/// Dimensions of one attention head's strided view.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct HeadShape {
+    /// Row stride of the stacked matrix the head lives in.
+    ld: usize,
+    /// Sequence length (rows of the head, rows and columns of the scores).
+    t: usize,
+    /// Head width.
+    dh: usize,
+}
+
+/// Score rows `i0..i0 + R` by columns `j0..j0 + 8·P`.
+///
+/// # Safety
+///
+/// As [`scores_avx2`], with `i0 + R <= t` and `j0 + 8*P <= t`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn scores_block_avx2<const R: usize, const P: usize>(
+    q: *const f32,
+    kt: *const f32,
+    s: HeadShape,
+    scale: f32,
+    i0: usize,
+    j0: usize,
+    out: *mut f32,
+) {
+    use std::arch::x86_64::{
+        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps,
+    };
+    let mut acc = [[_mm256_setzero_ps(); P]; R];
+    for p in 0..s.dh {
+        let mut kv = [_mm256_setzero_ps(); P];
+        for (x, kv) in kv.iter_mut().enumerate() {
+            *kv = _mm256_loadu_ps(kt.add(p * s.t + j0 + 8 * x));
+        }
+        for (r, row) in acc.iter_mut().enumerate() {
+            let qv = _mm256_set1_ps(*q.add((i0 + r) * s.ld + p));
+            for (a, &kv) in row.iter_mut().zip(&kv) {
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(qv, kv));
+            }
+        }
+    }
+    let scale = _mm256_set1_ps(scale);
+    for (r, row) in acc.iter().enumerate() {
+        for (x, &a) in row.iter().enumerate() {
+            _mm256_storeu_ps(
+                out.add((i0 + r) * s.t + j0 + 8 * x),
+                _mm256_mul_ps(a, scale),
+            );
+        }
+    }
+}
+
+/// One head's attention output, written in place: `out [t, dh] = P · V`,
+/// where `P` is the `[t, t]` softmax matrix `probs` and `V`/`out` are the
+/// `[t, dh]` column blocks starting at `v[0]`/`out[0]` of row-major
+/// matrices with row stride `ld`. Columns of `out` outside the head are
+/// left untouched, so heads write straight into the merged matrix.
+///
+/// Per element the sum is [`matmul_kernel`]'s exact sequence: start at
+/// `+0.0`, then `acc + p·v` in ascending `j`, **skipping** every `p == 0`
+/// term. The skip is part of the bits, not an optimization: softmax
+/// weights underflow to exactly zero, and `0·Inf` is NaN where the skip
+/// leaves the sum finite.
+///
+/// # Panics
+///
+/// Panics if `dh > ld` or a slice is shorter than the shapes imply.
+pub(crate) fn attention_mix_into(
+    probs: &[f32],
+    v: &[f32],
+    ld: usize,
+    t: usize,
+    dh: usize,
+    out: &mut [f32],
+) {
+    let view = strided_len(ld, t, dh);
+    assert!(
+        v.len() >= view && out.len() >= view,
+        "head view shorter than its rows"
+    );
+    let probs = &probs[..t * t];
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::enabled() {
+        // SAFETY: AVX2 support was just detected; `v` and `out` hold `t`
+        // rows of stride `ld` with `dh <= ld` columns each and `probs`
+        // holds `t*t` (all asserted above).
+        unsafe { mix_avx2(probs, v, ld, t, dh, out) };
+        return;
+    }
+    mix_scalar(probs, v, ld, t, dh, 0, out);
+}
+
+/// The scalar body of [`attention_mix_into`] over head columns
+/// `[c0, dh)`; also the SIMD variant's column tail.
+fn mix_scalar(
+    probs: &[f32],
+    v: &[f32],
+    ld: usize,
+    t: usize,
+    dh: usize,
+    c0: usize,
+    out: &mut [f32],
+) {
+    for i in 0..t {
+        let orow = &mut out[i * ld + c0..i * ld + dh];
+        orow.fill(0.0);
+        for (j, &pv) in probs[i * t..(i + 1) * t].iter().enumerate() {
+            if pv == 0.0 {
+                continue;
+            }
+            for (o, &vv) in orow.iter_mut().zip(&v[j * ld + c0..j * ld + dh]) {
+                *o += pv * vv;
+            }
+        }
+    }
+}
+
+/// AVX2 body of [`attention_mix_into`]: four output rows by sixteen head
+/// columns per register block, then narrower blocks and single rows, then
+/// the scalar column tail for `dh % 8`. Each row tests its own weight for
+/// zero, so the skip stays per element.
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 is available, `probs.len() >= t*t` and
+/// `v.len()`, `out.len() >= (t-1)*ld + dh`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn mix_avx2(probs: &[f32], v: &[f32], ld: usize, t: usize, dh: usize, out: &mut [f32]) {
+    let shape = HeadShape { ld, t, dh };
+    let (p, vp, o) = (probs.as_ptr(), v.as_ptr(), out.as_mut_ptr());
+    let mut i = 0;
+    while i < t {
+        let four = i + 4 <= t;
+        let mut c = 0;
+        while c + 16 <= dh {
+            if four {
+                mix_block_avx2::<4, 2>(p, vp, shape, i, c, o);
+            } else {
+                mix_block_avx2::<1, 2>(p, vp, shape, i, c, o);
+            }
+            c += 16;
+        }
+        if c + 8 <= dh {
+            if four {
+                mix_block_avx2::<4, 1>(p, vp, shape, i, c, o);
+            } else {
+                mix_block_avx2::<1, 1>(p, vp, shape, i, c, o);
+            }
+        }
+        i += if four { 4 } else { 1 };
+    }
+    let panels = dh - dh % 8;
+    if panels < dh {
+        mix_scalar(probs, v, ld, t, dh, panels, out);
+    }
+}
+
+/// Output rows `i0..i0 + R` by head columns `c0..c0 + 8·P`.
+///
+/// # Safety
+///
+/// As [`mix_avx2`], with `i0 + R <= t` and `c0 + 8*P <= dh`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn mix_block_avx2<const R: usize, const P: usize>(
+    probs: *const f32,
+    v: *const f32,
+    s: HeadShape,
+    i0: usize,
+    c0: usize,
+    out: *mut f32,
+) {
+    use std::arch::x86_64::{
+        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps,
+    };
+    let mut acc = [[_mm256_setzero_ps(); P]; R];
+    for j in 0..s.t {
+        let mut vv = [_mm256_setzero_ps(); P];
+        for (x, vv) in vv.iter_mut().enumerate() {
+            *vv = _mm256_loadu_ps(v.add(j * s.ld + c0 + 8 * x));
+        }
+        for (r, row) in acc.iter_mut().enumerate() {
+            let pv = *probs.add((i0 + r) * s.t + j);
+            if pv == 0.0 {
+                continue;
+            }
+            let pv = _mm256_set1_ps(pv);
+            for (a, &vv) in row.iter_mut().zip(&vv) {
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(pv, vv));
+            }
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        for (x, &a) in row.iter().enumerate() {
+            _mm256_storeu_ps(out.add((i0 + r) * s.ld + c0 + 8 * x), a);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn matmul_matches_hand_computation() {
@@ -635,31 +1057,66 @@ mod tests {
         }
     }
 
+    /// Row counts straddling the 8-row and 4-row blocks and single rows.
+    const BLOCK_ROWS: [usize; 12] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 48, 49];
+    /// Column counts straddling the 8-column panels and the scalar tail.
+    const BLOCK_COLS: [usize; 10] = [1, 3, 7, 8, 9, 15, 16, 17, 33, 128];
+
+    /// Seeded values in `[-2, 2)` with exact `±0.0` and denormals mixed
+    /// in, plus `±Inf` and NaN when `special` — the operands on which
+    /// skipping a `0·x` term differs from adding it.
+    fn adversarial(len: usize, seed: u64, special: bool) -> Vec<f32> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..len)
+            .map(|i| match (i * 7 + seed as usize) % 29 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => 1e-40,
+                3 => -3e-39,
+                4 if special => f32::INFINITY,
+                5 if special => f32::NEG_INFINITY,
+                6 if special => f32::NAN,
+                _ => rng.gen_range(-2.0..2.0),
+            })
+            .collect()
+    }
+
+    /// IEEE 754 pins down only NaN-ness for a NaN result, so NaNs compare
+    /// as one token and every other value by its bits.
+    fn canon(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+            .collect()
+    }
+
     #[test]
     fn blocked_kernel_is_row_count_invariant() {
         // Every row of a blocked m-row call must be bit-identical to a
         // 1-row call on the same data: the batched serving path depends on
         // this to share one numerics version with solo sessions. Odd k
-        // exercises the single-k tail; m values straddle the 4-row blocks.
+        // exercises the single-k tail; m values straddle the 8- and 4-row
+        // blocks, n the 8-column panels and the scalar column tail.
         let mut rng = StdRng::seed_from_u64(3);
-        for (k, n) in [(7, 5), (8, 6), (33, 17)] {
-            let b = Tensor::uniform(vec![k, n], 1.0, &mut rng);
-            for m in [1usize, 3, 4, 5, 16] {
-                let a = Tensor::uniform(vec![m, k], 1.0, &mut rng);
-                let mut batched = vec![0.0f32; m * n];
-                matmul_blocked_kernel(a.data(), b.data(), m, k, n, &mut batched);
-                for i in 0..m {
-                    let mut solo = vec![0.0f32; n];
-                    matmul_blocked_kernel(
-                        &a.data()[i * k..(i + 1) * k],
-                        b.data(),
-                        1,
-                        k,
-                        n,
-                        &mut solo,
-                    );
-                    for (x, y) in solo.iter().zip(&batched[i * n..(i + 1) * n]) {
-                        assert_eq!(x.to_bits(), y.to_bits(), "m={m} k={k} n={n} row {i}");
+        for k in [7, 8, 33] {
+            for n in BLOCK_COLS {
+                let b = Tensor::uniform(vec![k, n], 1.0, &mut rng);
+                for m in BLOCK_ROWS {
+                    let a = Tensor::uniform(vec![m, k], 1.0, &mut rng);
+                    let mut batched = vec![0.0f32; m * n];
+                    matmul_blocked_kernel(a.data(), b.data(), m, k, n, &mut batched);
+                    for i in 0..m {
+                        let mut solo = vec![0.0f32; n];
+                        matmul_blocked_kernel(
+                            &a.data()[i * k..(i + 1) * k],
+                            b.data(),
+                            1,
+                            k,
+                            n,
+                            &mut solo,
+                        );
+                        for (x, y) in solo.iter().zip(&batched[i * n..(i + 1) * n]) {
+                            assert_eq!(x.to_bits(), y.to_bits(), "m={m} k={k} n={n} row {i}");
+                        }
                     }
                 }
             }
@@ -670,22 +1127,170 @@ mod tests {
     fn blocked_kernel_dispatch_is_bit_invisible() {
         // Whatever SIMD variant the host dispatches to must reproduce the
         // scalar reference bit for bit — the committed v2 golden traces
-        // depend on it. Shapes straddle the 4-row block, the 8-column
-        // panel and the paired-k tail.
-        let mut rng = StdRng::seed_from_u64(7);
-        for (m, k, n) in [(1, 7, 3), (4, 8, 8), (6, 33, 19), (16, 40, 26), (5, 9, 8)] {
-            let a = Tensor::uniform(vec![m, k], 1.0, &mut rng);
-            let b = Tensor::uniform(vec![k, n], 1.0, &mut rng);
-            let mut dispatched = vec![0.0f32; m * n];
-            matmul_blocked_kernel(a.data(), b.data(), m, k, n, &mut dispatched);
-            let mut scalar = vec![0.0f32; m * n];
-            matmul_blocked_scalar(a.data(), b.data(), m, k, n, 0, &mut scalar);
-            for (i, (x, y)) in scalar.iter().zip(&dispatched).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "m={m} k={k} n={n} elem {i}: scalar {x} vs dispatched {y}"
-                );
+        // depend on it. Shapes straddle the 8- and 4-row blocks, the
+        // 8-column panel and the paired-k tail; operands carry ±0.0,
+        // denormals, ±Inf and NaN.
+        for (seed, k) in [7usize, 8, 33].into_iter().enumerate() {
+            for n in BLOCK_COLS {
+                let b = adversarial(k * n, 100 + seed as u64, true);
+                for m in BLOCK_ROWS {
+                    let a = adversarial(m * k, (m * n + k) as u64, true);
+                    let mut dispatched = vec![0.0f32; m * n];
+                    matmul_blocked_kernel(&a, &b, m, k, n, &mut dispatched);
+                    let mut scalar = vec![0.0f32; m * n];
+                    matmul_blocked_scalar(&a, &b, m, k, n, 0, &mut scalar);
+                    assert_eq!(canon(&scalar), canon(&dispatched), "m={m} k={k} n={n}");
+                }
+            }
+        }
+    }
+
+    /// The `[t, dh]` column block at `off` of a `[t, ld]` matrix, copied
+    /// out — the per-head copy attention made before it read in place.
+    fn head_copy(src: &[f32], ld: usize, t: usize, off: usize, dh: usize) -> Vec<f32> {
+        (0..t)
+            .flat_map(|i| src[i * ld + off..i * ld + off + dh].iter().copied())
+            .collect()
+    }
+
+    /// Sequence lengths straddling the 4-row, 16- and 8-column blocks.
+    const SEQ_LENS: [usize; 8] = [0, 1, 7, 8, 9, 25, 48, 49];
+    /// Head widths: one panel, a panel plus tail, two panels, the paper's.
+    const HEAD_WIDTHS: [usize; 4] = [8, 12, 16, 64];
+
+    #[test]
+    fn attention_scores_match_matmul_t_and_their_scalar_twin() {
+        // Both heads of a two-head [t, 2·dh] projection, read in place,
+        // against the per-head copy + `matmul_t_kernel` + scaling pass the
+        // engine ran before, and against the scalar body. Every 5th key
+        // row carries ±Inf/NaN; zeros and denormals are everywhere.
+        let scale = 0.125f32;
+        for t in SEQ_LENS {
+            for dh in HEAD_WIDTHS {
+                let ld = 2 * dh;
+                let q = adversarial(t * ld, (t * 31 + dh) as u64, false);
+                let mut k = adversarial(t * ld, (t * 17 + dh) as u64, false);
+                let specials = adversarial(t * ld, 5, true);
+                for j in (2..t).step_by(5) {
+                    k[j * ld..(j + 1) * ld].copy_from_slice(&specials[j * ld..(j + 1) * ld]);
+                }
+                // An empty view has no second head to offset into.
+                for off in [0, dh].into_iter().take(if t == 0 { 1 } else { 2 }) {
+                    let mut old = vec![0.0f32; t * t];
+                    matmul_t_kernel(
+                        &head_copy(&q, ld, t, off, dh),
+                        &head_copy(&k, ld, t, off, dh),
+                        t,
+                        dh,
+                        t,
+                        &mut old,
+                    );
+                    for s in &mut old {
+                        *s *= scale;
+                    }
+                    let mut kt = vec![0.0f32; dh * t];
+                    let mut got = vec![7.0f32; t * t];
+                    attention_scores_into(
+                        &q[off..],
+                        &k[off..],
+                        ld,
+                        t,
+                        dh,
+                        scale,
+                        &mut kt,
+                        &mut got,
+                    );
+                    let mut twin = vec![7.0f32; t * t];
+                    transpose_scalar(&k[off..], ld, t, dh, 0, 0, &mut kt);
+                    scores_scalar(&q[off..], &kt, ld, t, dh, scale, 0, &mut twin);
+                    assert_eq!(canon(&old), canon(&got), "t={t} dh={dh} head at {off}");
+                    assert_eq!(canon(&twin), canon(&got), "t={t} dh={dh} head at {off}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn attention_mix_matches_matmul_kernel_and_its_scalar_twin() {
+        // P·V written in place into both heads' column blocks of a merged
+        // [t, 2·dh] matrix, against `matmul_kernel` on per-head copies and
+        // against the scalar body. Half the weights are exact zeros (and
+        // some `-0.0`), so the skip runs; every 3rd value row carries
+        // ±Inf/NaN, where adding `0·x` would differ from skipping it.
+        for t in SEQ_LENS {
+            for dh in HEAD_WIDTHS {
+                let ld = 2 * dh;
+                let mut probs = adversarial(t * t, (t * 13 + dh) as u64, false);
+                for (i, p) in probs.iter_mut().enumerate() {
+                    if i % 2 == 1 {
+                        *p = 0.0;
+                    }
+                }
+                let mut v = adversarial(t * ld, (t * 7 + dh) as u64, false);
+                let specials = adversarial(t * ld, 6, true);
+                for j in (1..t).step_by(3) {
+                    v[j * ld..(j + 1) * ld].copy_from_slice(&specials[j * ld..(j + 1) * ld]);
+                }
+                // An empty view has no second head to offset into.
+                for off in [0, dh].into_iter().take(if t == 0 { 1 } else { 2 }) {
+                    let mut old = vec![0.0f32; t * dh];
+                    matmul_kernel(&probs, &head_copy(&v, ld, t, off, dh), t, t, dh, &mut old);
+                    let mut got = vec![7.0f32; t * ld];
+                    attention_mix_into(&probs, &v[off..], ld, t, dh, &mut got[off..]);
+                    let mut twin = vec![7.0f32; t * ld];
+                    mix_scalar(&probs, &v[off..], ld, t, dh, 0, &mut twin[off..]);
+                    assert_eq!(canon(&twin), canon(&got), "t={t} dh={dh} head at {off}");
+                    assert_eq!(
+                        canon(&old),
+                        canon(&head_copy(&got, ld, t, off, dh)),
+                        "t={t} dh={dh} head at {off}"
+                    );
+                    let other = if off == 0 { dh } else { 0 };
+                    assert!(
+                        head_copy(&got, ld, t, other, dh).iter().all(|&x| x == 7.0),
+                        "t={t} dh={dh}: a head wrote outside its columns"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn attention_mix_keeps_the_zero_weight_skip() {
+        // One query attends fully to key 1; key 0's weight underflowed to
+        // exactly zero and its value row is infinite. Skipping the term
+        // leaves the output finite — adding `0·Inf` would make it NaN.
+        let (t, dh) = (2, 8);
+        let probs = [0.0f32, 1.0, 0.5, 0.5];
+        let mut v = vec![f32::INFINITY; dh];
+        v.extend(vec![3.0f32; dh]);
+        let mut out = vec![0.0f32; t * dh];
+        attention_mix_into(&probs, &v, dh, t, dh, &mut out);
+        assert!(out[..dh].iter().all(|&x| x == 3.0), "{out:?}");
+        assert!(out[dh..].iter().all(|&x| x == f32::INFINITY), "{out:?}");
+    }
+
+    #[test]
+    fn transpose_matches_its_scalar_twin_bit_for_bit() {
+        // A pure copy: every bit moves, NaN payloads and -0.0 included.
+        // Views are strided and start one element in (unaligned); shapes
+        // straddle the 8×8 tiles on both axes, empty views included.
+        for rows in [0usize, 1, 7, 8, 9, 16, 17, 48] {
+            for cols in [0usize, 1, 3, 8, 9, 16, 17] {
+                let ld = cols + 5;
+                let mut src = adversarial(1 + rows * ld, (rows * 40 + cols) as u64, true);
+                src[0] = f32::from_bits(0x7fc0_1234);
+                let mut got = vec![9.0f32; rows * cols];
+                transpose_into(&src[1..], ld, rows, cols, &mut got);
+                let mut twin = vec![9.0f32; rows * cols];
+                transpose_scalar(&src[1..], ld, rows, cols, 0, 0, &mut twin);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&twin), bits(&got), "rows={rows} cols={cols}");
+                for r in 0..rows {
+                    for c in 0..cols {
+                        assert_eq!(got[c * rows + r].to_bits(), src[1 + r * ld + c].to_bits());
+                    }
+                }
             }
         }
     }
