@@ -1,12 +1,13 @@
 //! Criterion micro-benchmarks for the numeric kernels: the paper's
 //! filters, the FFT, the forest classify call, the compiled
-//! per-architecture forward passes, and the paper-scale Transformer label
-//! (the dense/CSR/int8 matvec group lives in `benches/matvec.rs`).
+//! per-architecture forward passes, the paper-scale Transformer label and
+//! the fleet workload's two members (the dense/CSR/int8 matvec group
+//! lives in `benches/matvec.rs`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use cognitive_arm::eval::DatasetBuilder;
+use cognitive_arm::eval::{quick_cnn_config, quick_transformer_config, DatasetBuilder};
 use dsp::butterworth::Butterworth;
 use dsp::fft::rfft;
 use dsp::notch::notch_filter;
@@ -211,12 +212,42 @@ fn paper_transformer(c: &mut Criterion) {
     g.finish();
 }
 
+/// The two members of cogbench's `fleet` workload: `quick_cnn_config`
+/// at seed 1 and `quick_transformer_config` at seed 2, dense, each through
+/// a warm `InferPlan` on one thread. `batch_32` is one fleet lane (64
+/// sessions split over two lanes); `batch_1` is one session's label.
+fn fleet_members(c: &mut Criterion) {
+    let cnn = compile_cnn(&quick_cnn_config().build(1).expect("builds"));
+    let tf = compile_transformer(&quick_transformer_config().build(2).expect("builds"));
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut g = c.benchmark_group("fleet_members");
+    for (name, model) in [("cnn", &cnn), ("transformer", &tf)] {
+        let per_window = model.channels() * model.window();
+        for batch in [32, 1] {
+            let windows: Vec<f32> = (0..batch * per_window)
+                .map(|_| rng.gen_range(-1.0f32..1.0))
+                .collect();
+            let mut plan = InferPlan::compile(model);
+            let mut logits = vec![0.0f32; batch * plan.classes()];
+            plan.predict_logits_into(model, &windows, batch, &mut logits);
+            g.bench_function(&format!("{name}_batch_{batch}"), |b| {
+                b.iter(|| {
+                    plan.predict_logits_into(model, black_box(&windows), batch, &mut logits);
+                    black_box(logits[0])
+                })
+            });
+        }
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     filter_kernels,
     fft_kernels,
     forest_classify,
     forward_passes,
-    paper_transformer
+    paper_transformer,
+    fleet_members
 );
 criterion_main!(benches);

@@ -624,13 +624,7 @@ impl Ensemble {
             }
             Voting::Hard => {
                 for p in probas {
-                    let arg = p
-                        .iter()
-                        .enumerate()
-                        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite probs"))
-                        .map(|(i, _)| i)
-                        .unwrap_or(0);
-                    acc[arg] += 1.0;
+                    acc[argmax(p)] += 1.0;
                 }
             }
         }
@@ -643,34 +637,36 @@ impl Ensemble {
     /// Combined class prediction.
     #[must_use]
     pub fn predict(&self, window: &[f32], channels: usize) -> usize {
-        Self::argmax(&self.predict_proba(window, channels))
+        argmax(&self.predict_proba(window, channels))
     }
 
     /// [`Ensemble::predict`] with members evaluated in parallel on `pool`.
     #[must_use]
     pub fn predict_with(&self, window: &[f32], channels: usize, pool: &ExecPool) -> usize {
-        Self::argmax(&self.predict_proba_with(window, channels, pool))
-    }
-
-    fn argmax(probs: &[f32]) -> usize {
-        argmax(probs)
+        argmax(&self.predict_proba_with(window, channels, pool))
     }
 }
 
 /// Index of the largest probability — the vote-to-label rule every
 /// consumer of [`Ensemble::predict_batch_into`] must share so external
 /// batched classification (the serving micro-batcher) picks exactly the
-/// label [`Ensemble::predict`] would.
+/// label [`Ensemble::predict`] would. Hard voting casts each member's
+/// vote with it too.
 ///
-/// # Panics
-///
-/// Panics on non-finite probabilities.
+/// Total over every `f32`: NaN ranks below every number and equal to
+/// NaN, and the last of several maximal entries wins. Every finite vote
+/// therefore gets the label a plain comparison gives, and an all-NaN vote
+/// (a member whose probabilities went NaN) returns the last class rather
+/// than panicking the tick it runs in. An empty slice returns 0.
 #[must_use]
 pub fn argmax(probs: &[f32]) -> usize {
     probs
         .iter()
         .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite probs"))
+        .max_by(|a, b| {
+            a.1.partial_cmp(b.1)
+                .unwrap_or_else(|| b.1.is_nan().cmp(&a.1.is_nan()))
+        })
         .map(|(i, _)| i)
         .unwrap_or(0)
 }
@@ -751,6 +747,86 @@ mod tests {
         );
         let w = vec![0.0f32; 2 * 4];
         assert_eq!(e.predict(&w, 2), 2);
+    }
+
+    /// A member whose probabilities went NaN.
+    #[derive(Clone)]
+    struct NanVote;
+
+    impl Classifier for NanVote {
+        fn predict_proba_window(&self, _: &[f32], _: usize, _: usize) -> Vec<f32> {
+            vec![f32::NAN; CLASSES]
+        }
+
+        fn window(&self) -> usize {
+            4
+        }
+
+        fn name(&self) -> String {
+            "nan".into()
+        }
+
+        fn param_count(&self) -> usize {
+            0
+        }
+
+        fn clone_box(&self) -> Box<dyn Classifier> {
+            Box::new(self.clone())
+        }
+    }
+
+    #[test]
+    fn argmax_ranks_nan_lowest_and_keeps_finite_labels() {
+        // Finite votes (ties, ±0 and ±Inf included) keep the label a plain
+        // comparison picks, the last maximal entry winning.
+        let plain = |p: &[f32]| {
+            p.iter()
+                .enumerate()
+                .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
+                .map(|(i, _)| i)
+                .unwrap_or(0)
+        };
+        let inf = f32::INFINITY;
+        for p in [
+            [0.2f32, 0.5, 0.3],
+            [0.5, 0.5, 0.0],
+            [0.4, 0.4, 0.4],
+            [0.0, -0.0, -1.0],
+            [-0.0, 0.0, -1.0],
+            [-inf, -inf, -inf],
+            [inf, 1.0, inf],
+        ] {
+            assert_eq!(argmax(&p), plain(&p), "{p:?}");
+        }
+        assert_eq!(argmax(&[]), 0);
+        // NaN ranks below every number and equal to NaN.
+        let nan = f32::NAN;
+        assert_eq!(argmax(&[nan, 0.1, 0.2]), 2);
+        assert_eq!(argmax(&[0.5, nan, 0.1]), 0);
+        assert_eq!(argmax(&[-inf, nan, nan]), 0);
+        assert_eq!(argmax(&[nan, -0.0, nan]), 1);
+        assert_eq!(argmax(&[nan, nan, nan]), 2, "all-NaN picks the last class");
+
+        // A NaN member casts its hard vote for the last class, and the
+        // majority still carries the label.
+        let e = Ensemble::new(
+            vec![
+                Member::Custom(Box::new(NanVote)),
+                Member::Custom(Box::new(Fixed {
+                    class: 0,
+                    window: 4,
+                })),
+                Member::Custom(Box::new(Fixed {
+                    class: 0,
+                    window: 4,
+                })),
+            ],
+            Voting::Hard,
+        );
+        let w = vec![0.0f32; 2 * 4];
+        let p = e.predict_proba(&w, 2);
+        assert_eq!(p, vec![2.0 / 3.0, 0.0, 1.0 / 3.0]);
+        assert_eq!(e.predict(&w, 2), 0);
     }
 
     #[test]

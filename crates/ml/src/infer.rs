@@ -290,9 +290,10 @@ impl LinearInfer {
         assert_eq!(x.len(), m * k, "linear stage input size");
         self.w.left_matmul_into(x, m, out, qs);
         let out = &mut out[..m * n];
+        let bias = &self.bias[..n];
         for i in 0..m {
-            for j in 0..n {
-                out[i * n + j] += self.bias[j];
+            for (o, b) in out[i * n..(i + 1) * n].iter_mut().zip(bias) {
+                *o += b;
             }
         }
         self.act.apply_slice(out);
@@ -338,7 +339,52 @@ impl ConvInfer {
     /// plan stacks many windows' patch matrices into one GEMM. The kernel
     /// is stored `[patch, cout]` at compile time, so the plain
     /// left-multiply applies: `cols [spots, patch] × W -> [spots, cout]`.
+    ///
+    /// A patch row is `cin·k` runs of `k` contiguous image samples, so the
+    /// lowering copies whole runs: fixed-size copies for Table III's
+    /// kernel sizes 3 and 5, a slice copy for any other. With SIMD
+    /// dispatch off it runs the per-element twin
+    /// [`ConvInfer::im2col_scalar`]. Both are pure copies, so every bit
+    /// arrives unchanged either way.
     pub(crate) fn im2col_into(&self, img: &[f32], cols: &mut [f32]) {
+        if !crate::simd::enabled() {
+            self.im2col_scalar(img, cols);
+            return;
+        }
+        match self.k {
+            3 => self.im2col_runs::<3>(img, cols),
+            5 => self.im2col_runs::<5>(img, cols),
+            _ => self.im2col_runs::<0>(img, cols),
+        }
+    }
+
+    /// The run-copy body of [`ConvInfer::im2col_into`]. `K` is the kernel
+    /// size when it is known at compile time, or `0` to read it from
+    /// `self.k`.
+    fn im2col_runs<const K: usize>(&self, img: &[f32], cols: &mut [f32]) {
+        let k = if K == 0 { self.k } else { K };
+        let (ho, wo) = self.conv_out();
+        let plane = self.h * self.wdim;
+        let patch = self.cin * k * k;
+        let cols = &mut cols[..ho * wo * patch];
+        let mut idx = 0;
+        for oy in 0..ho {
+            for ox in 0..wo {
+                let origin = oy * self.stride * self.wdim + ox * self.stride;
+                for c in 0..self.cin {
+                    for dy in 0..k {
+                        let src = c * plane + origin + dy * self.wdim;
+                        cols[idx..idx + k].copy_from_slice(&img[src..src + k]);
+                        idx += k;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The per-element reference twin of [`ConvInfer::im2col_into`]: one
+    /// indexed load per patch element.
+    fn im2col_scalar(&self, img: &[f32], cols: &mut [f32]) {
         let (ho, wo) = self.conv_out();
         let patch = self.cin * self.k * self.k;
         let cols = &mut cols[..ho * wo * patch];
@@ -363,26 +409,16 @@ impl ConvInfer {
     }
 
     /// The conv epilogue: bias + fused ReLU (transposing `[spots, cout]`
-    /// to channel-major), then the optional 2×2 pool into `out` — one
-    /// window's worth of `flat`.
+    /// to channel-major, [`bias_relu_into`]), then the optional 2×2 pool
+    /// into `out` — one window's worth of `flat`.
     pub(crate) fn bias_pool_into(&self, flat: &[f32], prepool: &mut [f32], out: &mut [f32]) {
         let (ho, wo) = self.conv_out();
         let spots = ho * wo;
         let cout = self.bias.len();
-        /// Bias + fused ReLU, transposing [spots, cout] -> channel-major.
-        fn bias_relu(flat: &[f32], bias: &[f32], spots: usize, dst: &mut [f32]) {
-            let cout = bias.len();
-            for s in 0..spots {
-                for c in 0..cout {
-                    let v = flat[s * cout + c] + bias[c];
-                    dst[c * spots + s] = v.max(0.0);
-                }
-            }
-        }
         let pooled = !matches!(self.pool, PoolKind::None) && ho >= 2 && wo >= 2;
         if pooled {
             let conv_dst = &mut prepool[..cout * spots];
-            bias_relu(flat, &self.bias, spots, conv_dst);
+            bias_relu_into(flat, &self.bias, spots, conv_dst);
             pool2_into(
                 conv_dst,
                 cout,
@@ -392,7 +428,7 @@ impl ConvInfer {
                 out,
             );
         } else {
-            bias_relu(flat, &self.bias, spots, &mut out[..cout * spots]);
+            bias_relu_into(flat, &self.bias, spots, &mut out[..cout * spots]);
         }
     }
 
@@ -412,6 +448,41 @@ impl ConvInfer {
     pub fn out_len(&self) -> usize {
         let (ho, wo) = self.out_dims();
         self.bias.len() * ho * wo
+    }
+}
+
+/// Bias + fused ReLU of one window's conv output, transposed from
+/// `[spots, cout]` to channel-major:
+/// `dst[c·spots + s] = (flat[s·cout + c] + bias[c]).max(0.0)`.
+///
+/// With SIMD dispatch on, [`crate::tensor::transpose_into`] (AVX2 8×8
+/// tiles) moves the values first, then the bias add and the ReLU run
+/// along each contiguous channel row. Each element still sees the same
+/// two operations in the same order, so the bits match the fused scalar
+/// twin [`bias_relu_scalar`].
+fn bias_relu_into(flat: &[f32], bias: &[f32], spots: usize, dst: &mut [f32]) {
+    if !crate::simd::enabled() {
+        bias_relu_scalar(flat, bias, spots, dst);
+        return;
+    }
+    let cout = bias.len();
+    crate::tensor::transpose_into(flat, cout, spots, cout, dst);
+    for (c, &b) in bias.iter().enumerate() {
+        for v in &mut dst[c * spots..(c + 1) * spots] {
+            *v = (*v + b).max(0.0);
+        }
+    }
+}
+
+/// The reference twin of [`bias_relu_into`]: one fused gather, bias add
+/// and ReLU per element.
+fn bias_relu_scalar(flat: &[f32], bias: &[f32], spots: usize, dst: &mut [f32]) {
+    let cout = bias.len();
+    for s in 0..spots {
+        for c in 0..cout {
+            let v = flat[s * cout + c] + bias[c];
+            dst[c * spots + s] = v.max(0.0);
+        }
     }
 }
 
@@ -771,16 +842,121 @@ pub(crate) fn softmax_rows_slice(data: &mut [f32], m: usize, n: usize) {
     }
 }
 
-/// Row-wise layer norm over a `[m, n]` slice.
+/// LayerNorm's variance epsilon.
+const LN_EPS: f32 = 1e-5;
+
+/// Row-wise layer norm over a `[m, n]` slice. Per row: `mean = Σv / n`
+/// and `var = Σ(v − mean)² / n`, both sums starting at `-0.0` in index
+/// order as `Iterator::sum` runs them; `inv = 1 / √(var + ε)`; then
+/// `v ← ((v − mean)·inv)·γ + β` along the row.
+///
+/// With SIMD dispatch on, each block of eight rows gets its means and
+/// `inv`s from [`layer_norm_stats_avx2`], one row per lane. The last
+/// `m % 8` rows (and every row with dispatch off) use the scalar twin
+/// [`layer_norm_stats`]. Every row then normalizes through
+/// [`normalize_row`], so the bits match on every dispatch.
 pub(crate) fn layer_norm_slice(data: &mut [f32], m: usize, n: usize, gamma: &[f32], beta: &[f32]) {
-    const EPS: f32 = 1e-5;
-    for i in 0..m {
-        let row = &mut data[i * n..(i + 1) * n];
-        let mean: f32 = row.iter().sum::<f32>() / n as f32;
-        let var: f32 = row.iter().map(|x| (x - mean).powi(2)).sum::<f32>() / n as f32;
-        let inv = 1.0 / (var + EPS).sqrt();
-        for (j, v) in row.iter_mut().enumerate() {
-            *v = (*v - mean) * inv * gamma[j] + beta[j];
+    let data = &mut data[..m * n];
+    let mut i = 0;
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::enabled() && n > 0 {
+        while i + 8 <= m {
+            let block = &mut data[i * n..(i + 8) * n];
+            // SAFETY: AVX2 support was just detected, `n > 0`, and `block`
+            // holds exactly eight rows of width `n`. Its twin is
+            // `layer_norm_stats`, bit for bit.
+            let (mean, inv) = unsafe { layer_norm_stats_avx2(block, n) };
+            for (r, row) in block.chunks_exact_mut(n).enumerate() {
+                normalize_row(row, mean[r], inv[r], gamma, beta);
+            }
+            i += 8;
+        }
+    }
+    for row in i..m {
+        let row = &mut data[row * n..(row + 1) * n];
+        let (mean, inv) = layer_norm_stats(row);
+        normalize_row(row, mean, inv, gamma, beta);
+    }
+}
+
+/// One row's LayerNorm mean and `1 / √(var + ε)` — the reference twin of
+/// [`layer_norm_stats_avx2`].
+fn layer_norm_stats(row: &[f32]) -> (f32, f32) {
+    let n = row.len() as f32;
+    let mean: f32 = row.iter().sum::<f32>() / n;
+    let var: f32 = row.iter().map(|x| (x - mean).powi(2)).sum::<f32>() / n;
+    (mean, 1.0 / (var + LN_EPS).sqrt())
+}
+
+/// `v ← ((v − mean)·inv)·γ + β` along one row.
+fn normalize_row(row: &mut [f32], mean: f32, inv: f32, gamma: &[f32], beta: &[f32]) {
+    let (gamma, beta) = (&gamma[..row.len()], &beta[..row.len()]);
+    for ((v, &g), &b) in row.iter_mut().zip(gamma).zip(beta) {
+        *v = (*v - mean) * inv * g + b;
+    }
+}
+
+/// AVX2 twin of [`layer_norm_stats`] for eight rows at once, one row per
+/// lane: columns reach the lanes through [`crate::tensor::columns8`]'s
+/// 8×8 transposes, and each lane runs its row's scalar chains exactly —
+/// both sums from `-0.0` in ascending column order, `d·d` for `powi(2)`,
+/// `/ n`, then `1 / √(var + ε)`, every step correctly rounded and never
+/// fused.
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 is available, `n > 0` and `rows.len() >= 8·n`.
+/// The safe scalar twin, [`layer_norm_stats`], computes the same bits row
+/// by row without them.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn layer_norm_stats_avx2(rows: &[f32], n: usize) -> ([f32; 8], [f32; 8]) {
+    use std::arch::x86_64::{
+        _mm256_add_ps, _mm256_div_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_sqrt_ps,
+        _mm256_storeu_ps, _mm256_sub_ps,
+    };
+    let src = rows.as_ptr();
+    let len = _mm256_set1_ps(n as f32);
+    let mut sum = _mm256_set1_ps(-0.0);
+    each_column8(src, n, |v| sum = _mm256_add_ps(sum, v));
+    let mean = _mm256_div_ps(sum, len);
+    let mut squares = _mm256_set1_ps(-0.0);
+    each_column8(src, n, |v| {
+        let d = _mm256_sub_ps(v, mean);
+        squares = _mm256_add_ps(squares, _mm256_mul_ps(d, d));
+    });
+    let var = _mm256_div_ps(squares, len);
+    let inv = _mm256_div_ps(
+        _mm256_set1_ps(1.0),
+        _mm256_sqrt_ps(_mm256_add_ps(var, _mm256_set1_ps(LN_EPS))),
+    );
+    let (mut means, mut invs) = ([0.0f32; 8], [0.0f32; 8]);
+    _mm256_storeu_ps(means.as_mut_ptr(), mean);
+    _mm256_storeu_ps(invs.as_mut_ptr(), inv);
+    (means, invs)
+}
+
+/// Calls `f` on every column of the eight rows of width `n` at `src`, in
+/// ascending order, one row per lane.
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 is available and that `src` holds eight rows of
+/// width `n`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn each_column8(src: *const f32, n: usize, mut f: impl FnMut(std::arch::x86_64::__m256)) {
+    use crate::tensor::columns8;
+    let mut c = 0;
+    while c + 8 <= n {
+        for v in columns8(src.add(c), n, 8) {
+            f(v);
+        }
+        c += 8;
+    }
+    if c < n {
+        for &v in &columns8(src.add(c), n, n - c)[..n - c] {
+            f(v);
         }
     }
 }
@@ -1089,5 +1265,133 @@ mod tests {
         assert_eq!(pred, argmax);
         assert!((proba.iter().sum::<f32>() - 1.0).abs() < 1e-5);
         assert_eq!(proba.len(), crate::models::CLASSES);
+    }
+
+    #[test]
+    fn conv_lowering_and_epilogue_match_their_scalar_twins() {
+        // The run-copy lowering against the per-element loop, and the
+        // transposed bias + ReLU epilogue against the fused loop, for every
+        // kernel size and stride pair, pooled and unpooled. Image sizes put
+        // the spot counts on and off the 8×8 transpose tiles; the image,
+        // the GEMM output and the bias carry ±0, denormals, ±Inf and NaN.
+        use crate::tensor::tests::{adversarial, canon};
+        for k in [1usize, 3, 5, 7] {
+            for stride in [1usize, 2, 3] {
+                for (cin, h, wdim, cout) in [(1, 16, 23, 8), (2, 9, 17, 3), (3, 12, 12, 9)] {
+                    for pool in [PoolKind::None, PoolKind::Max, PoolKind::Avg] {
+                        let mut bias = adversarial(cout, (k * 10 + stride) as u64, true);
+                        bias[0] = -0.0;
+                        let conv = ConvInfer {
+                            w: MatRep::Dense(Tensor::zeros(vec![cin * k * k, cout])),
+                            bias,
+                            cin,
+                            h,
+                            wdim,
+                            k,
+                            stride,
+                            pool,
+                        };
+                        let (ho, wo) = conv.conv_out();
+                        let (spots, patch) = (ho * wo, cin * k * k);
+                        let ctx = format!("k={k} stride={stride} cin={cin} cout={cout} {pool:?}");
+
+                        let img = adversarial(cin * h * wdim, (h * k + stride) as u64, true);
+                        let mut runs = vec![7.0f32; spots * patch];
+                        conv.im2col_into(&img, &mut runs);
+                        let mut twin = vec![7.0f32; spots * patch];
+                        conv.im2col_scalar(&img, &mut twin);
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&twin), bits(&runs), "im2col {ctx}");
+
+                        let mut flat = adversarial(spots * cout, (spots + cout) as u64, true);
+                        flat[0] = -0.0;
+                        let mut prepool = vec![7.0f32; spots * cout];
+                        let mut got = vec![7.0f32; conv.out_len()];
+                        conv.bias_pool_into(&flat, &mut prepool, &mut got);
+                        let mut fused = vec![7.0f32; spots * cout];
+                        bias_relu_scalar(&flat, &conv.bias, spots, &mut fused);
+                        let want = if conv.out_dims() == (ho, wo) {
+                            fused
+                        } else {
+                            let mut pooled = vec![7.0f32; conv.out_len()];
+                            let max = matches!(pool, PoolKind::Max);
+                            pool2_into(&fused, cout, ho, wo, max, &mut pooled);
+                            pooled
+                        };
+                        assert_eq!(canon(&want), canon(&got), "epilogue {ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn layer_norm_matches_its_scalar_twin_and_the_reference_loop() {
+        // Row counts straddle the 8-row lanes (blocks of 8 plus scalar
+        // tail rows), widths the 8-wide transpose chunks. Row 1 is all
+        // -0.0 (its sums stay -0.0 only from a -0.0 start) and row 2 is
+        // constant (zero variance); later rows carry ±0, denormals and,
+        // every fifth row, ±Inf and NaN. β has -0.0 entries so a sign-of-
+        // zero change in `v − mean` reaches the output.
+        use crate::tensor::tests::{adversarial, canon};
+        /// The plain per-row loop the row lanes must reproduce.
+        fn reference(data: &mut [f32], m: usize, n: usize, gamma: &[f32], beta: &[f32]) {
+            const EPS: f32 = 1e-5;
+            for i in 0..m {
+                let row = &mut data[i * n..(i + 1) * n];
+                let mean: f32 = row.iter().sum::<f32>() / n as f32;
+                let var: f32 = row.iter().map(|x| (x - mean).powi(2)).sum::<f32>() / n as f32;
+                let inv = 1.0 / (var + EPS).sqrt();
+                for (j, v) in row.iter_mut().enumerate() {
+                    *v = (*v - mean) * inv * gamma[j] + beta[j];
+                }
+            }
+        }
+        for n in [1usize, 3, 8, 9, 32, 128] {
+            let gamma = adversarial(n, n as u64, false);
+            let mut beta = adversarial(n, 3 * n as u64, false);
+            for b in beta.iter_mut().step_by(2) {
+                *b = -0.0;
+            }
+            for m in [1usize, 7, 8, 9, 16, 17, 24, 33] {
+                let mut data = adversarial(m * n, (m * 100 + n) as u64, false);
+                let specials = adversarial(m * n, 17, true);
+                for i in (4..m).step_by(5) {
+                    data[i * n..(i + 1) * n].copy_from_slice(&specials[i * n..(i + 1) * n]);
+                }
+                if m > 1 {
+                    data[n..2 * n].fill(-0.0);
+                }
+                if m > 2 {
+                    data[2 * n..3 * n].fill(0.75);
+                }
+
+                let mut got = data.clone();
+                layer_norm_slice(&mut got, m, n, &gamma, &beta);
+                let mut want = data.clone();
+                reference(&mut want, m, n, &gamma, &beta);
+                assert_eq!(canon(&want), canon(&got), "m={m} n={n}");
+
+                #[cfg(target_arch = "x86_64")]
+                if crate::simd::enabled() {
+                    for i0 in (0..m - m % 8).step_by(8) {
+                        // SAFETY: AVX2 was detected and the block holds
+                        // eight rows of width `n > 0`.
+                        let (means, invs) =
+                            unsafe { layer_norm_stats_avx2(&data[i0 * n..(i0 + 8) * n], n) };
+                        for r in 0..8 {
+                            let row = &data[(i0 + r) * n..(i0 + r + 1) * n];
+                            let (mean, inv) = layer_norm_stats(row);
+                            assert_eq!(
+                                canon(&[mean, inv]),
+                                canon(&[means[r], invs[r]]),
+                                "m={m} n={n} row {}",
+                                i0 + r
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

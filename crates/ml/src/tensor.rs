@@ -375,14 +375,18 @@ unsafe fn matmul_v1_avx2(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out
 /// `out` is fully overwritten.
 ///
 /// On x86-64 hosts with AVX2 the kernel dispatches to an explicit SIMD
-/// variant ([`matmul_blocked_avx2`]) that vectorizes the `j` (output
-/// column) loop eight lanes wide. Column lanes are independent — the SIMD
-/// variant performs *exactly* the scalar kernel's per-element operations
+/// variant. For `n >= 8` ([`matmul_blocked_avx2`]) it vectorizes the `j`
+/// (output column) loop eight lanes wide. Narrow outputs (`n < 8`, the
+/// 3-class heads) with `m >= 8` run `row_lanes_avx2` instead: eight
+/// output *rows* ride the eight lanes, and the last `m % 8` rows take the
+/// scalar body. Either way the lanes are independent elements — the SIMD
+/// variants perform *exactly* the scalar kernel's per-element operations
 /// in the same order (multiply, pair-add, accumulate; no FMA contraction,
-/// no `k` reassociation beyond the pairing both variants share) — so
+/// no `k` reassociation beyond the pairing every variant shares) — so
 /// hardware dispatch is **bit-invisible**: the same model produces the
 /// same v2 bits on every host, and the committed golden traces stay valid
-/// everywhere.
+/// everywhere. Narrow heads with `m < 8` (one window's head) stay on the
+/// scalar body.
 ///
 /// # Panics
 ///
@@ -393,12 +397,22 @@ pub fn matmul_blocked_kernel(a: &[f32], b: &[f32], m: usize, k: usize, n: usize,
     let out = &mut out[..m * n];
     out.fill(0.0);
     #[cfg(target_arch = "x86_64")]
-    if crate::simd::enabled() && n >= 8 {
-        // SAFETY: AVX2 support was just detected, and the slice lengths
-        // were asserted above; the kernel reads `a[..m*k]`, `b[..k*n]` and
-        // writes `out[..m*n]` only.
-        unsafe { matmul_blocked_avx2(a, b, m, k, n, out) };
-        return;
+    if crate::simd::enabled() {
+        if n >= 8 {
+            // SAFETY: AVX2 support was just detected, and the slice lengths
+            // were asserted above; the kernel reads `a[..m*k]`, `b[..k*n]`
+            // and writes `out[..m*n]` only.
+            unsafe { matmul_blocked_avx2(a, b, m, k, n, out) };
+            return;
+        }
+        if n > 0 && m >= 8 {
+            // SAFETY: AVX2 support was just detected, `0 < n < 8`, and the
+            // slice lengths were asserted above; the kernel reads
+            // `a[..m*k]`, `b[..k*n]` and writes `out[..m*n]` only. Its
+            // twin is `matmul_blocked_scalar`, bit for bit.
+            unsafe { row_lanes_avx2(a, b, m, k, n, out) };
+            return;
+        }
     }
     matmul_blocked_scalar(a, b, m, k, n, 0, out);
 }
@@ -570,6 +584,165 @@ unsafe fn blocked_rows_avx2<const R: usize>(
     }
 }
 
+/// AVX2 body of [`matmul_blocked_kernel`] for narrow outputs (`0 < n < 8`,
+/// `m >= 8`): the scalar twin is [`matmul_blocked_scalar`]. Eight output
+/// rows ride the eight lanes, one accumulator per output column, and each
+/// lane runs that row's scalar chain exactly: start at `+0.0`, then
+/// `acc + (a0·b0 + a1·b1)` per `k` pair in ascending `k`, and a lone
+/// `acc + a·b` for an odd last `k`. The rows reach the lanes through
+/// [`columns8`]'s 8×8 transposes. The last `m % 8` rows run the scalar
+/// body, which gives every row the same bits whatever block it sits in.
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 is available, `0 < n < 8`, `a.len() >= m*k`,
+/// `b.len() >= k*n` and `out.len() >= m*n`. The safe scalar twin,
+/// [`matmul_blocked_scalar`], computes the same bits without them.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn row_lanes_avx2(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+    let full = m - m % 8;
+    for i0 in (0..full).step_by(8) {
+        match n {
+            1 => row_lanes_block_avx2::<1>(a, b, i0, k, out),
+            2 => row_lanes_block_avx2::<2>(a, b, i0, k, out),
+            3 => row_lanes_block_avx2::<3>(a, b, i0, k, out),
+            4 => row_lanes_block_avx2::<4>(a, b, i0, k, out),
+            5 => row_lanes_block_avx2::<5>(a, b, i0, k, out),
+            6 => row_lanes_block_avx2::<6>(a, b, i0, k, out),
+            _ => row_lanes_block_avx2::<7>(a, b, i0, k, out),
+        }
+    }
+    if full < m {
+        matmul_blocked_scalar(&a[full * k..], b, m - full, k, n, 0, &mut out[full * n..]);
+    }
+}
+
+/// Rows `i0..i0 + 8` of [`row_lanes_avx2`] for `N` output columns.
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 is available, `a.len() >= (i0 + 8)*k`,
+/// `b.len() >= k*N` and `out.len() >= (i0 + 8)*N`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn row_lanes_block_avx2<const N: usize>(
+    a: &[f32],
+    b: &[f32],
+    i0: usize,
+    k: usize,
+    out: &mut [f32],
+) {
+    use std::arch::x86_64::{
+        __m256, _mm256_add_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
+    };
+    let rows = a.as_ptr().add(i0 * k);
+    let bp = b.as_ptr();
+    let mut acc = [_mm256_setzero_ps(); N];
+    // The `k` pair `(p, p + 1)`: `acc + (a0·b0 + a1·b1)` per column.
+    let pair = |acc: &mut [__m256; N], x0: __m256, x1: __m256, p: usize| {
+        let (b0, b1) = (bp.add(p * N), bp.add((p + 1) * N));
+        for (j, acc) in acc.iter_mut().enumerate() {
+            let terms = _mm256_add_ps(
+                _mm256_mul_ps(x0, _mm256_set1_ps(*b0.add(j))),
+                _mm256_mul_ps(x1, _mm256_set1_ps(*b1.add(j))),
+            );
+            *acc = _mm256_add_ps(*acc, terms);
+        }
+    };
+    let mut p = 0;
+    while p + 8 <= k {
+        let x = load_columns8(rows.add(p), k);
+        for c in (0..8).step_by(2) {
+            pair(&mut acc, x[c], x[c + 1], p + c);
+        }
+        p += 8;
+    }
+    if p < k {
+        let width = k - p;
+        let x = columns8(rows.add(p), k, width);
+        let mut c = 0;
+        while c + 2 <= width {
+            pair(&mut acc, x[c], x[c + 1], p + c);
+            c += 2;
+        }
+        if c < width {
+            let b0 = bp.add((p + c) * N);
+            for (j, acc) in acc.iter_mut().enumerate() {
+                *acc = _mm256_add_ps(*acc, _mm256_mul_ps(x[c], _mm256_set1_ps(*b0.add(j))));
+            }
+        }
+    }
+    for (j, acc) in acc.iter().enumerate() {
+        let mut lanes = [0.0f32; 8];
+        _mm256_storeu_ps(lanes.as_mut_ptr(), *acc);
+        for (r, &v) in lanes.iter().enumerate() {
+            out[(i0 + r) * N + j] = v;
+        }
+    }
+}
+
+/// Columns `0..width` (`width <= 8`) of the eight rows at `src`, `src +
+/// ld`, …, `src + 7·ld`, one row per lane: lane `r` of vector `c` holds
+/// `src[r·ld + c]`. A full tile is transposed straight from memory; a
+/// narrower one is first copied into a zeroed stack tile, so vectors
+/// `width..8` hold zeros. A pure copy: every bit arrives unchanged.
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 is available, `width <= 8`, and that
+/// `src + r·ld + c` is readable for every `r < 8`, `c < width`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn columns8(
+    src: *const f32,
+    ld: usize,
+    width: usize,
+) -> [std::arch::x86_64::__m256; 8] {
+    if width == 8 {
+        return load_columns8(src, ld);
+    }
+    let mut tile = [0.0f32; 64];
+    for (r, row) in tile.chunks_exact_mut(8).enumerate() {
+        std::ptr::copy_nonoverlapping(src.add(r * ld), row.as_mut_ptr(), width);
+    }
+    load_columns8(tile.as_ptr(), 8)
+}
+
+/// The full-tile case of [`columns8`]: an 8×8 register transpose. Each
+/// vector starts as the matching 4-wide halves of rows `r` and `r + 4`,
+/// so unpacks and shuffles within 128-bit lanes finish the transpose.
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 is available and that `src + r·ld + c` is
+/// readable for every `r, c < 8`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn load_columns8(src: *const f32, ld: usize) -> [std::arch::x86_64::__m256; 8] {
+    use std::arch::x86_64::{
+        _mm256_castps128_ps256, _mm256_insertf128_ps, _mm256_setzero_ps, _mm256_shuffle_ps,
+        _mm256_unpackhi_ps, _mm256_unpacklo_ps, _mm_loadu_ps,
+    };
+    let halves = |r: usize, c: usize| {
+        _mm256_insertf128_ps::<1>(
+            _mm256_castps128_ps256(_mm_loadu_ps(src.add(r * ld + c))),
+            _mm_loadu_ps(src.add((r + 4) * ld + c)),
+        )
+    };
+    let mut cols = [_mm256_setzero_ps(); 8];
+    for c in [0, 4] {
+        let (t0, t1, t2, t3) = (halves(0, c), halves(1, c), halves(2, c), halves(3, c));
+        let (u0, u1) = (_mm256_unpacklo_ps(t0, t1), _mm256_unpackhi_ps(t0, t1));
+        let (u2, u3) = (_mm256_unpacklo_ps(t2, t3), _mm256_unpackhi_ps(t2, t3));
+        cols[c] = _mm256_shuffle_ps::<0x44>(u0, u2);
+        cols[c + 1] = _mm256_shuffle_ps::<0xEE>(u0, u2);
+        cols[c + 2] = _mm256_shuffle_ps::<0x44>(u1, u3);
+        cols[c + 3] = _mm256_shuffle_ps::<0xEE>(u1, u3);
+    }
+    cols
+}
+
 /// The raw `a [m,k] × b^T (b [n,k]) -> out [m,n]` kernel behind
 /// [`Tensor::matmul_t`] (see [`matmul_kernel`] for why it exists).
 ///
@@ -634,10 +807,9 @@ fn transpose_scalar(
     }
 }
 
-/// AVX2 body of [`transpose_into`]: full 8×8 tiles through eight
-/// registers (unpack, shuffle, lane permute), then the scalar edges —
-/// the last `cols % 8` columns of the tiled rows, and the last
-/// `rows % 8` rows whole.
+/// AVX2 body of [`transpose_into`]: full 8×8 tiles through registers
+/// ([`load_columns8`]), then the scalar edges — the last `cols % 8`
+/// columns of the tiled rows, and the last `rows % 8` rows whole.
 ///
 /// # Safety
 ///
@@ -646,40 +818,14 @@ fn transpose_scalar(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn transpose_avx2(src: &[f32], ld: usize, rows: usize, cols: usize, dst: &mut [f32]) {
-    use std::arch::x86_64::{
-        _mm256_loadu_ps, _mm256_permute2f128_ps, _mm256_shuffle_ps, _mm256_storeu_ps,
-        _mm256_unpackhi_ps, _mm256_unpacklo_ps,
-    };
+    use std::arch::x86_64::_mm256_storeu_ps;
     let (tr, tc) = (rows - rows % 8, cols - cols % 8);
     let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
     for r in (0..tr).step_by(8) {
         for c in (0..tc).step_by(8) {
-            let row = |i: usize| _mm256_loadu_ps(sp.add((r + i) * ld + c));
-            let (t0, t1) = (row(0), row(1));
-            let (t2, t3) = (row(2), row(3));
-            let (t4, t5) = (row(4), row(5));
-            let (t6, t7) = (row(6), row(7));
-            let (u0, u1) = (_mm256_unpacklo_ps(t0, t1), _mm256_unpackhi_ps(t0, t1));
-            let (u2, u3) = (_mm256_unpacklo_ps(t2, t3), _mm256_unpackhi_ps(t2, t3));
-            let (u4, u5) = (_mm256_unpacklo_ps(t4, t5), _mm256_unpackhi_ps(t4, t5));
-            let (u6, u7) = (_mm256_unpacklo_ps(t6, t7), _mm256_unpackhi_ps(t6, t7));
-            let s0 = _mm256_shuffle_ps::<0x44>(u0, u2);
-            let s1 = _mm256_shuffle_ps::<0xEE>(u0, u2);
-            let s2 = _mm256_shuffle_ps::<0x44>(u1, u3);
-            let s3 = _mm256_shuffle_ps::<0xEE>(u1, u3);
-            let s4 = _mm256_shuffle_ps::<0x44>(u4, u6);
-            let s5 = _mm256_shuffle_ps::<0xEE>(u4, u6);
-            let s6 = _mm256_shuffle_ps::<0x44>(u5, u7);
-            let s7 = _mm256_shuffle_ps::<0xEE>(u5, u7);
-            let out = |i: usize| dp.add((c + i) * rows + r);
-            _mm256_storeu_ps(out(0), _mm256_permute2f128_ps::<0x20>(s0, s4));
-            _mm256_storeu_ps(out(1), _mm256_permute2f128_ps::<0x20>(s1, s5));
-            _mm256_storeu_ps(out(2), _mm256_permute2f128_ps::<0x20>(s2, s6));
-            _mm256_storeu_ps(out(3), _mm256_permute2f128_ps::<0x20>(s3, s7));
-            _mm256_storeu_ps(out(4), _mm256_permute2f128_ps::<0x31>(s0, s4));
-            _mm256_storeu_ps(out(5), _mm256_permute2f128_ps::<0x31>(s1, s5));
-            _mm256_storeu_ps(out(6), _mm256_permute2f128_ps::<0x31>(s2, s6));
-            _mm256_storeu_ps(out(7), _mm256_permute2f128_ps::<0x31>(s3, s7));
+            for (i, col) in load_columns8(sp.add(r * ld + c), ld).iter().enumerate() {
+                _mm256_storeu_ps(dp.add((c + i) * rows + r), *col);
+            }
         }
         if tc < cols {
             for i in r..r + 8 {
@@ -1032,7 +1178,7 @@ unsafe fn mix_block_avx2<const R: usize, const P: usize>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
 
@@ -1057,15 +1203,20 @@ mod tests {
         }
     }
 
-    /// Row counts straddling the 8-row and 4-row blocks and single rows.
-    const BLOCK_ROWS: [usize; 12] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 48, 49];
-    /// Column counts straddling the 8-column panels and the scalar tail.
-    const BLOCK_COLS: [usize; 10] = [1, 3, 7, 8, 9, 15, 16, 17, 33, 128];
+    /// Row counts straddling the 8-row and 4-row blocks, the 8-row lanes
+    /// of narrow outputs, and single rows.
+    const BLOCK_ROWS: [usize; 16] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 17, 24, 33, 48, 49];
+    /// Column counts straddling the 8-column panels and the scalar tail;
+    /// the ones below 8 run the row lanes.
+    const BLOCK_COLS: [usize; 12] = [1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 33, 128];
+    /// Inner dimensions straddling the paired-`k` tail and the 8-wide
+    /// transpose chunks of the row lanes.
+    const BLOCK_DEPTHS: [usize; 7] = [1, 2, 7, 8, 9, 16, 33];
 
     /// Seeded values in `[-2, 2)` with exact `±0.0` and denormals mixed
     /// in, plus `±Inf` and NaN when `special` — the operands on which
     /// skipping a `0·x` term differs from adding it.
-    fn adversarial(len: usize, seed: u64, special: bool) -> Vec<f32> {
+    pub(crate) fn adversarial(len: usize, seed: u64, special: bool) -> Vec<f32> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..len)
             .map(|i| match (i * 7 + seed as usize) % 29 {
@@ -1083,7 +1234,7 @@ mod tests {
 
     /// IEEE 754 pins down only NaN-ness for a NaN result, so NaNs compare
     /// as one token and every other value by its bits.
-    fn canon(v: &[f32]) -> Vec<u32> {
+    pub(crate) fn canon(v: &[f32]) -> Vec<u32> {
         v.iter()
             .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
             .collect()
@@ -1095,9 +1246,10 @@ mod tests {
         // 1-row call on the same data: the batched serving path depends on
         // this to share one numerics version with solo sessions. Odd k
         // exercises the single-k tail; m values straddle the 8- and 4-row
-        // blocks, n the 8-column panels and the scalar column tail.
+        // blocks, n the 8-column panels, the scalar column tail and the
+        // row lanes of narrow outputs.
         let mut rng = StdRng::seed_from_u64(3);
-        for k in [7, 8, 33] {
+        for k in BLOCK_DEPTHS {
             for n in BLOCK_COLS {
                 let b = Tensor::uniform(vec![k, n], 1.0, &mut rng);
                 for m in BLOCK_ROWS {
@@ -1128,18 +1280,27 @@ mod tests {
         // Whatever SIMD variant the host dispatches to must reproduce the
         // scalar reference bit for bit — the committed v2 golden traces
         // depend on it. Shapes straddle the 8- and 4-row blocks, the
-        // 8-column panel and the paired-k tail; operands carry ±0.0,
-        // denormals, ±Inf and NaN.
-        for (seed, k) in [7usize, 8, 33].into_iter().enumerate() {
-            for n in BLOCK_COLS {
-                let b = adversarial(k * n, 100 + seed as u64, true);
-                for m in BLOCK_ROWS {
-                    let a = adversarial(m * k, (m * n + k) as u64, true);
-                    let mut dispatched = vec![0.0f32; m * n];
-                    matmul_blocked_kernel(&a, &b, m, k, n, &mut dispatched);
-                    let mut scalar = vec![0.0f32; m * n];
-                    matmul_blocked_scalar(&a, &b, m, k, n, 0, &mut scalar);
-                    assert_eq!(canon(&scalar), canon(&dispatched), "m={m} k={k} n={n}");
+        // 8-column panel, the paired-k tail, and for n < 8 the 8-row lanes,
+        // their 8-wide transpose chunks and the m % 8 scalar rows.
+        // Operands carry ±0.0 and denormals, plus ±Inf and NaN on the
+        // second pass (the first keeps most sums finite, so their bits
+        // show any change of order).
+        for special in [false, true] {
+            for (seed, k) in BLOCK_DEPTHS.into_iter().enumerate() {
+                for n in BLOCK_COLS {
+                    let b = adversarial(k * n, 100 + seed as u64, special);
+                    for m in BLOCK_ROWS {
+                        let a = adversarial(m * k, (m * n + k) as u64, special);
+                        let mut dispatched = vec![0.0f32; m * n];
+                        matmul_blocked_kernel(&a, &b, m, k, n, &mut dispatched);
+                        let mut scalar = vec![0.0f32; m * n];
+                        matmul_blocked_scalar(&a, &b, m, k, n, 0, &mut scalar);
+                        assert_eq!(
+                            canon(&scalar),
+                            canon(&dispatched),
+                            "m={m} k={k} n={n} special={special}"
+                        );
+                    }
                 }
             }
         }

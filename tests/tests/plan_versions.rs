@@ -123,44 +123,54 @@ fn batched_is_bit_identical_to_the_per_window_path_at_1_and_4_threads() {
     // Row-count invariance end to end: a batched ensemble call must
     // reproduce, bit for bit, the same windows classified one at a time —
     // at any thread count. Batch 6 on a 4-thread pool splits each member's
-    // batch into several chunk lanes, so chunking is covered too.
+    // batch into several chunk lanes, so chunking is covered too. Batch 19
+    // gives the narrow heads and LayerNorm 8-row lanes, lane groups that
+    // straddle two windows' rows, and m % 8 tail rows.
     let artifacts = quick_trained(21, 21);
     let ensemble = &artifacts.ensemble;
     let per_window = CHANNELS * ensemble.window();
-    let batch = 6;
-    let windows = seeded_windows(per_window, batch, 0xBEEF);
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
 
-    let mut per_thread_count: Vec<Vec<u32>> = Vec::new();
-    for threads in [1usize, 4] {
-        let pool = ExecPool::new(threads);
-        let mut scratch = EnsembleScratch::new(ensemble);
-        let mut probas = vec![0.0f32; batch * CLASSES];
-        ensemble.predict_batch_into(&windows, batch, CHANNELS, &pool, &mut scratch, &mut probas);
-
-        let mut solo_scratch = EnsembleScratch::new(ensemble);
-        for b in 0..batch {
-            let mut solo = vec![0.0f32; CLASSES];
+    for batch in [6usize, 19] {
+        let windows = seeded_windows(per_window, batch, 0xBEEF);
+        let mut per_thread_count: Vec<Vec<u32>> = Vec::new();
+        for threads in [1usize, 4] {
+            let pool = ExecPool::new(threads);
+            let mut scratch = EnsembleScratch::new(ensemble);
+            let mut probas = vec![0.0f32; batch * CLASSES];
             ensemble.predict_batch_into(
-                &windows[b * per_window..(b + 1) * per_window],
-                1,
+                &windows,
+                batch,
                 CHANNELS,
                 &pool,
-                &mut solo_scratch,
-                &mut solo,
+                &mut scratch,
+                &mut probas,
             );
-            assert_eq!(
-                bits(&solo),
-                bits(&probas[b * CLASSES..(b + 1) * CLASSES]),
-                "batched window {b} drifted from the per-window path at {threads} threads"
-            );
+
+            let mut solo_scratch = EnsembleScratch::new(ensemble);
+            for b in 0..batch {
+                let mut solo = vec![0.0f32; CLASSES];
+                ensemble.predict_batch_into(
+                    &windows[b * per_window..(b + 1) * per_window],
+                    1,
+                    CHANNELS,
+                    &pool,
+                    &mut solo_scratch,
+                    &mut solo,
+                );
+                assert_eq!(
+                    bits(&solo),
+                    bits(&probas[b * CLASSES..(b + 1) * CLASSES]),
+                    "batch {batch}: window {b} drifted from the per-window path at {threads} threads"
+                );
+            }
+            per_thread_count.push(bits(&probas));
         }
-        per_thread_count.push(bits(&probas));
+        assert_eq!(
+            per_thread_count[0], per_thread_count[1],
+            "batch {batch}: thread count changed the bits"
+        );
     }
-    assert_eq!(
-        per_thread_count[0], per_thread_count[1],
-        "thread count changed the bits"
-    );
 }
 
 // --- golden label trace -------------------------------------------------------

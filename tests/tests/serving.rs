@@ -23,6 +23,8 @@ use cognitive_arm::pipeline::{CognitiveArm, PipelineConfig, SessionTrace};
 use eeg::types::Action;
 use exec::ExecPool;
 use integration_tests::{quick_data, quick_trained};
+use ml::ensemble::{Classifier, Ensemble, Member, Voting};
+use ml::models::CLASSES;
 use serve::{Scheduling, SessionManager, SessionSpec, StreamSession};
 use stream::transport::TransportParams;
 
@@ -453,6 +455,73 @@ fn run_for_each_matches_run_for_on_healthy_fleets() {
     }
     for id in ids {
         assert!(!manager.is_poisoned(id).expect("known id"));
+    }
+}
+
+/// A member whose probabilities went NaN.
+#[derive(Clone)]
+struct NanVote {
+    window: usize,
+}
+
+impl Classifier for NanVote {
+    fn predict_proba_window(&self, _: &[f32], _: usize, _: usize) -> Vec<f32> {
+        vec![f32::NAN; CLASSES]
+    }
+
+    fn window(&self) -> usize {
+        self.window
+    }
+
+    fn name(&self) -> String {
+        "nan".into()
+    }
+
+    fn param_count(&self) -> usize {
+        0
+    }
+
+    fn clone_box(&self) -> Box<dyn Classifier> {
+        Box::new(self.clone())
+    }
+}
+
+#[test]
+fn a_nan_vote_stays_in_its_own_session() {
+    // One batch session's only member votes NaN, beside a healthy batch
+    // session. The tick must return rather than panic, the healthy trace
+    // must equal its solo run, and the faulty session labels every window
+    // with the last class (Idle), the total argmax's all-NaN answer.
+    let artifacts = quick_trained(21, 21);
+    let solo = &sequential_reference(2.0)[0];
+    let nan = Ensemble::new(
+        vec![Member::Custom(Box::new(NanVote {
+            window: artifacts.ensemble.window(),
+        }))],
+        Voting::Soft,
+    );
+    for threads in [1usize, 4] {
+        let mut manager = SessionManager::new(Arc::new(ExecPool::new(threads)));
+        let spec = SessionSpec::new(PipelineConfig::default(), nan.clone(), 99)
+            .with_normalization(artifacts.data.zscores[0].clone())
+            .with_action(Action::Right);
+        manager.add_session(spec).expect("admit the faulty session");
+        manager.add_session(spec_for(SUBJECTS[0])).expect("admit");
+        let each = manager.run_for_each(2.0).expect("the tick returns");
+        let faulty = each[0]
+            .as_ref()
+            .expect("a NaN vote is a label, not an error");
+        assert!(!faulty.labels.is_empty(), "the faulty session classified");
+        assert!(
+            faulty.labels.iter().all(|l| l.label == CLASSES - 1),
+            "threads={threads}: an all-NaN vote labels the last class"
+        );
+        let healthy = each[1].as_ref().expect("healthy session");
+        assert_identical(
+            &format!("beside a NaN vote threads={threads}"),
+            solo,
+            healthy,
+        );
     }
 }
 
