@@ -344,6 +344,8 @@ impl CscExec {
         } else {
             0
         };
+        #[cfg(not(target_arch = "x86_64"))]
+        let tail_start = 0;
         self.batch_scalar(xt, m, tail_start, yt);
         // Transpose yt [n, m] back into out [m, n].
         transpose_into(yt, m, n, m, out);
