@@ -950,6 +950,108 @@ mod tests {
     }
 
     #[test]
+    fn pruned_short_transformer_batches_match_per_window_calls() {
+        // A transformer with fewer than eight steps per window: its FF
+        // pairs run as two calls at one window's rows and chain in the
+        // transposed domain once a batch stacks enough rows. Block 0's pair
+        // compiles to pure CSC (chained from two rows, so t = 1 crosses
+        // the switch at batch 2), block 1's to the hybrid (chained from
+        // eight rows, so t = 5 crosses it at batch 2). Every batch must
+        // give each window the bits of a per-window call, at 1 and 4
+        // threads alike.
+        use crate::infer::{compile_transformer, InferModel, MatRep};
+        use crate::models::TransformerConfig;
+        use crate::sparse::CsrMatrix;
+        use crate::tensor::Tensor;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let prune = |w: &mut MatRep, keep: f64, seed: u64| {
+            let MatRep::Dense(dense) = w else {
+                unreachable!("compiled weights are dense")
+            };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut data = dense.data().to_vec();
+            for v in &mut data {
+                if !rng.gen_bool(keep) {
+                    *v = 0.0;
+                }
+            }
+            let pruned = Tensor::new(dense.shape().to_vec(), data);
+            *w = MatRep::Sparse(CsrMatrix::from_dense(&pruned));
+        };
+        let (channels, window) = (16usize, 40usize);
+        for time_stride in [40usize, 8] {
+            let cfg = TransformerConfig {
+                layers: 2,
+                heads: 2,
+                d_model: 16,
+                dim_ff: 32,
+                dropout: 0.0,
+                window,
+                channels,
+                time_stride,
+            };
+            let mut model = compile_transformer(&cfg.build(7).unwrap());
+            let InferModel::Transformer(tf) = &mut model else {
+                unreachable!()
+            };
+            for (b, (block, keep)) in tf.blocks.iter_mut().zip([0.15, 0.4]).enumerate() {
+                prune(&mut block.ff1.w, keep, 2 * b as u64);
+                prune(&mut block.ff2.w, keep, 2 * b as u64 + 1);
+                for w in [&block.ff1.w, &block.ff2.w] {
+                    let MatRep::Sparse(csr) = w else {
+                        unreachable!()
+                    };
+                    let exec = csr.exec();
+                    assert_eq!(
+                        (exec.is_csc(), exec.is_hybrid()),
+                        (b == 0, b == 1),
+                        "block {b}"
+                    );
+                }
+            }
+            let e = Ensemble::new(vec![Member::Net(model)], Voting::Soft);
+            let per = channels * window;
+            let mut rng = StdRng::seed_from_u64(time_stride as u64);
+            let windows: Vec<f32> = (0..19 * per).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            for threads in [1, 4] {
+                let pool = ExecPool::new(threads);
+                let mut solo_scratch = EnsembleScratch::new(&e);
+                let mut solo = vec![0.0f32; 19 * CLASSES];
+                for b in 0..19 {
+                    e.predict_batch_into(
+                        &windows[b * per..(b + 1) * per],
+                        1,
+                        channels,
+                        &pool,
+                        &mut solo_scratch,
+                        &mut solo[b * CLASSES..(b + 1) * CLASSES],
+                    );
+                }
+                let mut scratch = EnsembleScratch::new(&e);
+                for batch in [1usize, 2, 3, 19] {
+                    let mut out = vec![0.0f32; batch * CLASSES];
+                    e.predict_batch_into(
+                        &windows[..batch * per],
+                        batch,
+                        channels,
+                        &pool,
+                        &mut scratch,
+                        &mut out,
+                    );
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&solo[..batch * CLASSES]),
+                        bits(&out),
+                        "t={} batch={batch} threads={threads}",
+                        window / time_stride
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "scratch built for a different ensemble")]
     fn foreign_scratch_is_rejected() {
         let one = Ensemble::new(

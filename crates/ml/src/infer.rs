@@ -14,12 +14,12 @@
 use serde::{Deserialize, Serialize};
 
 use crate::arena::ArenaVec;
-use crate::matexec::{ExecCache, Int8Exec};
+use crate::matexec::{CscExec, ExecCache, Int8Exec};
 use crate::models::{
     CnnModel, LstmModel, Model, PoolKind, TransformerModel,
 };
 use crate::sparse::CsrMatrix;
-use crate::tensor::Tensor;
+use crate::tensor::{transpose_into, Tensor};
 
 /// How a weight matrix is stored and multiplied.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -34,9 +34,10 @@ pub enum MatRep {
 
 /// Reusable buffers for the compressed-weight execution kernels: int8
 /// activation quantization and i32 accumulation, plus the transpose
-/// staging the batched CSC kernel uses. One instance per inference lane;
-/// the compiled plan owns one, and every buffer grows monotonically, so
-/// the compressed paths allocate nothing per warm tick.
+/// staging the batched CSC kernel and the chained feed-forward pair
+/// ([`TfBlockInfer::feed_forward_into`]) use. One instance per inference
+/// lane; the compiled plan owns one, and every buffer grows monotonically,
+/// so the compressed paths allocate nothing per warm tick.
 #[derive(Debug, Clone, Default)]
 pub struct ExecScratch {
     /// Quantized activations, all batch rows (`[m, k]`).
@@ -286,9 +287,16 @@ impl LinearInfer {
     ///
     /// Panics if `x` or `out` is shorter than the dimensions imply.
     pub fn forward_into(&self, x: &[f32], m: usize, out: &mut [f32], qs: &mut ExecScratch) {
-        let (k, n) = self.w.dims();
+        let (k, _) = self.w.dims();
         assert_eq!(x.len(), m * k, "linear stage input size");
         self.w.left_matmul_into(x, m, out, qs);
+        self.bias_act(out, m);
+    }
+
+    /// The epilogue of [`LinearInfer::forward_into`] on `out [m, n]`: the
+    /// bias along each row, then the activation.
+    fn bias_act(&self, out: &mut [f32], m: usize) {
+        let (_, n) = self.w.dims();
         let out = &mut out[..m * n];
         let bias = &self.bias[..n];
         for i in 0..m {
@@ -297,6 +305,19 @@ impl LinearInfer {
             }
         }
         self.act.apply_slice(out);
+    }
+
+    /// [`LinearInfer::bias_act`] on the output held transposed, `yt [n, m]`:
+    /// row `c` takes `bias[c]`, then the activation. Each element sees the
+    /// same add and then the same activation as in the row-major epilogue.
+    fn bias_act_transposed(&self, yt: &mut [f32], m: usize) {
+        let (_, n) = self.w.dims();
+        for (row, &b) in yt[..n * m].chunks_exact_mut(m).zip(&self.bias[..n]) {
+            for v in row.iter_mut() {
+                *v += b;
+            }
+            self.act.apply_slice(row);
+        }
     }
 
     /// Output width (bias length).
@@ -461,7 +482,7 @@ impl ConvInfer {
 /// (`bias_relu_scalar`).
 fn bias_relu_into(flat: &[f32], bias: &[f32], spots: usize, dst: &mut [f32]) {
     let cout = bias.len();
-    crate::tensor::transpose_into(flat, cout, spots, cout, dst);
+    transpose_into(flat, cout, spots, cout, dst);
     for (c, &b) in bias.iter().enumerate() {
         for v in &mut dst[c * spots..(c + 1) * spots] {
             *v = (*v + b).max(0.0);
@@ -554,6 +575,68 @@ pub struct TfBlockInfer {
     pub ff2: LinearInfer,
     /// Post-FF LayerNorm.
     pub ln2: (Vec<f32>, Vec<f32>),
+}
+
+impl TfBlockInfer {
+    /// The feed-forward pair, `ff2(ff1(x))`, for `x [m, d]` into
+    /// `out [m, d]`. `mid` holds FF1's `[m, dim_ff]` output when the two
+    /// stages run as two [`LinearInfer::forward_into`] calls.
+    ///
+    /// When both matrices run CSC at `m` rows ([`Self::csc_chain`]), the
+    /// pair stays in the transposed domain instead: one transpose takes
+    /// `x` to `[d, m]`, FF1's batched CSC kernel
+    /// ([`CscExec::transposed_into`]) writes `[dim_ff, m]`, whose rows take
+    /// FF1's bias and then its ReLU and are FF2's transposed input as they
+    /// stand, and one transpose brings FF2's `[d, m]` output back for its
+    /// bias. That saves two of the four transposes and leaves `mid`
+    /// untouched; the staging is `qs`'s own `xt`/`yt`. Every element keeps
+    /// its CSC chain, its bias-then-activation and its second chain, so
+    /// the bits are those of the two calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x`, `mid` or `out` is shorter than the dimensions imply.
+    pub(crate) fn feed_forward_into(
+        &self,
+        x: &[f32],
+        m: usize,
+        mid: &mut [f32],
+        out: &mut [f32],
+        qs: &mut ExecScratch,
+    ) {
+        let Some((ff1, ff2)) = self.csc_chain(m) else {
+            let ff = self.ff1.out_width();
+            self.ff1.forward_into(x, m, mid, qs);
+            self.ff2.forward_into(&mid[..m * ff], m, out, qs);
+            return;
+        };
+        let ((d, ff), (_, n)) = (self.ff1.w.dims(), self.ff2.w.dims());
+        assert_eq!(x.len(), m * d, "feed-forward input size");
+        let ExecScratch { xt, yt, .. } = qs;
+        xt.resize(d.max(n) * m, 0.0);
+        transpose_into(x, d, m, d, xt);
+        yt.resize(ff * m, 0.0);
+        ff1.transposed_into(xt, m, yt);
+        self.ff1.bias_act_transposed(yt, m);
+        ff2.transposed_into(yt, m, xt);
+        transpose_into(xt, m, n, m, out);
+        self.ff2.bias_act(out, m);
+    }
+
+    /// The CSC forms of both feed-forward matrices when both are sparse
+    /// and both run CSC at `m` rows ([`crate::matexec::SparseExec::csc_at`]),
+    /// otherwise `None`: dense, int8 and densified stages, and a hybrid
+    /// below eight rows, run through [`LinearInfer::forward_into`]. A
+    /// single row never chains either: its transposes are plain copies,
+    /// and the `m == 1` CSC chains beat the batched walk there.
+    fn csc_chain(&self, m: usize) -> Option<(&CscExec, &CscExec)> {
+        match (&self.ff1.w, &self.ff2.w) {
+            (MatRep::Sparse(a), MatRep::Sparse(b)) if m > 1 => {
+                Some((a.exec().csc_at(m)?, b.exec().csc_at(m)?))
+            }
+            _ => None,
+        }
+    }
 }
 
 /// Compiled transformer.
@@ -1329,6 +1412,118 @@ mod tests {
                         };
                         assert_eq!(canon(&want), canon(&got), "epilogue {ctx}");
                     }
+                }
+            }
+        }
+    }
+
+    /// A `[rows, cols]` CSR matrix keeping each entry with probability
+    /// `keep`: seeded weights in `[-1, 1)`, columns strictly increasing.
+    fn seeded_csr(rows: usize, cols: usize, keep: f64, seed: u64) -> CsrMatrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let data: Vec<f32> = (0..rows * cols)
+            .map(|_| {
+                if rng.gen_bool(keep) {
+                    rng.gen_range(-1.0..1.0)
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        CsrMatrix::from_dense(&Tensor::new(vec![rows, cols], data))
+    }
+
+    #[test]
+    fn sparse_feed_forward_chain_matches_two_forward_calls() {
+        // The FF pair of a block, chained in the transposed domain where
+        // both stages run CSC, against two `forward_into` calls and against
+        // the storage CSR kernel with the same bias-then-activation, bit
+        // for bit. One pair compiles to pure CSC (chains from two rows),
+        // one to the hybrid (chains from eight; below that both paths run
+        // its densified copy). Row counts straddle the 8-row panels and
+        // their scalar tail rows, and one scratch serves every call, so a
+        // row the kernels skip shows stale values. Every fifth row carries
+        // ±Inf and NaN; ±0 and denormals are everywhere.
+        use crate::tensor::tests::{adversarial, canon};
+        let (d, ff) = (24usize, 40usize);
+        let unused = || LinearInfer {
+            w: MatRep::Dense(Tensor::zeros(vec![1, 1])),
+            bias: vec![0.0],
+            act: Activation::None,
+        };
+        for (keep, seed, hybrid) in [(0.2, 40u64, false), (0.4, 41, true)] {
+            let (csr1, csr2) = (
+                seeded_csr(d, ff, keep, seed),
+                seeded_csr(ff, d, keep, seed + 1),
+            );
+            let exec = (csr1.exec(), csr2.exec());
+            assert_eq!((exec.0.is_hybrid(), exec.1.is_hybrid()), (hybrid, hybrid));
+            assert_eq!((exec.0.is_csc(), exec.1.is_csc()), (!hybrid, !hybrid));
+            let mut bias1 = adversarial(ff, seed, false);
+            bias1[1] = -0.0;
+            let block = TfBlockInfer {
+                wq: unused(),
+                wk: unused(),
+                wv: unused(),
+                wo: unused(),
+                ln1: (vec![], vec![]),
+                ff1: LinearInfer {
+                    w: MatRep::Sparse(csr1.clone()),
+                    bias: bias1,
+                    act: Activation::Relu,
+                },
+                ff2: LinearInfer {
+                    w: MatRep::Sparse(csr2.clone()),
+                    bias: adversarial(d, seed + 2, false),
+                    act: Activation::None,
+                },
+                ln2: (vec![], vec![]),
+            };
+            // The storage kernel, then the bias along each row, then the
+            // activation: the oracle neither path shares code with.
+            let storage = |csr: &CsrMatrix, lin: &LinearInfer, x: &[f32], m: usize| {
+                let mut y = vec![0.0f32; m * csr.cols];
+                csr.left_matmul_into(x, m, &mut y);
+                for row in y.chunks_exact_mut(csr.cols) {
+                    for (v, &b) in row.iter_mut().zip(&lin.bias) {
+                        *v += b;
+                    }
+                }
+                lin.act.apply_slice(&mut y);
+                y
+            };
+            let (mut qs, mut twin_qs) = (ExecScratch::default(), ExecScratch::default());
+            for m in [2usize, 7, 8, 9, 47, 48, 49, 97] {
+                let ctx = format!("hybrid={hybrid} m={m}");
+                assert_eq!(
+                    block.csc_chain(m).is_some(),
+                    m >= if hybrid { 8 } else { 2 },
+                    "{ctx}"
+                );
+                let mut x = adversarial(m * d, (m * 31) as u64 + seed, false);
+                let specials = adversarial(m * d, m as u64, true);
+                for i in (4..m).step_by(5) {
+                    x[i * d..(i + 1) * d].copy_from_slice(&specials[i * d..(i + 1) * d]);
+                }
+
+                let mut mid = vec![7.0f32; m * ff];
+                let mut got = vec![7.0f32; m * d];
+                block.feed_forward_into(&x, m, &mut mid, &mut got, &mut qs);
+
+                let mut twin_mid = vec![7.0f32; m * ff];
+                let mut twin = vec![7.0f32; m * d];
+                block.ff1.forward_into(&x, m, &mut twin_mid, &mut twin_qs);
+                block
+                    .ff2
+                    .forward_into(&twin_mid, m, &mut twin, &mut twin_qs);
+                assert_eq!(canon(&twin), canon(&got), "two forward calls, {ctx}");
+
+                // A densified copy multiplies its unstored zeros, so
+                // `0·Inf` turns NaN where CSC and the storage kernel never
+                // look: the oracle holds where both stages run CSC.
+                if block.csc_chain(m).is_some() {
+                    let oracle = storage(&csr2, &block.ff2, &storage(&csr1, &block.ff1, &x, m), m);
+                    assert_eq!(canon(&oracle), canon(&got), "storage kernel, {ctx}");
                 }
             }
         }

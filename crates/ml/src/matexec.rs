@@ -227,6 +227,23 @@ impl SparseExec {
         matches!(self, SparseExec::Hybrid { .. })
     }
 
+    /// The CSC form a call over `m` batch rows runs, or `None` when it
+    /// runs a densified matrix: pure CSC runs at every row count, the
+    /// hybrid's CSC half once a batch fills at least one 8-row panel
+    /// ([`CSC_PANEL_ROWS`]; below that its densified copy wins this
+    /// density band), and the densified form never. Both
+    /// [`SparseExec::left_matmul_into`] and callers that chain CSC stages
+    /// in the transposed domain ([`CscExec::transposed_into`]) decide
+    /// with this one rule.
+    #[must_use]
+    pub fn csc_at(&self, m: usize) -> Option<&CscExec> {
+        match self {
+            SparseExec::Csc(c) => Some(c),
+            SparseExec::Hybrid { csc, .. } if m >= CSC_PANEL_ROWS => Some(csc),
+            SparseExec::Hybrid { .. } | SparseExec::Densified { .. } => None,
+        }
+    }
+
     /// `x [m, k] × W -> [m, n]`, bit-identical to
     /// [`CsrMatrix::left_matmul_into`] on the matrix this was compiled
     /// from. `out` is fully overwritten; `xt`/`yt` are caller scratch
@@ -243,23 +260,17 @@ impl SparseExec {
         xt: &mut Vec<f32>,
         yt: &mut Vec<f32>,
     ) {
-        match self {
-            SparseExec::Densified { k, n, w } => matmul_kernel(x, w, m, *k, *n, out),
-            SparseExec::Csc(c) => c.left_matmul_into(x, m, out, xt, yt),
-            SparseExec::Hybrid { csc, k, n, w } => {
-                // Batches that fill at least one 8-row CSC panel stream
-                // CSC; below that the densified copy wins this band.
-                if m >= CSC_PANEL_ROWS {
-                    csc.left_matmul_into(x, m, out, xt, yt);
-                } else {
-                    matmul_kernel(x, w, m, *k, *n, out);
-                }
+        match (self.csc_at(m), self) {
+            (Some(csc), _) => csc.left_matmul_into(x, m, out, xt, yt),
+            (None, SparseExec::Densified { k, n, w } | SparseExec::Hybrid { k, n, w, .. }) => {
+                matmul_kernel(x, w, m, *k, *n, out);
             }
+            (None, SparseExec::Csc(_)) => unreachable!("pure CSC runs at every row count"),
         }
     }
 }
 
-/// Batch rows per AVX2 panel in [`CscExec::left_matmul_into`]; also the
+/// Batch rows per AVX2 panel in [`CscExec::transposed_into`]; also the
 /// hybrid form's call-time cutover from densified to CSC execution.
 const CSC_PANEL_ROWS: usize = 8;
 
@@ -332,23 +343,58 @@ impl CscExec {
             return;
         }
         // Transpose x [m, k] -> xt [k, m] so one column's entries read
-        // contiguous activation panels across the batch.
+        // contiguous activation panels across the batch, run the batched
+        // kernel, and transpose yt [n, m] back into out [m, n].
         xt.resize(k * m, 0.0);
         transpose_into(x, k, m, k, xt);
         yt.resize(n * m, 0.0);
-        #[cfg(target_arch = "x86_64")]
-        let tail_start = if crate::simd::enabled() && m >= 8 {
-            // SAFETY: AVX2 was just detected; `xt` is `k*m` long, `yt` is
-            // `n*m` long, and the kernel stays within both.
-            unsafe { self.batch_panels_avx2(xt, m, yt) }
-        } else {
-            0
-        };
-        #[cfg(not(target_arch = "x86_64"))]
-        let tail_start = 0;
-        self.batch_scalar(xt, m, tail_start, yt);
-        // Transpose yt [n, m] back into out [m, n].
+        self.transposed_into(xt, m, yt);
         transpose_into(yt, m, n, m, out);
+    }
+
+    /// The batched kernel over transposed activations:
+    /// `xt [k, m] × W -> yt [n, m]`, i.e. `yt[c·m + i]` is output column
+    /// `c` of batch row `i`. Each element is one chain over column `c`'s
+    /// stored entries in ascending weight row, starting from `+0.0` — the
+    /// per-element sequence of [`CsrMatrix::left_matmul_into`], so the
+    /// bits match it at any `m`. The AVX2 panels take blocks of eight rows
+    /// and the scalar body ([`CscExec::batch_scalar`]) only the rows they
+    /// leave: all of them with dispatch off, none when `m` is a multiple
+    /// of eight. Callers that keep activations transposed between stages
+    /// call this directly and skip [`CscExec::left_matmul_into`]'s two
+    /// transposes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xt` is shorter than `k·m` or `yt` than `n·m`.
+    pub fn transposed_into(&self, xt: &[f32], m: usize, yt: &mut [f32]) {
+        assert!(xt.len() >= self.k * m, "transposed input shorter than k*m");
+        let yt = &mut yt[..self.n * m];
+        let tail = self.panel_rows(xt, m, yt);
+        if tail < m {
+            self.batch_scalar(xt, m, tail, yt);
+        }
+    }
+
+    /// Runs the AVX2 panels over the leading blocks of eight batch rows
+    /// and returns the first row they left: a multiple of eight with SIMD
+    /// dispatch on, otherwise 0.
+    #[cfg(target_arch = "x86_64")]
+    fn panel_rows(&self, xt: &[f32], m: usize, yt: &mut [f32]) -> usize {
+        if !crate::simd::enabled() || m < CSC_PANEL_ROWS {
+            return 0;
+        }
+        // SAFETY: AVX2 support was just detected; `xt` holds `k*m` and `yt`
+        // exactly `n*m` values (checked and sliced by the caller), and the
+        // panels stay within both. Their twin is `batch_scalar`, which
+        // computes the same bits per element without AVX2.
+        unsafe { self.batch_panels_avx2(xt, m, yt) }
+    }
+
+    /// Off x86-64 there are no panels: every row takes the scalar body.
+    #[cfg(not(target_arch = "x86_64"))]
+    fn panel_rows(&self, _: &[f32], _: usize, _: &mut [f32]) -> usize {
+        0
     }
 
     /// `m == 1` kernel: one serial multiply-add chain per output element,
@@ -464,7 +510,8 @@ impl CscExec {
     }
 
     /// Scalar batch kernel for rows `[i0, m)` of the transposed
-    /// activations; the full batch when SIMD is unavailable.
+    /// activations: the twin of the AVX2 panels, run on the rows they
+    /// leave, or on the full batch when SIMD is unavailable.
     fn batch_scalar(&self, xt: &[f32], m: usize, i0: usize, yt: &mut [f32]) {
         for c in 0..self.n {
             let start = self.col_ptr[c] as usize;

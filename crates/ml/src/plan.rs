@@ -465,13 +465,13 @@ impl TfPlan {
                 *c += a;
             }
             infer::layer_norm_slice(&mut self.cur, rows, d, &block.ln1.0, &block.ln1.1);
-            let ff = block.ff1.out_width();
-            block
-                .ff1
-                .forward_into(&self.cur[..rows * d], rows, &mut self.ff_mid, qs);
-            block
-                .ff2
-                .forward_into(&self.ff_mid[..rows * ff], rows, &mut self.ff_out, qs);
+            block.feed_forward_into(
+                &self.cur[..rows * d],
+                rows,
+                &mut self.ff_mid,
+                &mut self.ff_out,
+                qs,
+            );
             for (c, &f) in self.cur[..rows * d].iter_mut().zip(&self.ff_out[..rows * d]) {
                 *c += f;
             }

@@ -807,9 +807,19 @@ fn transpose_scalar(
     }
 }
 
+/// Source rows per block of [`transpose_avx2`]: each 8-column band is
+/// finished over this many rows before the next band starts.
+#[cfg(target_arch = "x86_64")]
+const TRANSPOSE_BLOCK_ROWS: usize = 128;
+
 /// AVX2 body of [`transpose_into`]: full 8×8 tiles through registers
 /// ([`load_columns8`]), then the scalar edges — the last `cols % 8`
 /// columns of the tiled rows, and the last `rows % 8` rows whole.
+///
+/// Tiles go band by band within blocks of [`TRANSPOSE_BLOCK_ROWS`] source
+/// rows: the tiles of one 8-column band store along the same eight
+/// destination rows, one after another, instead of each row strip of
+/// tiles striding across every destination row.
 ///
 /// # Safety
 ///
@@ -821,17 +831,18 @@ unsafe fn transpose_avx2(src: &[f32], ld: usize, rows: usize, cols: usize, dst: 
     use std::arch::x86_64::_mm256_storeu_ps;
     let (tr, tc) = (rows - rows % 8, cols - cols % 8);
     let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
-    for r in (0..tr).step_by(8) {
+    for r0 in (0..tr).step_by(TRANSPOSE_BLOCK_ROWS) {
+        let r1 = tr.min(r0 + TRANSPOSE_BLOCK_ROWS);
         for c in (0..tc).step_by(8) {
-            for (i, col) in load_columns8(sp.add(r * ld + c), ld).iter().enumerate() {
-                _mm256_storeu_ps(dp.add((c + i) * rows + r), *col);
+            for r in (r0..r1).step_by(8) {
+                for (i, col) in load_columns8(sp.add(r * ld + c), ld).iter().enumerate() {
+                    _mm256_storeu_ps(dp.add((c + i) * rows + r), *col);
+                }
             }
         }
-        if tc < cols {
-            for i in r..r + 8 {
-                for c in tc..cols {
-                    *dp.add(c * rows + i) = *sp.add(i * ld + c);
-                }
+        for c in tc..cols {
+            for r in r0..r1 {
+                *dp.add(c * rows + r) = *sp.add(r * ld + c);
             }
         }
     }
@@ -1435,8 +1446,9 @@ pub(crate) mod tests {
     fn transpose_matches_its_scalar_twin_bit_for_bit() {
         // A pure copy: every bit moves, NaN payloads and -0.0 included.
         // Views are strided and start one element in (unaligned); shapes
-        // straddle the 8×8 tiles on both axes, empty views included.
-        for rows in [0usize, 1, 7, 8, 9, 16, 17, 48] {
+        // straddle the 8×8 tiles on both axes and the 128-row blocks,
+        // empty views included.
+        for rows in [0usize, 1, 7, 8, 9, 16, 17, 48, 128, 129, 136, 263] {
             for cols in [0usize, 1, 3, 8, 9, 16, 17] {
                 let ld = cols + 5;
                 let mut src = adversarial(1 + rows * ld, (rows * 40 + cols) as u64, true);

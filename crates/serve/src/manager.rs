@@ -221,8 +221,12 @@ pub enum Scheduling {
     /// on the *previous* tick while every member's filter stage advances
     /// concurrently — one-tick software pipelining. A member whose filter
     /// is still running never stalls the batched ensemble call; it simply
-    /// joins the next tick's batch. Per-session traces are bit-identical
-    /// to [`Scheduling::Barrier`]: plan v2's row-count invariance makes
+    /// joins the next tick's batch. The overlap happens only between the
+    /// label periods of one call: a call starts with nothing pending and
+    /// classifies its last period's windows before it returns, so a call
+    /// that serves one period advances, then classifies, with nothing to
+    /// overlap. Per-session traces are bit-identical to
+    /// [`Scheduling::Barrier`]: plan v2's row-count invariance makes
     /// batch composition invisible, timestamps are captured when the
     /// window comes due, and actuation per session happens in the same
     /// order with the same labels.
@@ -316,16 +320,7 @@ impl BatchGroup {
             let n = step.min(total - done);
             // Filter phase: members advance independently in parallel
             // (ordered results, so failures land deterministically).
-            let advanced: Vec<Option<Result<bool>>> = pool.par_map_mut(members, |(_, slot)| {
-                if slot.poisoned {
-                    return None;
-                }
-                Some(
-                    slot.batch_arm_mut()
-                        .advance_period(n)
-                        .map_err(ServeError::from),
-                )
-            });
+            let advanced = advance_members(pool, members, n);
             self.due.clear();
             self.windows.clear();
             for (mi, outcome) in advanced.into_iter().enumerate() {
@@ -434,36 +429,29 @@ impl BatchGroup {
             let n = step.min(total - done);
             // The pipelined pair: classify last tick's ready set while
             // every member's filter stage advances this tick. Both halves
-            // nest their own parallelism on the same pool.
-            let (inference_s, advanced) = pool.join(
-                || {
-                    if due.is_empty() {
-                        return 0.0;
-                    }
-                    let k = due.len();
-                    probas.clear();
-                    probas.resize(k * CLASSES, 0.0);
-                    let t1 = Instant::now();
-                    ensemble.predict_batch_into(windows, k, CHANNELS, pool, scratch, probas);
-                    labels.clear();
-                    for j in 0..k {
-                        labels.push(argmax(&probas[j * CLASSES..(j + 1) * CLASSES]));
-                    }
-                    t1.elapsed().as_secs_f64()
-                },
-                || {
-                    pool.par_map_mut(members, |(_, slot)| {
-                        if slot.poisoned {
-                            return None;
+            // nest their own parallelism on the same pool. With nothing
+            // pending (always the call's first period) the advance runs on
+            // the caller: a multi-thread `join` would spawn a thread only
+            // to wait for it.
+            let (inference_s, advanced) = if due.is_empty() {
+                (0.0, advance_members(pool, members, n))
+            } else {
+                pool.join(
+                    || {
+                        let k = due.len();
+                        probas.clear();
+                        probas.resize(k * CLASSES, 0.0);
+                        let t1 = Instant::now();
+                        ensemble.predict_batch_into(windows, k, CHANNELS, pool, scratch, probas);
+                        labels.clear();
+                        for j in 0..k {
+                            labels.push(argmax(&probas[j * CLASSES..(j + 1) * CLASSES]));
                         }
-                        Some(
-                            slot.batch_arm_mut()
-                                .advance_period(n)
-                                .map_err(ServeError::from),
-                        )
-                    })
-                },
-            );
+                        t1.elapsed().as_secs_f64()
+                    },
+                    || advance_members(pool, members, n),
+                )
+            };
 
             // Actuate last tick's labels in admission order, before this
             // tick's advance outcomes are looked at: a failure this tick
@@ -553,6 +541,27 @@ impl BatchGroup {
             })
             .collect()
     }
+}
+
+/// Advances every unpoisoned member of a group by one label period of `n`
+/// samples, in parallel on `pool`. Results come back in member order —
+/// `None` for a poisoned member, otherwise whether a window came due — so
+/// failures land deterministically.
+fn advance_members(
+    pool: &ExecPool,
+    members: &mut [(usize, &mut Slot)],
+    n: usize,
+) -> Vec<Option<Result<bool>>> {
+    pool.par_map_mut(members, |(_, slot)| {
+        if slot.poisoned {
+            return None;
+        }
+        Some(
+            slot.batch_arm_mut()
+                .advance_period(n)
+                .map_err(ServeError::from),
+        )
+    })
 }
 
 /// One work item of a serving segment: a streaming session running its
