@@ -1,9 +1,11 @@
 //! Serving-engine throughput: a fleet of concurrent sessions multiplexed
 //! over one persistent-worker pool, timed at 1/2/4/8 worker threads.
 //!
-//! Two shapes are measured — the batch loop (`SessionManager::add_session`)
-//! and the two-stage streaming pipeline (`add_streaming_session`) — plus an
-//! explicit **sessions/sec** figure per thread count: how many simulated
+//! Two shapes are measured — batch sessions (`SessionManager::add_session`,
+//! one micro-batch group whose tick makes one batched ensemble call) and
+//! streaming sessions (`add_streaming_session`, each a pool work item that
+//! classifies inline at every label boundary) — plus an explicit
+//! **sessions/sec** figure per thread count: how many simulated
 //! session-seconds the engine advances per wall-clock second, divided by
 //! the segment length. Outputs are bit-identical at every thread count
 //! (enforced by `tests/tests/serving.rs`); only the wall-clock should move.

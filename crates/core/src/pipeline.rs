@@ -168,16 +168,9 @@ impl SlidingWindow {
         self.len
     }
 
-    /// The channel-major flattened window (the ensemble's input layout).
-    #[must_use]
-    pub fn flat(&self) -> Vec<f32> {
-        let mut flat = Vec::with_capacity(CHANNELS * self.len);
-        self.flat_into(&mut flat);
-        flat
-    }
-
-    /// [`SlidingWindow::flat`] appending to a reused buffer (cleared
-    /// first) — the allocation-free label-tick path; identical values.
+    /// Writes the channel-major flattened window (the ensemble's input
+    /// layout) into a reused buffer, cleared first — the allocation-free
+    /// label-tick path.
     pub fn flat_into(&self, out: &mut Vec<f32>) {
         out.clear();
         self.append_to(out);
@@ -196,8 +189,8 @@ impl SlidingWindow {
 /// The classify → actuate → record half of the label loop: ensemble
 /// inference on the pool, controller → MCU actuation, and the trace +
 /// latency bookkeeping. [`CognitiveArm::run_for`] and the serving
-/// engine's streaming inference stage both run **this exact code**, which
-/// is what makes their traces bit-identical by construction.
+/// engine's streaming sessions both run **this exact code**, which is what
+/// makes their traces bit-identical by construction.
 pub struct InferenceHead {
     ensemble: Ensemble,
     controller: Controller,
@@ -251,14 +244,6 @@ impl InferenceHead {
         if self.scratch.is_none() {
             self.scratch = Some(EnsembleScratch::new(&self.ensemble));
         }
-    }
-
-    /// Whether this head has built its own scratch arena (false for
-    /// sessions served exclusively through a group's shared batch
-    /// scratch).
-    #[must_use]
-    pub fn has_scratch(&self) -> bool {
-        self.scratch.is_some()
     }
 
     /// The classifying ensemble.
@@ -316,49 +301,9 @@ impl InferenceHead {
     pub fn classify(&mut self, window: &[f32], pool: &ExecPool) -> usize {
         self.warm_scratch();
         let scratch = self.scratch.as_mut().expect("warmed above");
-        // Slice rather than pass the whole buffer: a prior
-        // `classify_batch_into` may have grown `probas` past one window.
-        self.ensemble.predict_batch_into(
-            window,
-            1,
-            CHANNELS,
-            pool,
-            scratch,
-            &mut self.probas[..CLASSES],
-        );
-        ml::ensemble::argmax(&self.probas[..CLASSES])
-    }
-
-    /// The multi-window batch entry: classifies `batch` channel-major
-    /// windows (stacked in `windows`) in one ensemble call through this
-    /// head's scratch, appending one label per window to `labels`. Under
-    /// the runtime-default plan v2 the ensemble runs true multi-window
-    /// GEMMs, and v2's row-count invariance makes each label exactly what
-    /// [`InferenceHead::classify`] would produce for that window alone —
-    /// which is what lets a serving host batch across sessions without a
-    /// numerics consequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `windows` does not hold `batch` windows of this
-    /// ensemble's window length.
-    pub fn classify_batch_into(
-        &mut self,
-        windows: &[f32],
-        batch: usize,
-        pool: &ExecPool,
-        labels: &mut Vec<usize>,
-    ) {
-        self.warm_scratch();
-        let scratch = self.scratch.as_mut().expect("warmed above");
-        self.probas.resize(batch * CLASSES, 0.0);
         self.ensemble
-            .predict_batch_into(windows, batch, CHANNELS, pool, scratch, &mut self.probas);
-        for b in 0..batch {
-            labels.push(ml::ensemble::argmax(
-                &self.probas[b * CLASSES..(b + 1) * CLASSES],
-            ));
-        }
+            .predict_batch_into(window, 1, CHANNELS, pool, scratch, &mut self.probas);
+        ml::ensemble::argmax(&self.probas)
     }
 
     /// The actuation + record half of the label tick. Split from
@@ -652,11 +597,11 @@ impl CognitiveArm {
     }
 
     /// [`CognitiveArm::apply_label`] with the label's timestamp supplied by
-    /// the caller. A ready-set scheduler may actuate a window one tick
-    /// after gathering it (the session's clock has advanced by then); it
-    /// captures `elapsed_s()` at gather time and passes it here so the
-    /// trace records the time the window *became due* — exactly what the
-    /// barrier scheduler writes.
+    /// the caller — for a caller that actuates a window after the
+    /// session's clock has moved on: it captures `elapsed_s()` when the
+    /// window came due and passes it here, so the trace records the time
+    /// the window *became due*, exactly what `apply_label` writes when it
+    /// actuates at once.
     ///
     /// # Errors
     ///
@@ -757,36 +702,6 @@ mod tests {
         );
         let sys = CognitiveArm::new(PipelineConfig::default(), ensemble, 1);
         assert!(Arc::ptr_eq(sys.pool(), &exec::shared()));
-    }
-
-    #[test]
-    fn batched_classify_matches_per_window_classify() {
-        let data = DatasetBuilder::new(Protocol::quick(), 1, 21)
-            .build()
-            .unwrap();
-        let ensemble = train_default_ensemble(&data, &TrainBudget::quick(), 3).unwrap();
-        let config = PipelineConfig::default();
-        let controller =
-            Controller::new(config.controller, SafetyGate::new(config.safety));
-        let mut head = InferenceHead::new(ensemble, controller);
-        let pool = ExecPool::new(2);
-
-        let win_len = head.ensemble().window();
-        let per_window = CHANNELS * win_len;
-        let batch = 5;
-        let windows: Vec<f32> = (0..batch * per_window)
-            .map(|i| ((i * 37 + 11) % 97) as f32 * 0.021 - 1.0)
-            .collect();
-
-        let solo: Vec<usize> = (0..batch)
-            .map(|b| head.classify(&windows[b * per_window..(b + 1) * per_window], &pool))
-            .collect();
-        let mut batched = Vec::new();
-        head.classify_batch_into(&windows, batch, &pool, &mut batched);
-        assert_eq!(batched, solo);
-        // The head stays usable for batch = 1 afterwards (buffer grew).
-        let again = head.classify(&windows[..per_window], &pool);
-        assert_eq!(again, solo[0]);
     }
 
     #[test]

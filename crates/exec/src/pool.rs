@@ -17,6 +17,16 @@
 //! inner task to completion itself, so a saturated pool can never deadlock
 //! a parallel map. The waits-for graph follows the call stack, which is
 //! acyclic.
+//!
+//! # Panics
+//!
+//! A panicking work item neither hangs the map nor kills a worker: on a
+//! multi-thread pool the map finishes every other claimed item, then
+//! re-raises the first panic's payload on the calling thread (a one-thread
+//! map runs inline, so the panic unwinds from the item at once). A caller
+//! that must outlive a faulty item (the serving layer, which poisons one
+//! session instead of failing the fleet) catches the unwind around its own
+//! call.
 
 use std::any::Any;
 use std::cell::UnsafeCell;
@@ -334,38 +344,6 @@ impl ExecPool {
         })
     }
 
-    /// Runs two closures, in parallel when the pool has ≥ 2 workers,
-    /// returning both results.
-    ///
-    /// The second closure runs on a scoped thread rather than a pool
-    /// worker: `join` is for long-lived stage pairs (e.g. a streaming
-    /// filter stage beside an inference stage), which must not occupy pool
-    /// workers for their whole lifetime while their inner work fans out on
-    /// the pool.
-    ///
-    /// # Panics
-    ///
-    /// Propagates panics from either closure.
-    pub fn join<RA, RB>(
-        &self,
-        a: impl FnOnce() -> RA + Send,
-        b: impl FnOnce() -> RB + Send,
-    ) -> (RA, RB)
-    where
-        RA: Send,
-        RB: Send,
-    {
-        if self.threads() <= 1 {
-            (a(), b())
-        } else {
-            std::thread::scope(|scope| {
-                let hb = scope.spawn(b);
-                let ra = a();
-                (ra, hb.join().expect("parallel task panicked"))
-            })
-        }
-    }
-
     /// The ordered fan-out core: computes `produce(i)` for `i in 0..len`,
     /// sharing the claim cursor with the persistent workers, and returns
     /// results indexed `0..len`. The caller participates and then blocks
@@ -616,16 +594,6 @@ mod tests {
         drop(pool);
         // The clone keeps the workers alive.
         assert_eq!(clone.par_map(&items, |&x| x * 3).len(), 64);
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        for threads in [1, 2] {
-            let pool = ExecPool::new(threads);
-            let (a, b) = pool.join(|| 40 + 2, || "ok");
-            assert_eq!(a, 42);
-            assert_eq!(b, "ok");
-        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub enum MatRep {
 /// Reusable buffers for the compressed-weight execution kernels: int8
 /// activation quantization and i32 accumulation, plus the transpose
 /// staging the batched CSC kernel and the chained feed-forward pair
-/// ([`TfBlockInfer::feed_forward_into`]) use. One instance per inference
+/// (`TfBlockInfer::feed_forward_into`) use. One instance per inference
 /// lane; the compiled plan owns one, and every buffer grows monotonically,
 /// so the compressed paths allocate nothing per warm tick.
 #[derive(Debug, Clone, Default)]

@@ -230,7 +230,7 @@ impl SparseExec {
     /// The CSC form a call over `m` batch rows runs, or `None` when it
     /// runs a densified matrix: pure CSC runs at every row count, the
     /// hybrid's CSC half once a batch fills at least one 8-row panel
-    /// ([`CSC_PANEL_ROWS`]; below that its densified copy wins this
+    /// (`CSC_PANEL_ROWS`; below that its densified copy wins this
     /// density band), and the densified form never. Both
     /// [`SparseExec::left_matmul_into`] and callers that chain CSC stages
     /// in the transposed domain ([`CscExec::transposed_into`]) decide
@@ -358,7 +358,7 @@ impl CscExec {
     /// stored entries in ascending weight row, starting from `+0.0` — the
     /// per-element sequence of [`CsrMatrix::left_matmul_into`], so the
     /// bits match it at any `m`. The AVX2 panels take blocks of eight rows
-    /// and the scalar body ([`CscExec::batch_scalar`]) only the rows they
+    /// and the scalar body (`CscExec::batch_scalar`) only the rows they
     /// leave: all of them with dispatch off, none when `m` is a multiple
     /// of eight. Callers that keep activations transposed between stages
     /// call this directly and skip [`CscExec::left_matmul_into`]'s two

@@ -259,12 +259,12 @@ impl Tensor {
 /// [`Tensor::matmul`], exposed over slices for the callers that run it
 /// into preallocated buffers: the densified sparse execution format
 /// (`crate::matexec`) and training. Attention's `softmax·V`
-/// ([`attention_mix_into`]) keeps its exact per-element sequence.
+/// (`attention_mix_into`) keeps its exact per-element sequence.
 ///
 /// `out` is fully overwritten (accumulation starts from zero).
 ///
 /// On x86-64 hosts with AVX2 the kernel dispatches to an explicit SIMD
-/// variant ([`matmul_v1_avx2`]). Dispatch is **bit-invisible**: per output
+/// variant (`matmul_v1_avx2`). Dispatch is **bit-invisible**: per output
 /// element both variants apply one `multiply, add` per non-zero `a` term
 /// in ascending `k` order (no FMA contraction, no reassociation) — column
 /// lanes are independent, so vectorizing across them cannot reorder any
@@ -375,7 +375,7 @@ unsafe fn matmul_v1_avx2(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out
 /// `out` is fully overwritten.
 ///
 /// On x86-64 hosts with AVX2 the kernel dispatches to an explicit SIMD
-/// variant. For `n >= 8` ([`matmul_blocked_avx2`]) it vectorizes the `j`
+/// variant. For `n >= 8` (`matmul_blocked_avx2`) it vectorizes the `j`
 /// (output column) loop eight lanes wide. Narrow outputs (`n < 8`, the
 /// 3-class heads) with `m >= 8` run `row_lanes_avx2` instead: eight
 /// output *rows* ride the eight lanes, and the last `m % 8` rows take the

@@ -122,7 +122,7 @@ impl Container {
     ///
     /// Propagates the value's serialization failure;
     /// [`ModelIoError::LengthOverflow`] when the section cap is hit (the
-    /// writer enforces the same [`MAX_SECTIONS`] bound the reader does, so
+    /// writer enforces the same `MAX_SECTIONS` bound the reader does, so
     /// a successful save is always loadable).
     pub fn add<T: Persist>(&mut self, tag: [u8; 4], value: &T) -> Result<()> {
         if self.sections.len() >= MAX_SECTIONS {

@@ -7,7 +7,7 @@
 //! bare payload handed to [`from_bytes`]). Collection lengths are written
 //! as `u64` and never trusted for allocation: every read is checked
 //! against the bytes actually present, and a reader reserves at most
-//! [`CAP_HINT`] elements up front, so a forged multi-gigabyte length runs
+//! `CAP_HINT` elements up front, so a forged multi-gigabyte length runs
 //! the cursor dry and returns [`ModelIoError::Truncated`] after at most a
 //! small buffer.
 
@@ -49,11 +49,11 @@ pub trait Persist: Sized {
 
 /// A bounds-checked cursor over an in-memory little-endian image.
 ///
-/// With [`ViewCursor::with_arena`] the cursor also carries a
+/// With `ViewCursor::with_arena` the cursor also carries a
 /// reference-counted owner of the bytes, and bulk `f32`/`i8` payloads
 /// decode as [`ArenaVec`]s that **borrow** the image instead of copying
 /// it — the shared-weight path every [`crate::WeightImage`] read takes.
-/// Without an owner ([`ViewCursor::new`]) the same decoders copy into
+/// Without an owner (`ViewCursor::new`) the same decoders copy into
 /// owned storage.
 pub struct ViewCursor<'a> {
     buf: &'a [u8],

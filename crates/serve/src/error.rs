@@ -20,9 +20,11 @@ pub enum ServeError {
     UnknownArtifact(usize),
     /// A request the manager cannot honour as posed.
     BadRequest(String),
-    /// One pipeline stage hung up while its peer was still mid-segment
-    /// (normally shadowed by the real error from the stage that died).
-    StageDisconnected,
+    /// A session's work panicked, with the panic's message: a streaming
+    /// segment, or a micro-batch group's batched classify (which fails
+    /// every member due in that call). The session is poisoned; its
+    /// neighbours keep running.
+    Panicked(String),
 }
 
 impl fmt::Display for ServeError {
@@ -36,7 +38,7 @@ impl fmt::Display for ServeError {
             ServeError::UnknownSession(id) => write!(f, "unknown session id {id}"),
             ServeError::UnknownArtifact(id) => write!(f, "unknown artifact id {id}"),
             ServeError::BadRequest(msg) => write!(f, "bad request: {msg}"),
-            ServeError::StageDisconnected => write!(f, "pipeline stage disconnected"),
+            ServeError::Panicked(msg) => write!(f, "session panicked: {msg}"),
         }
     }
 }
@@ -51,6 +53,18 @@ impl std::error::Error for ServeError {
             ServeError::Artifact(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+/// The message of a caught panic payload (`panic!` with a literal or a
+/// formatted string), for [`ServeError::Panicked`].
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(msg) => *msg,
+        Err(payload) => payload
+            .downcast_ref::<&str>()
+            .map_or("non-string panic payload", |msg| msg)
+            .to_owned(),
     }
 }
 

@@ -11,20 +11,24 @@
 //! * [`SessionManager`] — admits many sessions (each its own simulated
 //!   subject + trained ensemble, typically loaded from a `.cogm` artifact
 //!   via [`SessionSpec::from_saved`]) and advances them **concurrently**
-//!   over one shared persistent-worker [`exec::ExecPool`]. One work item
-//!   per session; the session's own parallel stages nest on the same pool.
-//! * [`StreamSession`] — the two-stage streaming pipeline: samples travel
-//!   board → outlet → transport → inlet (the LSL wire role), are
-//!   dejittered, causally filtered and windowed by the *filter stage*,
-//!   and full windows cross a **bounded channel** to the *inference
-//!   stage*, which classifies and actuates concurrently.
+//!   over one shared persistent-worker [`exec::ExecPool`]. Batch sessions
+//!   that share an ensemble and label cadence form a micro-batch group
+//!   whose tick advances every member, classifies the due windows in one
+//!   batched ensemble call and actuates in admission order. Each group and
+//!   each streaming session is one work item; their inner parallel stages
+//!   nest on the same pool.
+//! * [`StreamSession`] — the streaming session: samples travel board →
+//!   outlet → transport → inlet (the LSL wire role), are dejittered,
+//!   causally filtered and windowed by the *filter stage*, which calls the
+//!   inference head inline at each label boundary to classify and actuate.
 //!
 //! Everything is deterministic: per-session state is seeded, pool results
-//! are index-ordered, and windows cross the stage channel in order — so N
+//! are index-ordered, and windows are classified in label order — so N
 //! concurrent sessions produce bit-identical traces to N sequential
 //! single-session runs, at any `COGARM_THREADS`, and a streamed session's
 //! label trace is bit-identical to the monolithic batch loop
-//! (`tests/tests/serving.rs` enforces both).
+//! (`tests/tests/serving.rs` enforces both). A session whose segment fails
+//! or panics is poisoned; its neighbours' traces are untouched.
 //!
 //! # Examples
 //!
@@ -56,8 +60,8 @@ pub mod streaming;
 mod error;
 
 pub use error::ServeError;
-pub use manager::{ArtifactId, Scheduling, SessionId, SessionManager, SessionSpec};
-pub use streaming::{StreamSession, DEFAULT_CHANNEL_CAPACITY};
+pub use manager::{ArtifactId, SessionId, SessionManager, SessionSpec};
+pub use streaming::StreamSession;
 
 /// Result alias used across the crate.
 pub type Result<T> = std::result::Result<T, ServeError>;

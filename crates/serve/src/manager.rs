@@ -1,6 +1,7 @@
 //! The [`SessionManager`]: many concurrent `CognitiveArm` sessions
 //! multiplexed over one shared [`ExecPool`].
 
+use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -16,7 +17,8 @@ use ml::models::CLASSES;
 use model_io::{SavedModel, WeightImage};
 use stream::transport::TransportParams;
 
-use crate::streaming::{StreamSession, DEFAULT_CHANNEL_CAPACITY};
+use crate::error::panic_message;
+use crate::streaming::StreamSession;
 use crate::{Result, ServeError};
 
 /// Everything needed to admit one user session: the trained artifact plus
@@ -152,9 +154,9 @@ struct ArtifactEntry {
     model: SavedModel,
 }
 
-/// One managed session: either the monolithic batch loop or the two-stage
-/// streaming pipeline. Both shapes share the manager's pool. Boxed so the
-/// manager's session vector stays compact regardless of which shape a
+/// One managed session: either the monolithic batch loop or the streaming
+/// session behind its wire. Both shapes share the manager's pool. Boxed so
+/// the manager's session vector stays compact regardless of which shape a
 /// slot holds.
 enum ManagedSession {
     Batch(Box<CognitiveArm>),
@@ -214,31 +216,6 @@ impl Slot {
     }
 }
 
-/// How a [`SessionManager`] schedules its micro-batch groups each tick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduling {
-    /// Ready-set (the default): each tick classifies the windows gathered
-    /// on the *previous* tick while every member's filter stage advances
-    /// concurrently — one-tick software pipelining. A member whose filter
-    /// is still running never stalls the batched ensemble call; it simply
-    /// joins the next tick's batch. The overlap happens only between the
-    /// label periods of one call: a call starts with nothing pending and
-    /// classifies its last period's windows before it returns, so a call
-    /// that serves one period advances, then classifies, with nothing to
-    /// overlap. Per-session traces are bit-identical to
-    /// [`Scheduling::Barrier`]: plan v2's row-count invariance makes
-    /// batch composition invisible, timestamps are captured when the
-    /// window comes due, and actuation per session happens in the same
-    /// order with the same labels.
-    #[default]
-    ReadySet,
-    /// The pre-pipelined scheduler: each tick advances every member, then
-    /// classifies that tick's due windows before the next tick may start —
-    /// the whole group stalls on its slowest member. Kept as the reference
-    /// the equivalence tests compare against.
-    Barrier,
-}
-
 /// A micro-batch group: batch sessions admitted with a structurally equal
 /// ensemble and label cadence. Each serving tick, every member advances
 /// one label period and the windows that come due are classified in **one
@@ -258,16 +235,8 @@ struct BatchGroup {
     windows: Vec<f32>,
     /// Batched combined probabilities.
     probas: Vec<f32>,
-    /// Member positions (indices into `members`) due this tick (barrier)
-    /// or gathered last tick and pending classification (ready-set).
+    /// Member positions (indices into `members`) due this tick.
     due: Vec<usize>,
-    /// Label timestamps captured when each `due` window was gathered —
-    /// the ready-set scheduler actuates one tick later, after the
-    /// session's clock has advanced, so the gather-time stamp is what
-    /// keeps its traces bit-identical to the barrier scheduler's.
-    due_ts: Vec<f64>,
-    /// Predicted labels for the pending `due` windows (ready-set).
-    labels: Vec<usize>,
 }
 
 impl BatchGroup {
@@ -281,8 +250,6 @@ impl BatchGroup {
             windows: Vec::new(),
             probas: Vec::new(),
             due: Vec::new(),
-            due_ts: Vec::new(),
-            labels: Vec::new(),
         }
     }
 
@@ -293,10 +260,13 @@ impl BatchGroup {
     }
 
     /// Advances this group's member slots (passed pre-split from the
-    /// session vector, in admission order) by `seconds`, classifying due
-    /// windows across sessions in one batched ensemble call per tick.
-    /// Returns `(slot index, segment result)` per member; failing members
-    /// are poisoned and drop out of the remaining ticks.
+    /// session vector, in admission order) by `seconds`. Each tick advances
+    /// every member one label period in parallel, gathers the windows that
+    /// came due, classifies them in one batched ensemble call, and
+    /// actuates in admission order. Returns `(slot index, segment result)`
+    /// per member; failing members are poisoned and drop out of the
+    /// remaining ticks. A panic in the batched call cannot be traced to
+    /// one window, so it poisons every member due in that call.
     fn run(
         &mut self,
         members: &mut [(usize, &mut Slot)],
@@ -318,15 +288,15 @@ impl BatchGroup {
         let mut done = 0usize;
         while done < total {
             let n = step.min(total - done);
-            // Filter phase: members advance independently in parallel
+            done += n;
+            // Filter phase: live members advance independently in parallel
             // (ordered results, so failures land deterministically).
-            let advanced = advance_members(pool, members, n);
+            let advanced = pool.par_map_mut(members, |(_, slot)| {
+                (!slot.poisoned).then(|| slot.batch_arm_mut().advance_period(n))
+            });
             self.due.clear();
             self.windows.clear();
             for (mi, outcome) in advanced.into_iter().enumerate() {
-                if errors[mi].is_some() {
-                    continue;
-                }
                 match outcome {
                     Some(Ok(true)) => {
                         members[mi]
@@ -338,16 +308,19 @@ impl BatchGroup {
                     Some(Ok(false)) | None => {}
                     Some(Err(e)) => {
                         members[mi].1.poisoned = true;
-                        errors[mi] = Some(e);
+                        errors[mi] = Some(e.into());
                     }
                 }
             }
+            if self.due.is_empty() {
+                continue;
+            }
             // Inference phase: one batched call for every due window.
-            if !self.due.is_empty() {
-                let k = self.due.len();
-                self.probas.clear();
-                self.probas.resize(k * CLASSES, 0.0);
-                let t1 = Instant::now();
+            let k = self.due.len();
+            self.probas.clear();
+            self.probas.resize(k * CLASSES, 0.0);
+            let t1 = Instant::now();
+            let classified = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 self.ensemble.predict_batch_into(
                     &self.windows,
                     k,
@@ -356,181 +329,27 @@ impl BatchGroup {
                     &mut self.scratch,
                     &mut self.probas,
                 );
-                let inference_s = t1.elapsed().as_secs_f64();
-                // Actuation phase, in admission order.
-                for (j, &mi) in self.due.iter().enumerate() {
-                    let label = argmax(&self.probas[j * CLASSES..(j + 1) * CLASSES]);
-                    let arm = members[mi].1.batch_arm_mut();
-                    if let Err(e) = arm.apply_label(label, n, inference_s, &mut traces[mi]) {
-                        members[mi].1.poisoned = true;
-                        errors[mi] = Some(ServeError::from(e));
-                    }
-                }
-            }
-            done += n;
-        }
-        members
-            .iter()
-            .zip(errors)
-            .zip(traces)
-            .map(|((&(si, _), error), trace)| match error {
-                Some(e) => (si, Err(e)),
-                None => (si, Ok(trace)),
-            })
-            .collect()
-    }
-
-    /// [`BatchGroup::run`] with one-tick software pipelining (see
-    /// [`Scheduling::ReadySet`]): the batched ensemble call over tick
-    /// `t`'s due windows runs **concurrently** with tick `t+1`'s filter
-    /// advances, so the ready set of each tick never waits on a straggling
-    /// filter stage. Labels actuate one tick after their window came due,
-    /// stamped with the gather-time timestamp
-    /// ([`CognitiveArm::apply_label_at`]) — per-session traces are
-    /// bit-identical to the barrier scheduler's at any thread count.
-    fn run_ready_set(
-        &mut self,
-        members: &mut [(usize, &mut Slot)],
-        pool: &ExecPool,
-        seconds: f64,
-    ) -> Vec<(usize, Result<SessionTrace>)> {
-        let total = (seconds * SAMPLE_RATE) as usize;
-        let step = self.label_every;
-        let mut traces: Vec<SessionTrace> =
-            members.iter().map(|_| SessionTrace::default()).collect();
-        let mut errors: Vec<Option<ServeError>> = members
-            .iter()
-            .map(|(_, slot)| {
-                slot.poisoned
-                    .then(|| ServeError::BadRequest(POISONED.into()))
-            })
-            .collect();
-
-        let Self {
-            ensemble,
-            scratch,
-            windows,
-            probas,
-            due,
-            due_ts,
-            labels,
-            ..
-        } = self;
-        due.clear();
-        due_ts.clear();
-        windows.clear();
-        labels.clear();
-        // The label period the pending `due` windows were gathered with
-        // (their actuation integrates the MCU over exactly this span).
-        let mut pending_period = 0usize;
-
-        let mut done = 0usize;
-        while done < total {
-            let n = step.min(total - done);
-            // The pipelined pair: classify last tick's ready set while
-            // every member's filter stage advances this tick. Both halves
-            // nest their own parallelism on the same pool. With nothing
-            // pending (always the call's first period) the advance runs on
-            // the caller: a multi-thread `join` would spawn a thread only
-            // to wait for it.
-            let (inference_s, advanced) = if due.is_empty() {
-                (0.0, advance_members(pool, members, n))
-            } else {
-                pool.join(
-                    || {
-                        let k = due.len();
-                        probas.clear();
-                        probas.resize(k * CLASSES, 0.0);
-                        let t1 = Instant::now();
-                        ensemble.predict_batch_into(windows, k, CHANNELS, pool, scratch, probas);
-                        labels.clear();
-                        for j in 0..k {
-                            labels.push(argmax(&probas[j * CLASSES..(j + 1) * CLASSES]));
-                        }
-                        t1.elapsed().as_secs_f64()
-                    },
-                    || advance_members(pool, members, n),
-                )
-            };
-
-            // Actuate last tick's labels in admission order, before this
-            // tick's advance outcomes are looked at: a failure this tick
-            // cannot retract a label that was already due — exactly the
-            // barrier scheduler's event order per session.
-            for (j, &mi) in due.iter().enumerate() {
-                if errors[mi].is_some() {
-                    continue;
-                }
-                let arm = members[mi].1.batch_arm_mut();
-                if let Err(e) = arm.apply_label_at(
-                    labels[j],
-                    due_ts[j],
-                    pending_period,
-                    inference_s,
-                    &mut traces[mi],
-                ) {
-                    members[mi].1.poisoned = true;
-                    errors[mi] = Some(ServeError::from(e));
-                }
-            }
-            due.clear();
-            due_ts.clear();
-            windows.clear();
-
-            // Gather this tick's ready set; the next tick classifies it.
-            for (mi, outcome) in advanced.into_iter().enumerate() {
-                if errors[mi].is_some() {
-                    continue;
-                }
-                match outcome {
-                    Some(Ok(true)) => {
-                        let arm = members[mi].1.batch_arm_mut();
-                        arm.append_window_to(windows);
-                        due.push(mi);
-                        due_ts.push(arm.elapsed_s());
-                    }
-                    Some(Ok(false)) | None => {}
-                    Some(Err(e)) => {
-                        members[mi].1.poisoned = true;
-                        errors[mi] = Some(e);
-                    }
-                }
-            }
-            pending_period = n;
-            done += n;
-        }
-
-        // Drain the pipeline: the final tick's ready set still needs its
-        // classification and actuation.
-        if !due.is_empty() {
-            let k = due.len();
-            probas.clear();
-            probas.resize(k * CLASSES, 0.0);
-            let t1 = Instant::now();
-            ensemble.predict_batch_into(windows, k, CHANNELS, pool, scratch, probas);
+            }))
+            .map_err(panic_message);
             let inference_s = t1.elapsed().as_secs_f64();
-            for (j, &mi) in due.iter().enumerate() {
-                if errors[mi].is_some() {
-                    continue;
-                }
-                let label = argmax(&probas[j * CLASSES..(j + 1) * CLASSES]);
-                let arm = members[mi].1.batch_arm_mut();
-                if let Err(e) = arm.apply_label_at(
-                    label,
-                    due_ts[j],
-                    pending_period,
-                    inference_s,
-                    &mut traces[mi],
-                ) {
-                    members[mi].1.poisoned = true;
-                    errors[mi] = Some(ServeError::from(e));
+            // Actuation phase, in admission order.
+            for (j, &mi) in self.due.iter().enumerate() {
+                let slot = &mut *members[mi].1;
+                let outcome = match &classified {
+                    Ok(()) => {
+                        let label = argmax(&self.probas[j * CLASSES..(j + 1) * CLASSES]);
+                        slot.batch_arm_mut()
+                            .apply_label(label, n, inference_s, &mut traces[mi])
+                            .map_err(ServeError::from)
+                    }
+                    Err(msg) => Err(ServeError::Panicked(msg.clone())),
+                };
+                if let Err(e) = outcome {
+                    slot.poisoned = true;
+                    errors[mi] = Some(e);
                 }
             }
-            due.clear();
-            due_ts.clear();
-            windows.clear();
         }
-
         members
             .iter()
             .zip(errors)
@@ -541,33 +360,11 @@ impl BatchGroup {
             })
             .collect()
     }
-}
-
-/// Advances every unpoisoned member of a group by one label period of `n`
-/// samples, in parallel on `pool`. Results come back in member order —
-/// `None` for a poisoned member, otherwise whether a window came due — so
-/// failures land deterministically.
-fn advance_members(
-    pool: &ExecPool,
-    members: &mut [(usize, &mut Slot)],
-    n: usize,
-) -> Vec<Option<Result<bool>>> {
-    pool.par_map_mut(members, |(_, slot)| {
-        if slot.poisoned {
-            return None;
-        }
-        Some(
-            slot.batch_arm_mut()
-                .advance_period(n)
-                .map_err(ServeError::from),
-        )
-    })
 }
 
 /// One work item of a serving segment: a streaming session running its
-/// two-stage pipeline, or a whole micro-batch group running its lockstep
-/// ticks (with the group's member slots pre-split out of the session
-/// vector).
+/// segment, or a whole micro-batch group running its lockstep ticks (with
+/// the group's member slots pre-split out of the session vector).
 enum Work<'a> {
     Stream(usize, &'a mut Slot),
     Group(&'a mut BatchGroup, Vec<(usize, &'a mut Slot)>),
@@ -576,10 +373,10 @@ enum Work<'a> {
 /// Multiplexes many long-lived sessions over one shared [`ExecPool`].
 ///
 /// [`SessionManager::run_for`] advances **every** session by the same
-/// simulated duration, one pool work item per session; a session's own
-/// parallel stages (ensemble inference, streaming stage pair) nest on the
-/// same pool, which the persistent caller-participates pool design makes
-/// deadlock-free. Sessions are independent and results are collected in
+/// simulated duration, one pool work item per streaming session or
+/// micro-batch group; a work item's own parallel stages (filter advances,
+/// ensemble inference) nest on the same pool, which the persistent
+/// caller-participates pool design makes deadlock-free. Sessions are independent and results are collected in
 /// session order, so a serving run is bit-identical to running each
 /// session alone, sequentially, at any thread count.
 pub struct SessionManager {
@@ -589,13 +386,12 @@ pub struct SessionManager {
     /// entry and are skipped everywhere).
     sessions: Vec<Option<Slot>>,
     /// Micro-batch groups over the batch-shaped sessions (streaming
-    /// sessions run their own two-stage pipelines and are not grouped).
+    /// sessions classify inline, one window at a time, and are not
+    /// grouped).
     groups: Vec<BatchGroup>,
     /// Interned artifacts, keyed by weight-image content hash: one shared
     /// image per distinct artifact no matter how many times it is opened.
     artifacts: Vec<ArtifactEntry>,
-    /// How micro-batch groups schedule their ticks.
-    scheduling: Scheduling,
 }
 
 impl std::fmt::Debug for SessionManager {
@@ -603,7 +399,6 @@ impl std::fmt::Debug for SessionManager {
         f.debug_struct("SessionManager")
             .field("sessions", &self.len())
             .field("threads", &self.pool.threads())
-            .field("scheduling", &self.scheduling)
             .finish()
     }
 }
@@ -617,7 +412,6 @@ impl SessionManager {
             sessions: Vec::new(),
             groups: Vec::new(),
             artifacts: Vec::new(),
-            scheduling: Scheduling::default(),
         }
     }
 
@@ -657,19 +451,6 @@ impl SessionManager {
             .collect()
     }
 
-    /// The micro-batch scheduling policy in force.
-    #[must_use]
-    pub fn scheduling(&self) -> Scheduling {
-        self.scheduling
-    }
-
-    /// Switches the micro-batch scheduling policy. Safe to change between
-    /// segments: both policies produce bit-identical per-session traces
-    /// (ready-set is the default; barrier is the reference scheduler).
-    pub fn set_scheduling(&mut self, scheduling: Scheduling) {
-        self.scheduling = scheduling;
-    }
-
     /// Disconnects a session: its slot becomes a tombstone (ids of other
     /// sessions are unaffected), it leaves its micro-batch group, and a
     /// group left empty is dropped. The churn path — thousands of
@@ -705,7 +486,8 @@ impl SessionManager {
     /// manager's pool. Sessions admitted with a structurally equal
     /// ensemble and label cadence join one **micro-batch group**: windows
     /// that come due on the same serving tick are classified in a single
-    /// batched ensemble call (label-invisible; see [`BatchGroup`]).
+    /// batched ensemble call (label-invisible: the batched kernels are
+    /// row-count invariant).
     ///
     /// # Errors
     ///
@@ -826,29 +608,15 @@ impl SessionManager {
         self.add_session(spec)
     }
 
-    /// Admits a streaming session (filter stage ∥ inference stage over a
-    /// bounded channel, fed through the stream inlet) on the manager's
-    /// pool.
+    /// Admits a streaming session (wire → dejitter → filter stage, which
+    /// classifies and actuates inline at each label boundary) on the
+    /// manager's pool.
     ///
     /// # Errors
     ///
     /// [`ServeError::BadRequest`] for an invalid spec.
     pub fn add_streaming_session(&mut self, spec: SessionSpec) -> Result<SessionId> {
-        self.add_streaming_session_with_capacity(spec, DEFAULT_CHANNEL_CAPACITY)
-    }
-
-    /// [`SessionManager::add_streaming_session`] with an explicit
-    /// inter-stage channel bound (clamped to ≥ 1).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::BadRequest`] for an invalid spec.
-    pub fn add_streaming_session_with_capacity(
-        &mut self,
-        spec: SessionSpec,
-        capacity: usize,
-    ) -> Result<SessionId> {
-        let session = StreamSession::new(spec, Arc::clone(&self.pool), capacity)?;
+        let session = StreamSession::new(spec, Arc::clone(&self.pool))?;
         self.sessions.push(Some(Slot {
             session: ManagedSession::Streaming(Box::new(session)),
             poisoned: false,
@@ -900,16 +668,16 @@ impl SessionManager {
     /// Advances every live session by `seconds` of simulated time,
     /// returning each session's segment result in admission order (one
     /// entry per live session; [`SessionManager::session_ids`] gives the
-    /// matching ids). Streaming sessions run their two-stage pipelines as
-    /// parallel work items; batch sessions run through their micro-batch
-    /// groups under the active [`Scheduling`] policy, each tick's ready
+    /// matching ids). Streaming sessions run as parallel work items; batch
+    /// sessions run through their micro-batch groups, each tick's due
     /// windows classified in **one batched ensemble call** (filter stages
     /// advance in parallel; the batched call itself fans
     /// `members × windows` across the pool). Everything stays
     /// bit-identical to running each session alone, sequentially, at any
-    /// thread count and under either scheduler. A failing session is
-    /// **poisoned** (it will not run again) but never takes its
-    /// neighbours' traces with it.
+    /// thread count. A failing session is **poisoned** (it will not run
+    /// again) but never takes its neighbours' traces with it; a panic in a
+    /// streaming segment or a group's batched classify is caught there and
+    /// reported as [`ServeError::Panicked`].
     ///
     /// # Errors
     ///
@@ -922,7 +690,6 @@ impl SessionManager {
         if seconds <= 0.0 {
             return Err(ServeError::BadRequest("non-positive run duration".into()));
         }
-        let scheduling = self.scheduling;
         let Self {
             pool,
             sessions,
@@ -960,10 +727,7 @@ impl SessionManager {
         // caller-participates design keeps deadlock-free.
         let outcomes = pool.par_map_mut(&mut work, |item| match item {
             Work::Stream(i, slot) => vec![(*i, slot.run_streaming_for(seconds))],
-            Work::Group(group, slots) => match scheduling {
-                Scheduling::ReadySet => group.run_ready_set(slots, pool, seconds),
-                Scheduling::Barrier => group.run(slots, pool, seconds),
-            },
+            Work::Group(group, slots) => group.run(slots, pool, seconds),
         });
 
         let mut results: Vec<Option<Result<SessionTrace>>> =

@@ -1,27 +1,25 @@
-//! The two-stage streaming session: filter stage ∥ inference stage.
+//! The streaming session: the label loop behind a network wire.
 //!
 //! [`crate::SessionManager`]'s batch sessions run the monolithic
 //! [`CognitiveArm::run_for`](cognitive_arm::pipeline::CognitiveArm::run_for)
-//! loop, where filtering and inference alternate on one thread. A
-//! [`StreamSession`] instead models the deployed serving shape: samples
-//! arrive **over the wire** — board → [`stream::outlet::Outlet`] →
-//! [`stream::transport::Transport`] (LSL role: reliable, timestamped,
-//! occasionally out of order) → [`stream::inlet::Inlet`] — are dejittered
-//! back into sequence order, causally filtered and windowed by the *filter
-//! stage*, and full windows flow through a **bounded channel** to the
-//! *inference stage*, which classifies and actuates while the filter stage
-//! is already working on the next label period.
+//! loop straight off the board. A [`StreamSession`] instead models the
+//! deployed serving shape: samples arrive **over the wire** — board →
+//! [`stream::outlet::Outlet`] → [`stream::transport::Transport`] (LSL role:
+//! reliable, timestamped, occasionally out of order) →
+//! [`stream::inlet::Inlet`] — are dejittered back into sequence order, and
+//! are causally filtered and windowed by the *filter stage*, which calls
+//! the inference head inline at every label boundary to classify and
+//! actuate, on every pool size.
 //!
 //! Determinism: every label is a pure function of the sample sequence (the
 //! reorder buffer restores sequence order no matter how packets arrive),
-//! windows cross the channel in order, and the inference stage is the
-//! **same code** as the monolithic loop's
+//! and the head is the **same code** as the monolithic loop's
 //! ([`cognitive_arm::pipeline::InferenceHead`]) — so the label trace is
 //! bit-identical to `CognitiveArm::run_for` over the same spec, at any
 //! pool size (`tests/tests/serving.rs` locks exactly that equivalence).
 
 use std::collections::VecDeque;
-use std::sync::mpsc;
+use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
 use arm::controller::{ControlMode, Controller};
@@ -41,35 +39,12 @@ use stream::outlet::{Outlet, StreamInfo};
 use stream::pool::PacketPool;
 use stream::transport::{Transport, TransportParams};
 
+use crate::error::panic_message;
 use crate::manager::SessionSpec;
 use crate::{Result, ServeError};
 
-/// Default bound on the filter→inference window channel: enough slack to
-/// keep both stages busy, small enough that a stalled inference stage
-/// back-pressures filtering instead of buffering unboundedly.
-pub const DEFAULT_CHANNEL_CAPACITY: usize = 4;
-
-/// One classified-window handoff between the stages.
-struct WindowMsg {
-    /// Simulated label timestamp in seconds.
-    t: f64,
-    /// Samples in the label period that produced this window (the MCU
-    /// integrates over it).
-    chunk_samples: usize,
-    /// Channel-major flattened window.
-    flat: Vec<f32>,
-}
-
-/// Where the filter stage delivers full windows: the inter-stage channel
-/// when the stages run concurrently (which owns a flattened copy per
-/// message), or a direct call into the inference step on a 1-thread pool
-/// (which flattens into one reused buffer — O(1) window memory and zero
-/// steady-state allocations). The sink borrows the sliding window so each
-/// shape pays only the copies it needs.
-type WindowSink<'a> = dyn FnMut(f64, usize, &SlidingWindow) -> Result<()> + 'a;
-
-/// Stage 1 state: acquisition, wire transport, dejitter, causal filtering
-/// and the sliding window.
+/// Acquisition, wire transport, dejitter, causal filtering and the
+/// sliding window.
 struct FilterStage {
     board: SimulatedBoard,
     outlet: Outlet,
@@ -93,20 +68,21 @@ struct FilterStage {
     /// as (cumulative end, period length) pairs.
     bounds: VecDeque<(usize, usize)>,
     /// Filtering + windowing cost per label period (the monolithic loop's
-    /// `latency.filter` counterpart; sink/inference time excluded).
+    /// `latency.filter` counterpart; inference time excluded).
     stats: StageStats,
 }
 
 impl FilterStage {
     /// Runs one segment of `total` samples: push every sample through the
-    /// wire, restore sequence order, filter, window, and hand one
-    /// [`WindowMsg`] per label period to `sink` once the window is full.
+    /// wire, restore sequence order, filter, window, and call `on_window`
+    /// with the label timestamp, the label period and the window at every
+    /// label boundary once the window is full.
     fn run_segment(
         &mut self,
         total: usize,
         label_every: usize,
         start_elapsed: u64,
-        sink: &mut WindowSink<'_>,
+        on_window: &mut impl FnMut(f64, usize, &SlidingWindow) -> Result<()>,
     ) -> Result<()> {
         // Label-period boundaries within this segment — the last period may
         // be partial, exactly like the monolithic loop's
@@ -155,11 +131,11 @@ impl FilterStage {
             }
             done += n;
             let now = base + done as f64 / SAMPLE_RATE;
-            let spent = self.ingest(now, &mut processed, start_elapsed, sink)?;
+            let spent = self.ingest(now, &mut processed, start_elapsed, on_window)?;
             self.stats.record(spent);
         }
         // Drain packets still in flight (retransmissions land late).
-        let spent = self.ingest(f64::INFINITY, &mut processed, start_elapsed, sink)?;
+        let spent = self.ingest(f64::INFINITY, &mut processed, start_elapsed, on_window)?;
         if spent > 0.0 {
             self.stats.record(spent);
         }
@@ -169,14 +145,14 @@ impl FilterStage {
 
     /// Pulls every packet that has arrived by `now`, feeds the filter in
     /// sequence order, and emits windows at label-period boundaries.
-    /// Returns the seconds spent on filtering + windowing (sink time —
-    /// inference, on the sequential path — excluded).
+    /// Returns the seconds spent on filtering + windowing (`on_window`
+    /// time excluded).
     fn ingest(
         &mut self,
         now: f64,
         processed: &mut usize,
         start_elapsed: u64,
-        sink: &mut WindowSink<'_>,
+        on_window: &mut impl FnMut(f64, usize, &SlidingWindow) -> Result<()>,
     ) -> Result<f64> {
         let mut spent = 0.0f64;
         self.drained.clear();
@@ -204,7 +180,7 @@ impl FilterStage {
                 let (end, period) = self.bounds.pop_front().expect("front checked");
                 if self.window.is_full() {
                     let t = (start_elapsed + end as u64) as f64 / SAMPLE_RATE;
-                    sink(t, period, &self.window)?;
+                    on_window(t, period, &self.window)?;
                 }
             }
         }
@@ -220,8 +196,7 @@ pub struct StreamSession {
     head: InferenceHead,
     pool: Arc<ExecPool>,
     label_every: usize,
-    channel_capacity: usize,
-    /// Reused channel-major flattening for the sequential (1-thread) path.
+    /// Reused channel-major flattening of the window the head classifies.
     flat_buf: Vec<f32>,
     elapsed_samples: u64,
     latency: LatencyReport,
@@ -243,8 +218,7 @@ impl std::fmt::Debug for StreamSession {
 }
 
 impl StreamSession {
-    /// Assembles a streaming session from a spec on an explicit pool, with
-    /// a bounded inter-stage channel of `channel_capacity` windows.
+    /// Assembles a streaming session from a spec on an explicit pool.
     ///
     /// The acquisition side mirrors `CognitiveArm::new` exactly (same
     /// subject parameters, same board seed), which is what makes the
@@ -252,9 +226,10 @@ impl StreamSession {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError`] for an undesignable filter spec or a
-    /// degenerate `label_every`.
-    pub fn new(spec: SessionSpec, pool: Arc<ExecPool>, channel_capacity: usize) -> Result<Self> {
+    /// Returns [`ServeError`] for an undesignable filter spec, a
+    /// degenerate `label_every` or a silently lossy wire
+    /// ([`SessionSpec::validate`]).
+    pub fn new(spec: SessionSpec, pool: Arc<ExecPool>) -> Result<Self> {
         spec.validate()?;
         let params = SubjectParams::sampled(spec.subject_seed);
         // The filter stage drains the board every label period, so the
@@ -274,14 +249,8 @@ impl StreamSession {
         // The serving wire defaults to the LSL role: reliable and ordered
         // after the dejitter buffer, so no sample is ever lost to the
         // classifier. An explicit wire may be jittery and lossy, but must
-        // retransmit: on a silently lossy wire the dejitter cursor would
-        // wait forever on a dropped sequence number.
+        // retransmit, which `validate` checked above.
         let wire = spec.wire.unwrap_or_else(TransportParams::lsl);
-        if wire.loss_prob > 0.0 && !wire.retransmit {
-            return Err(ServeError::BadRequest(
-                "streaming sessions need a reliable wire: lossy transports must retransmit".into(),
-            ));
-        }
         // Seeded per subject so concurrent sessions see independent (but
         // reproducible) networks.
         let mut transport = Transport::new(wire, spec.subject_seed ^ 0x0057_EA11);
@@ -313,7 +282,6 @@ impl StreamSession {
             head: InferenceHead::new(spec.ensemble, controller),
             pool,
             label_every: spec.config.label_every,
-            channel_capacity: channel_capacity.max(1),
             elapsed_samples: 0,
             latency: LatencyReport::default(),
             poisoned: false,
@@ -374,18 +342,19 @@ impl StreamSession {
         self.filter.inlet.out_of_order()
     }
 
-    /// Runs the two-stage pipeline for `seconds` of simulated time,
-    /// returning this segment's trace. On a pool with ≥ 2 threads the
-    /// stages run concurrently over the bounded channel; on a 1-thread
-    /// pool the filter stage calls the inference step directly at each
-    /// label boundary (same order, same outputs, O(1) window memory).
+    /// Runs the session for `seconds` of simulated time, returning this
+    /// segment's trace. The filter stage calls the inference head inline
+    /// at each label boundary, so windows are classified in order, one at
+    /// a time, from one reused buffer.
     ///
     /// # Errors
     ///
-    /// Propagates board, wire and actuation failures from either stage;
-    /// rejects non-positive durations. A failed segment **poisons** the
-    /// session (the board advanced past the recorded trace), so further
-    /// `run_for` calls return an error instead of desynchronized labels.
+    /// Propagates board, wire and actuation failures, and turns a panic
+    /// (say, from a custom ensemble member) into
+    /// [`ServeError::Panicked`]; rejects non-positive durations. A failed
+    /// segment **poisons** the session (the board advanced past the
+    /// recorded trace), so further `run_for` calls return an error instead
+    /// of desynchronized labels.
     pub fn run_for(&mut self, seconds: f64) -> Result<SessionTrace> {
         let mut trace = SessionTrace::default();
         self.run_into(seconds, &mut trace)?;
@@ -410,79 +379,32 @@ impl StreamSession {
             ));
         }
         let total = (seconds * SAMPLE_RATE) as usize;
-        let start_elapsed = self.elapsed_samples;
-        let label_every = self.label_every;
-        let pool = Arc::clone(&self.pool);
-        trace
-            .labels
-            .reserve(total.div_ceil(label_every.max(1)));
-        trace.joints.reserve(total.div_ceil(label_every.max(1)));
+        let labels = total.div_ceil(self.label_every);
+        trace.labels.reserve(labels);
+        trace.joints.reserve(labels);
 
         let filter = &mut self.filter;
         let head = &mut self.head;
+        let pool = &self.pool;
         let latency = &mut self.latency;
         let flat_buf = &mut self.flat_buf;
-
-        let result = if pool.threads() > 1 {
-            let (tx, rx) = mpsc::sync_channel::<WindowMsg>(self.channel_capacity);
-            let inner_pool = Arc::clone(&pool);
-            let (filter_out, infer_out) = pool.join(
-                move || {
-                    let mut sink = |t: f64, chunk_samples: usize, window: &SlidingWindow| {
-                        tx.send(WindowMsg {
-                            t,
-                            chunk_samples,
-                            flat: window.flat(),
-                        })
-                        .map_err(|_| ServeError::StageDisconnected)
-                    };
-                    filter.run_segment(total, label_every, start_elapsed, &mut sink)
-                    // `tx` drops with the sink here, hanging up the channel
-                    // so the inference stage finishes its loop.
-                },
-                move || -> Result<SessionTrace> {
-                    let mut trace = SessionTrace::default();
-                    while let Ok(msg) = rx.recv() {
-                        head.step(
-                            &msg.flat,
-                            &inner_pool,
-                            msg.t,
-                            msg.chunk_samples,
-                            &mut trace,
-                            latency,
-                        )?;
-                    }
-                    Ok(trace)
-                },
-            );
-            match (filter_out, infer_out) {
-                (Ok(()), Ok(stage_trace)) => Ok(Some(stage_trace)),
-                // An inference-stage error beats the hangup the filter
-                // stage observed when the receiver dropped mid-segment.
-                (_, Err(e)) => Err(e),
-                (Err(e), Ok(_)) => Err(e),
-            }
-        } else {
-            // Sequential: the filter stage drives the inference step
-            // inline at each label boundary — identical order and outputs,
-            // without buffering a segment's worth of windows, flattening
-            // into one reused buffer.
-            let mut sink = |t: f64, chunk_samples: usize, window: &SlidingWindow| -> Result<()> {
-                window.flat_into(flat_buf);
-                head.step(flat_buf, &pool, t, chunk_samples, trace, latency)?;
-                Ok(())
-            };
-            filter
-                .run_segment(total, label_every, start_elapsed, &mut sink)
-                .map(|()| None)
+        let mut on_window = |t: f64, period: usize, window: &SlidingWindow| -> Result<()> {
+            window.flat_into(flat_buf);
+            head.step(flat_buf, pool, t, period, trace, latency)?;
+            Ok(())
         };
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            filter.run_segment(
+                total,
+                self.label_every,
+                self.elapsed_samples,
+                &mut on_window,
+            )
+        }))
+        .unwrap_or_else(|payload| Err(ServeError::Panicked(panic_message(payload))));
 
         match result {
-            Ok(stage_trace) => {
-                if let Some(stage_trace) = stage_trace {
-                    trace.labels.extend(stage_trace.labels);
-                    trace.joints.extend(stage_trace.joints);
-                }
+            Ok(()) => {
                 self.elapsed_samples += total as u64;
                 Ok(())
             }

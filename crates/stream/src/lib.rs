@@ -7,10 +7,10 @@
 //! transports with configurable latency, jitter and loss, which is exactly
 //! the level at which Fig. 4's comparison lives:
 //!
-//! * [`transport::LslTransport`] — reliable and ordered (lost packets are
+//! * [`TransportParams::lsl`](transport::TransportParams::lsl) — reliable and ordered (lost packets are
 //!   retransmitted at a latency cost), every sample carries a source
 //!   timestamp, and the inlet runs LSL-style clock-offset correction.
-//! * [`transport::UdpTransport`] — fire-and-forget: lower per-packet
+//! * [`TransportParams::udp`](transport::TransportParams::udp) — fire-and-forget: lower per-packet
 //!   overhead and base latency, but losses are silent, ordering is not
 //!   guaranteed and there are no timestamps to synchronize with.
 //! * [`compare`] — measures the five axes of Fig. 4 (latency, sync quality,

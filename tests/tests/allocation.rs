@@ -133,8 +133,7 @@ fn monolithic_loop_is_allocation_free_once_warm() {
 #[test]
 fn label_tick_head_is_allocation_free_once_warm() {
     // The classify → actuate → record step in isolation — the exact code
-    // both the monolithic loop and the streaming inference stage run per
-    // label. Driven with alternating windows so the controller actually
+    // both the monolithic loop and the streaming session run per label. Driven with alternating windows so the controller actually
     // emits servo frames (the debounce streak builds and moves joints),
     // proving the command/decode buffers are warm too.
     let artifacts = quick_trained(21, 21);
@@ -302,7 +301,7 @@ fn full_streaming_tick_is_allocation_free_once_warm() {
         .with_normalization(artifacts.data.zscores[0].clone())
         .with_action(Action::Right);
     let mut session =
-        StreamSession::new(spec, Arc::new(ExecPool::new(1)), 4).expect("session assembles");
+        StreamSession::new(spec, Arc::new(ExecPool::new(1))).expect("session assembles");
 
     let mut trace = SessionTrace::default();
     trace.labels.reserve(4096);

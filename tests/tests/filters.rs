@@ -8,8 +8,8 @@
 //! any thread count and with SIMD dispatch forced off
 //! (`COGARM_NO_SIMD=1`). This suite locks that four ways:
 //!
-//! 1. golden label traces for the monolithic loop and the two-stage
-//!    streaming session, committed as fixtures *before* the engine swap
+//! 1. golden label traces for the monolithic loop and the streaming
+//!    session, committed as fixtures *before* the engine swap
 //!    (regenerate deliberately with `COGARM_REGEN_FIXTURES=1 cargo test
 //!    -q --test filters`);
 //! 2. a golden filtered-sample trace straight off the causal chain — the
@@ -99,14 +99,14 @@ fn mono_trace(threads: usize) -> SessionTrace {
     sys.run_for(2.0).expect("monolithic run")
 }
 
-/// The two-stage streaming session's label trace over `threads`.
+/// The streaming session's label trace over `threads`.
 fn stream_trace(threads: usize) -> SessionTrace {
     let artifacts = quick_trained(21, 21);
     let spec = SessionSpec::new(PipelineConfig::default(), artifacts.ensemble.clone(), 22)
         .with_normalization(artifacts.data.zscores[0].clone())
         .with_action(Action::Right);
     let mut session =
-        StreamSession::new(spec, Arc::new(ExecPool::new(threads)), 4).expect("session assembles");
+        StreamSession::new(spec, Arc::new(ExecPool::new(threads))).expect("session assembles");
     session.run_for(2.0).expect("streaming run")
 }
 

@@ -8,9 +8,10 @@
 //!    sequential single-session `CognitiveArm` runs — and bit-identical
 //!    across pool sizes (CI runs this suite at `COGARM_THREADS=1` and
 //!    `=4`).
-//! 2. **Streaming is invisible.** The two-stage streaming pipeline (wire →
-//!    dejitter → filter stage ∥ inference stage over a bounded channel)
-//!    reproduces the monolithic batch loop's label trace exactly.
+//! 2. **Streaming is invisible.** A streaming session (wire → dejitter →
+//!    filter stage → inline classify and actuate) reproduces the
+//!    monolithic batch loop's label trace exactly, alone or beside batch
+//!    sessions in one fan-out.
 //! 3. **Parallel training is invisible.** `train_default_ensemble` fans
 //!    its members out on the pool; a 1-thread pool and a 4-thread pool
 //!    must train bit-identical ensembles.
@@ -25,7 +26,7 @@ use exec::ExecPool;
 use integration_tests::{quick_data, quick_trained};
 use ml::ensemble::{Classifier, Ensemble, Member, Voting};
 use ml::models::CLASSES;
-use serve::{Scheduling, SessionManager, SessionSpec, StreamSession};
+use serve::{ServeError, SessionManager, SessionSpec, StreamSession};
 use stream::transport::TransportParams;
 
 /// Subject seeds for the concurrent-session fleet. All sessions share one
@@ -88,10 +89,14 @@ fn sequential_reference(seconds: f64) -> Vec<SessionTrace> {
         .collect()
 }
 
-fn manager_traces(threads: usize, streaming: bool, seconds: f64) -> Vec<SessionTrace> {
+/// Whether the fleet's session `i` is admitted as a streaming session
+/// (`true`) or a batch session.
+type Roster = fn(usize) -> bool;
+
+fn manager_traces(threads: usize, streams: Roster, seconds: f64) -> Vec<SessionTrace> {
     let mut manager = SessionManager::new(Arc::new(ExecPool::new(threads)));
-    for &subject in &SUBJECTS {
-        if streaming {
+    for (i, &subject) in SUBJECTS.iter().enumerate() {
+        if streams(i) {
             manager
                 .add_streaming_session(spec_for(subject))
                 .expect("admit streaming session");
@@ -110,7 +115,7 @@ fn concurrent_batch_sessions_match_sequential_runs_bitwise() {
         "reference produced no labels"
     );
     for threads in [1, 4] {
-        let concurrent = manager_traces(threads, false, 2.0);
+        let concurrent = manager_traces(threads, |_| false, 2.0);
         for (i, (a, b)) in reference.iter().zip(&concurrent).enumerate() {
             assert_identical(&format!("batch threads={threads} session={i}"), a, b);
         }
@@ -119,13 +124,18 @@ fn concurrent_batch_sessions_match_sequential_runs_bitwise() {
 
 #[test]
 fn streaming_sessions_match_the_monolithic_loop_bitwise() {
-    // The strongest equivalence in the serving layer: wire transport,
-    // dejitter, and the stage split must all be label-invisible.
+    // The strongest equivalence in the serving layer: wire transport and
+    // dejitter must be label-invisible, for a streaming-only fleet and for
+    // a roster that alternates batch and streaming admissions, so both
+    // session shapes share one fan-out.
     let reference = sequential_reference(2.0);
-    for threads in [1, 4] {
-        let streamed = manager_traces(threads, true, 2.0);
-        for (i, (a, b)) in reference.iter().zip(&streamed).enumerate() {
-            assert_identical(&format!("streaming threads={threads} session={i}"), a, b);
+    let rosters: [(&str, Roster); 2] = [("streaming", |_| true), ("mixed", |i| i % 2 == 1)];
+    for (roster, streams) in rosters {
+        for threads in [1, 4] {
+            let served = manager_traces(threads, streams, 2.0);
+            for (i, (a, b)) in reference.iter().zip(&served).enumerate() {
+                assert_identical(&format!("{roster} threads={threads} session={i}"), a, b);
+            }
         }
     }
 }
@@ -176,45 +186,6 @@ fn sixteen_session_micro_batch_matches_sequential_bitwise() {
 }
 
 #[test]
-fn ready_set_scheduler_matches_barrier_scheduler_bitwise() {
-    // The ready-set scheduler pipelines each tick's batched ensemble call
-    // with the next tick's filter advances; per-session traces must be
-    // bit-identical to the barrier scheduler's at 1 and 4 threads (and to
-    // the solo reference, transitively via the barrier suite above).
-    let artifacts = quick_trained(21, 21);
-    let subjects: Vec<u64> = (70..82).collect();
-    let run = |threads: usize, scheduling: Scheduling| -> Vec<SessionTrace> {
-        let mut manager = SessionManager::new(Arc::new(ExecPool::new(threads)));
-        manager.set_scheduling(scheduling);
-        for &subject in &subjects {
-            let spec = SessionSpec::new(
-                PipelineConfig::default(),
-                artifacts.ensemble.clone(),
-                subject,
-            )
-            .with_normalization(artifacts.data.zscores[0].clone())
-            .with_action(Action::Right);
-            manager.add_session(spec).expect("admit");
-        }
-        manager.run_for(2.0).expect("fleet runs")
-    };
-    let barrier = run(1, Scheduling::Barrier);
-    assert!(barrier.iter().all(|t| !t.labels.is_empty()));
-    for threads in [1, 4] {
-        let ready = run(threads, Scheduling::ReadySet);
-        for (i, (a, b)) in barrier.iter().zip(&ready).enumerate() {
-            assert_identical(&format!("ready-set threads={threads} session={i}"), a, b);
-        }
-    }
-    // Barrier itself is thread-invariant too (so the two schedulers are
-    // interchangeable at any pool size).
-    let barrier4 = run(4, Scheduling::Barrier);
-    for (i, (a, b)) in barrier.iter().zip(&barrier4).enumerate() {
-        assert_identical(&format!("barrier threads=4 session={i}"), a, b);
-    }
-}
-
-#[test]
 fn adversarial_wire_streaming_matches_the_monolithic_loop_bitwise() {
     // Burst jitter far above the sample cadence, 5% loss with
     // retransmission, heavy reordering: the pooled wire must deliver a
@@ -235,7 +206,7 @@ fn adversarial_wire_streaming_matches_the_monolithic_loop_bitwise() {
         for (i, &subject) in SUBJECTS.iter().enumerate() {
             let spec = spec_for(subject).with_wire(adversarial);
             let mut session =
-                StreamSession::new(spec, Arc::clone(&pool), 4).expect("session assembles");
+                StreamSession::new(spec, Arc::clone(&pool)).expect("session assembles");
             let trace = session.run_for(3.0).expect("adversarial run");
             assert_identical(
                 &format!("adversarial threads={threads} session={i}"),
@@ -525,6 +496,91 @@ fn a_nan_vote_stays_in_its_own_session() {
     }
 }
 
+/// A member that panics on every window.
+#[derive(Clone)]
+struct Panics {
+    window: usize,
+}
+
+impl Classifier for Panics {
+    fn predict_proba_window(&self, _: &[f32], _: usize, _: usize) -> Vec<f32> {
+        panic!("member exploded");
+    }
+
+    fn window(&self) -> usize {
+        self.window
+    }
+
+    fn name(&self) -> String {
+        "panics".into()
+    }
+
+    fn param_count(&self) -> usize {
+        0
+    }
+
+    fn clone_box(&self) -> Box<dyn Classifier> {
+        Box::new(self.clone())
+    }
+}
+
+#[test]
+fn a_panicking_member_poisons_only_its_own_sessions() {
+    // A batch session and a streaming session whose only member panics,
+    // beside a healthy batch session. The call must return, both faulty
+    // sessions must fail with the panic's message and stay poisoned, and
+    // the healthy session must keep serving its solo trace. Segments are
+    // whole label periods (1.024 s = 128 samples), so two segments line up
+    // with one continuous solo run.
+    let artifacts = quick_trained(21, 21);
+    let solo = &sequential_reference(2.048)[0];
+    let panicking = Ensemble::new(
+        vec![Member::Custom(Box::new(Panics {
+            window: artifacts.ensemble.window(),
+        }))],
+        Voting::Soft,
+    );
+    let faulty = |subject: u64| {
+        SessionSpec::new(PipelineConfig::default(), panicking.clone(), subject)
+            .with_normalization(artifacts.data.zscores[0].clone())
+            .with_action(Action::Right)
+    };
+    for threads in [1usize, 4] {
+        let mut manager = SessionManager::new(Arc::new(ExecPool::new(threads)));
+        let batch = manager.add_session(faulty(98)).expect("admit");
+        let streaming = manager.add_streaming_session(faulty(99)).expect("admit");
+        let healthy = manager.add_session(spec_for(SUBJECTS[0])).expect("admit");
+
+        let first = manager.run_for_each(1.024).expect("the call returns");
+        for (i, id) in [batch, streaming].into_iter().enumerate() {
+            assert!(
+                matches!(&first[i], Err(ServeError::Panicked(msg)) if msg == "member exploded"),
+                "threads={threads} session={i}: {:?}",
+                first[i].as_ref().err()
+            );
+            assert!(manager.is_poisoned(id).expect("known id"));
+        }
+        assert!(!manager.is_poisoned(healthy).expect("known id"));
+
+        let second = manager
+            .run_for_each(1.024)
+            .expect("the second call returns");
+        assert!(
+            second[0].is_err() && second[1].is_err(),
+            "poisoned sessions stay out"
+        );
+        let mut joined = first[2].as_ref().expect("healthy session").clone();
+        let tail = second[2].as_ref().expect("healthy session still serves");
+        joined.labels.extend(tail.labels.iter().copied());
+        joined.joints.extend(tail.joints.iter().copied());
+        assert_identical(
+            &format!("beside a panicking member threads={threads}"),
+            solo,
+            &joined,
+        );
+    }
+}
+
 #[test]
 fn streaming_sessions_report_stage_latency() {
     let artifacts = quick_trained(21, 21);
@@ -535,7 +591,7 @@ fn streaming_sessions_report_stage_latency() {
     )
     .with_normalization(artifacts.data.zscores[0].clone());
     let mut session =
-        StreamSession::new(spec, Arc::new(ExecPool::new(2)), 4).expect("session assembles");
+        StreamSession::new(spec, Arc::new(ExecPool::new(2))).expect("session assembles");
     let trace = session.run_for(2.0).expect("runs");
     let lat = session.latency();
     assert_eq!(lat.inference.count as usize, trace.labels.len());
@@ -558,7 +614,7 @@ fn streaming_wire_reordering_is_label_invisible() {
     )
     .with_normalization(artifacts.data.zscores[0].clone());
     let mut session =
-        StreamSession::new(spec, Arc::new(ExecPool::new(2)), 4).expect("session assembles");
+        StreamSession::new(spec, Arc::new(ExecPool::new(2))).expect("session assembles");
     let trace = session.run_for(4.0).expect("runs");
     assert!(!trace.labels.is_empty());
     assert!(
