@@ -2,9 +2,10 @@
 //! over one persistent-worker pool, timed at 1/2/4/8 worker threads.
 //!
 //! Two shapes are measured — batch sessions (`SessionManager::add_session`,
-//! one micro-batch group whose tick makes one batched ensemble call) and
-//! streaming sessions (`add_streaming_session`, each a pool work item that
-//! classifies inline at every label boundary) — plus an explicit
+//! read straight off the board) and streaming sessions
+//! (`add_streaming_session`, read through the wire and dejitter); either
+//! fleet is one micro-batch group whose tick advances every member and
+//! makes one batched ensemble call per label period — plus an explicit
 //! **sessions/sec** figure per thread count: how many simulated
 //! session-seconds the engine advances per wall-clock second, divided by
 //! the segment length. Outputs are bit-identical at every thread count

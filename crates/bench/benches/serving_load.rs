@@ -8,7 +8,8 @@
 //! The fleet is the deployment shape: one shared trained artifact,
 //! `COGARM_LOAD_SESSIONS` (default 64) micro-batched sessions plus a
 //! squad of streaming sessions whose wire is adversarial (burst jitter
-//! above the sample cadence, 5% loss with retransmission). Every
+//! above the sample cadence, 5% loss with retransmission); both shapes
+//! join one micro-batch group and share its batched ensemble call. Every
 //! measured tick advances the whole fleet one label period; every cycle
 //! also disconnects the oldest session and admits a fresh subject in its
 //! place, so `COGARM_LOAD_CYCLES` (default 2000) cycles exercise

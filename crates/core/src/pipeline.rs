@@ -69,7 +69,7 @@ pub struct StageStats {
 
 impl StageStats {
     /// Folds one invocation's duration into the stats (public so the
-    /// serving engine's filter stage accounts with the same machinery).
+    /// serving engine's sessions account with the same machinery).
     pub fn record(&mut self, seconds: f64) {
         self.count += 1;
         self.sum_s += seconds;
@@ -127,7 +127,7 @@ pub struct SessionTrace {
 
 /// Per-channel sliding window of the most recent filtered samples — the
 /// classifier's input buffer, shared by the monolithic loop and the
-/// serving engine's filter stage so the two can never drift.
+/// serving engine's sessions so the two can never drift.
 #[derive(Debug, Clone)]
 pub struct SlidingWindow {
     rows: Vec<VecDeque<f32>>,
@@ -177,8 +177,8 @@ impl SlidingWindow {
     }
 
     /// Appends the channel-major window values to `out` without clearing
-    /// it — how the serving micro-batcher stacks many sessions' windows
-    /// into one contiguous batch buffer.
+    /// it — how a serving session copies out each window that comes due,
+    /// back to back, for its group's batched call.
     pub fn append_to(&self, out: &mut Vec<f32>) {
         for row in &self.rows {
             out.extend(row.iter().copied());
@@ -189,8 +189,8 @@ impl SlidingWindow {
 /// The classify → actuate → record half of the label loop: ensemble
 /// inference on the pool, controller → MCU actuation, and the trace +
 /// latency bookkeeping. [`CognitiveArm::run_for`] and the serving
-/// engine's streaming sessions both run **this exact code**, which is what
-/// makes their traces bit-identical by construction.
+/// engine's sessions both run **this exact code**, which is what makes
+/// their traces bit-identical by construction.
 pub struct InferenceHead {
     ensemble: Ensemble,
     controller: Controller,
@@ -548,8 +548,9 @@ impl CognitiveArm {
     /// filtering and windowing — and reports whether the sliding window is
     /// full (i.e. a classification is due). The lockstep half of the label
     /// tick: [`CognitiveArm::run_into`] drives it followed by the head's
-    /// classify-actuate step, and the serving micro-batcher drives it for
-    /// many sessions before one batched ensemble call.
+    /// classify-actuate step, and a caller that classifies elsewhere (the
+    /// benchmark's traced serving driver) drives it with
+    /// [`CognitiveArm::append_window_to`] and [`CognitiveArm::apply_label_at`].
     ///
     /// # Errors
     ///
@@ -569,39 +570,19 @@ impl CognitiveArm {
         Ok(self.window.is_full())
     }
 
-    /// Appends the current channel-major window to `out` — how the
-    /// micro-batcher gathers due sessions into one contiguous batch
-    /// buffer. Values are exactly what the monolithic loop classifies.
+    /// Appends the current channel-major window to `out`, for a caller
+    /// that stacks many systems' windows into one batched ensemble call.
+    /// Values are exactly what the monolithic loop classifies.
     pub fn append_window_to(&self, out: &mut Vec<f32>) {
         self.window.append_to(out);
     }
 
-    /// Applies an externally classified label (the micro-batcher's entry:
-    /// the label must come from this session's ensemble over the window
-    /// this tick produced). Records `inference_seconds` — the batched
-    /// call's wall time, which is the latency this session observed — and
-    /// runs the same actuation + record code as the monolithic loop.
-    ///
-    /// # Errors
-    ///
-    /// Propagates actuation failures.
-    pub fn apply_label(
-        &mut self,
-        label: usize,
-        period_samples: usize,
-        inference_seconds: f64,
-        trace: &mut SessionTrace,
-    ) -> Result<usize> {
-        let t = self.elapsed_s();
-        self.apply_label_at(label, t, period_samples, inference_seconds, trace)
-    }
-
-    /// [`CognitiveArm::apply_label`] with the label's timestamp supplied by
-    /// the caller — for a caller that actuates a window after the
-    /// session's clock has moved on: it captures `elapsed_s()` when the
-    /// window came due and passes it here, so the trace records the time
-    /// the window *became due*, exactly what `apply_label` writes when it
-    /// actuates at once.
+    /// Applies a label classified outside this system: it must come from
+    /// this system's ensemble over the window that came due at simulated
+    /// time `t` (the caller captures `elapsed_s()` then, since it may
+    /// actuate after the clock has moved on). Records `inference_seconds`
+    /// — the wall time of the call that classified it — and runs the same
+    /// actuation + record code as the monolithic loop.
     ///
     /// # Errors
     ///

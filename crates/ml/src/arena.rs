@@ -188,9 +188,19 @@ impl<T: Clone> Clone for ArenaVec<T> {
 
 /// Value equality over the elements — an owned vector and a shared view
 /// with the same contents are equal (structural ensemble equality, which
-/// serving admission relies on, must not depend on storage).
+/// serving admission relies on, must not depend on storage). Two views of
+/// the same shared run (same pointer, same length) are equal without
+/// reading an element, so clones of one artifact compare in O(1); such
+/// views compare equal even when the run holds NaN.
 impl<T: PartialEq> PartialEq for ArenaVec<T> {
     fn eq(&self, other: &Self) -> bool {
+        if let (Repr::Shared { ptr: a, len: m, .. }, Repr::Shared { ptr: b, len: n, .. }) =
+            (&self.repr, &other.repr)
+        {
+            if a == b && m == n {
+                return true;
+            }
+        }
         self.as_slice() == other.as_slice()
     }
 }
@@ -286,5 +296,24 @@ mod tests {
         let owned: ArenaVec<f32> = vec![1.0, 2.0].into();
         let shared = ArenaVec::shared_copy(&[1.0f32, 2.0]);
         assert_eq!(owned, shared);
+    }
+
+    #[test]
+    fn a_shared_view_equals_its_clone_and_an_equal_owned_copy() {
+        let shared = ArenaVec::shared_copy(&[1.0f32, 2.0, 3.0]);
+        assert_eq!(shared, shared.clone());
+        let owned: ArenaVec<f32> = vec![1.0, 2.0, 3.0].into();
+        assert_eq!(shared, owned);
+        let changed: ArenaVec<f32> = vec![1.0, 2.5, 3.0].into();
+        assert_ne!(shared, changed);
+    }
+
+    #[test]
+    fn views_of_one_run_are_equal_even_over_nan() {
+        // The pointer short-cut: one buffer viewed twice is one value.
+        let shared = ArenaVec::shared_copy(&[f32::NAN, 1.0]);
+        assert_eq!(shared, shared.clone());
+        // A separate copy compares by value, where NaN is never equal.
+        assert_ne!(shared, ArenaVec::shared_copy(&[f32::NAN, 1.0]));
     }
 }

@@ -384,10 +384,12 @@ pub struct RandomForest {
 }
 
 /// Equality is the configuration and the fitted trees; the table is
-/// derived from them.
+/// derived from them. Clones share one compiled table, so they compare
+/// equal without reading a node.
 impl PartialEq for RandomForest {
     fn eq(&self, other: &Self) -> bool {
-        self.config == other.config && self.trees == other.trees
+        Arc::ptr_eq(&self.table, &other.table)
+            || (self.config == other.config && self.trees == other.trees)
     }
 }
 
@@ -880,6 +882,27 @@ mod tests {
         let clone = forest.clone();
         assert!(Arc::ptr_eq(&forest.table, &clone.table));
         assert_eq!(clone, forest);
+    }
+
+    #[test]
+    fn clones_compare_by_table_and_other_forests_by_value() {
+        let (xs, ys) = toy(60, 6);
+        let config = ForestConfig {
+            n_estimators: 4,
+            ..one_tree_config()
+        };
+        let forest = RandomForest::fit(config, &xs, &ys).unwrap();
+        assert_eq!(forest.clone(), forest);
+        // A separate fit from the same seed compiles its own table and
+        // still compares equal, by value.
+        let again = RandomForest::fit(config, &xs, &ys).unwrap();
+        assert!(!Arc::ptr_eq(&again.table, &forest.table));
+        assert_eq!(again, forest);
+        // A refit with another seed grows other trees.
+        let refit = RandomForest::fit(ForestConfig { seed: 1, ..config }, &xs, &ys).unwrap();
+        assert_ne!(refit, forest);
+        let other_trees = RandomForest::from_parts(config, refit.trees.clone()).unwrap();
+        assert_ne!(other_trees, forest);
     }
 
     #[test]

@@ -20,10 +20,10 @@ pub enum ServeError {
     UnknownArtifact(usize),
     /// A request the manager cannot honour as posed.
     BadRequest(String),
-    /// A session's work panicked, with the panic's message: a streaming
-    /// segment, or a micro-batch group's batched classify (which fails
-    /// every member due in that call). The session is poisoned; its
-    /// neighbours keep running.
+    /// A session's work panicked, with the panic's message: its advance
+    /// or actuation, a standalone session's segment, or a micro-batch
+    /// group's batched classify (which fails every member with a window in
+    /// that call). The session is poisoned; its neighbours keep running.
     Panicked(String),
 }
 

@@ -11,16 +11,18 @@
 //! * [`SessionManager`] — admits many sessions (each its own simulated
 //!   subject + trained ensemble, typically loaded from a `.cogm` artifact
 //!   via [`SessionSpec::from_saved`]) and advances them **concurrently**
-//!   over one shared persistent-worker [`exec::ExecPool`]. Batch sessions
-//!   that share an ensemble and label cadence form a micro-batch group
-//!   whose tick advances every member, classifies the due windows in one
-//!   batched ensemble call and actuates in admission order. Each group and
-//!   each streaming session is one work item; their inner parallel stages
-//!   nest on the same pool.
-//! * [`StreamSession`] — the streaming session: samples travel board →
+//!   over one shared persistent-worker [`exec::ExecPool`]. Sessions that
+//!   share an ensemble and label cadence — batch and streaming alike —
+//!   form a micro-batch group whose tick advances every member, classifies
+//!   the windows they captured in one batched ensemble call and actuates
+//!   in admission order. Each group is one work item; its inner parallel
+//!   stages nest on the same pool.
+//! * [`StreamSession`] — the one session type: samples travel board →
 //!   outlet → transport → inlet (the LSL wire role), are dejittered,
-//!   causally filtered and windowed by the *filter stage*, which calls the
-//!   inference head inline at each label boundary to classify and actuate.
+//!   causally filtered and windowed, and each window that comes due at a
+//!   label boundary is classified and actuated through the session's own
+//!   inference head. The manager's batch sessions are the same type read
+//!   straight off the board.
 //!
 //! Everything is deterministic: per-session state is seeded, pool results
 //! are index-ordered, and windows are classified in label order — so N

@@ -1,12 +1,12 @@
-//! The [`SessionManager`]: many concurrent `CognitiveArm` sessions
-//! multiplexed over one shared [`ExecPool`].
+//! The [`SessionManager`]: many concurrent sessions multiplexed over one
+//! shared [`ExecPool`], in micro-batch groups.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::Instant;
 
 use arm::controller::ControlMode;
-use cognitive_arm::pipeline::{CognitiveArm, PipelineConfig, SessionTrace};
+use cognitive_arm::pipeline::{PipelineConfig, SessionTrace};
 use cognitive_arm::preprocess::StreamingChain;
 use dsp::normalize::Zscore;
 use eeg::types::Action;
@@ -18,7 +18,7 @@ use model_io::{SavedModel, WeightImage};
 use stream::transport::TransportParams;
 
 use crate::error::panic_message;
-use crate::streaming::StreamSession;
+use crate::streaming::{StreamSession, POISONED};
 use crate::{Result, ServeError};
 
 /// Everything needed to admit one user session: the trained artifact plus
@@ -93,30 +93,52 @@ impl SessionSpec {
         self
     }
 
-    /// Rejects specs the pipeline constructors would panic on, so session
-    /// admission is a typed error instead of a crash.
+    /// Rejects specs the session would panic on, so admission is a typed
+    /// error instead of a crash.
     ///
     /// # Errors
     ///
     /// [`ServeError::BadRequest`] for an undesignable filter, a zero
-    /// `label_every`, or a silently lossy wire.
+    /// `label_every`, a normalization not fitted on [`CHANNELS`]
+    /// channels, a negative or NaN `safety.max_step`, or a silently lossy
+    /// wire.
     pub fn validate(&self) -> Result<()> {
+        self.checked_chain().map(drop)
+    }
+
+    /// Runs [`SessionSpec::validate`]'s checks and returns the filter chain
+    /// they designed, for the session constructor to take.
+    pub(crate) fn checked_chain(&self) -> Result<StreamingChain> {
+        let refuse = |msg: String| Err(ServeError::BadRequest(msg));
         if self.config.label_every == 0 {
-            return Err(ServeError::BadRequest(
-                "label_every must be positive".into(),
+            return refuse("label_every must be positive".into());
+        }
+        if let Some(z) = self
+            .normalization
+            .as_ref()
+            .filter(|z| z.channels() != CHANNELS)
+        {
+            return refuse(format!(
+                "normalization fitted on {} channels, the board streams {CHANNELS}",
+                z.channels()
             ));
         }
-        if let Some(wire) = &self.wire {
-            if wire.loss_prob > 0.0 && !wire.retransmit {
-                return Err(ServeError::BadRequest(
-                    "streaming sessions need a reliable wire: lossy transports must retransmit"
-                        .into(),
-                ));
-            }
+        let max_step = self.config.safety.max_step;
+        if max_step.is_nan() || max_step < 0.0 {
+            return refuse(format!(
+                "safety.max_step must be non-negative, got {max_step}"
+            ));
+        }
+        if self
+            .wire
+            .is_some_and(|w| w.loss_prob > 0.0 && !w.retransmit)
+        {
+            return refuse(
+                "streaming sessions need a reliable wire: lossy transports must retransmit".into(),
+            );
         }
         StreamingChain::new(&self.config.filter)
-            .map_err(|e| ServeError::BadRequest(format!("filter spec rejected: {e}")))?;
-        Ok(())
+            .map_err(|e| ServeError::BadRequest(format!("filter spec rejected: {e}")))
     }
 }
 
@@ -154,75 +176,13 @@ struct ArtifactEntry {
     model: SavedModel,
 }
 
-/// One managed session: either the monolithic batch loop or the streaming
-/// session behind its wire. Both shapes share the manager's pool. Boxed so
-/// the manager's session vector stays compact regardless of which shape a
-/// slot holds.
-enum ManagedSession {
-    Batch(Box<CognitiveArm>),
-    Streaming(Box<StreamSession>),
-}
-
-/// A managed session plus its health: a session whose segment failed
-/// partway has advanced past its recorded trace, so the manager refuses
-/// to run it again (the same poisoning rule `StreamSession` applies
-/// internally, enforced here for both shapes).
-struct Slot {
-    session: ManagedSession,
-    poisoned: bool,
-}
-
-const POISONED: &str = "session poisoned by an earlier mid-segment failure";
-
-impl Slot {
-    /// Advances a streaming session by one segment. Batch sessions never
-    /// run through here — they advance in lockstep via their
-    /// [`BatchGroup`].
-    fn run_streaming_for(&mut self, seconds: f64) -> Result<SessionTrace> {
-        if self.poisoned {
-            return Err(ServeError::BadRequest(POISONED.into()));
-        }
-        let out = match &mut self.session {
-            ManagedSession::Streaming(session) => session.run_for(seconds),
-            ManagedSession::Batch(_) => {
-                unreachable!("batch sessions run through their micro-batch group")
-            }
-        };
-        if out.is_err() {
-            self.poisoned = true;
-        }
-        out
-    }
-
-    fn batch_arm_mut(&mut self) -> &mut CognitiveArm {
-        match &mut self.session {
-            ManagedSession::Batch(arm) => arm,
-            ManagedSession::Streaming(_) => unreachable!("grouped slots are batch sessions"),
-        }
-    }
-
-    fn set_action(&mut self, action: Action) {
-        match &mut self.session {
-            ManagedSession::Batch(arm) => arm.set_subject_action(action),
-            ManagedSession::Streaming(session) => session.set_subject_action(action),
-        }
-    }
-
-    fn set_mode(&mut self, mode: ControlMode) {
-        match &mut self.session {
-            ManagedSession::Batch(arm) => arm.set_mode(mode),
-            ManagedSession::Streaming(session) => session.set_mode(mode),
-        }
-    }
-}
-
-/// A micro-batch group: batch sessions admitted with a structurally equal
-/// ensemble and label cadence. Each serving tick, every member advances
-/// one label period and the windows that come due are classified in **one
-/// batched ensemble call** on the shared scratch arena. The engine's
-/// stacked multi-window GEMMs are **row-count invariant**: window `i` of
-/// a batched call is bit-identical to classifying that window alone, so
-/// grouping is invisible in the traces.
+/// A micro-batch group: sessions admitted with a structurally equal
+/// ensemble and label cadence, batch and streaming alike. Each serving
+/// tick, every member advances one label period and the windows they
+/// captured are classified in **one batched ensemble call** on the shared
+/// scratch arena. The engine's stacked multi-window GEMMs are **row-count
+/// invariant**: window `i` of a batched call is bit-identical to
+/// classifying that window alone, so grouping is invisible in the traces.
 struct BatchGroup {
     /// One structural copy of the members' shared ensemble (admission
     /// compares against it; the batched call runs it).
@@ -231,12 +191,12 @@ struct BatchGroup {
     /// Slot indices in admission order.
     members: Vec<usize>,
     scratch: EnsembleScratch,
-    /// Gathered due windows, contiguous channel-major.
+    /// Gathered captured windows, contiguous channel-major.
     windows: Vec<f32>,
     /// Batched combined probabilities.
     probas: Vec<f32>,
-    /// Member positions (indices into `members`) due this tick.
-    due: Vec<usize>,
+    /// (member position, captured window) of each gathered window.
+    due: Vec<(usize, usize)>,
 }
 
 impl BatchGroup {
@@ -259,63 +219,57 @@ impl BatchGroup {
         self.label_every == label_every && self.ensemble == *ensemble
     }
 
-    /// Advances this group's member slots (passed pre-split from the
-    /// session vector, in admission order) by `seconds`. Each tick advances
-    /// every member one label period in parallel, gathers the windows that
-    /// came due, classifies them in one batched ensemble call, and
-    /// actuates in admission order. Returns `(slot index, segment result)`
-    /// per member; failing members are poisoned and drop out of the
-    /// remaining ticks. A panic in the batched call cannot be traced to
-    /// one window, so it poisons every member due in that call.
+    /// Advances this group's member sessions (passed pre-split from the
+    /// session vector, in admission order) by `seconds`: the serving tick.
+    /// Each label period, every member advances in parallel, the windows
+    /// they captured are classified in one batched ensemble call, and
+    /// each window is actuated in admission order (in capture order
+    /// within a member). Returns `(slot index, segment result)` per
+    /// member. A member whose advance or actuation fails or panics is
+    /// poisoned alone and skips the rest of the segment; a panic in the
+    /// batched call cannot be traced to one window, so it poisons every
+    /// member with a window in that call.
     fn run(
         &mut self,
-        members: &mut [(usize, &mut Slot)],
+        members: &mut [(usize, &mut StreamSession)],
         pool: &ExecPool,
         seconds: f64,
     ) -> Vec<(usize, Result<SessionTrace>)> {
         let total = (seconds * SAMPLE_RATE) as usize;
-        let step = self.label_every;
         let mut traces: Vec<SessionTrace> =
             members.iter().map(|_| SessionTrace::default()).collect();
         let mut errors: Vec<Option<ServeError>> = members
             .iter()
-            .map(|(_, slot)| {
-                slot.poisoned
-                    .then(|| ServeError::BadRequest(POISONED.into()))
-            })
+            .map(|(_, s)| s.poisoned.then(|| ServeError::BadRequest(POISONED.into())))
             .collect();
 
         let mut done = 0usize;
         while done < total {
-            let n = step.min(total - done);
+            let n = self.label_every.min(total - done);
             done += n;
-            // Filter phase: live members advance independently in parallel
-            // (ordered results, so failures land deterministically).
-            let advanced = pool.par_map_mut(members, |(_, slot)| {
-                (!slot.poisoned).then(|| slot.batch_arm_mut().advance_period(n))
+            let last = done == total;
+            // Advance phase: live members in parallel, results in order.
+            let advanced = pool.par_map_mut(members, |(_, s)| {
+                (!s.poisoned).then(|| s.guard(|s| s.advance(n, last)))
             });
-            self.due.clear();
+            // Gather phase, in admission order.
             self.windows.clear();
+            self.due.clear();
             for (mi, outcome) in advanced.into_iter().enumerate() {
                 match outcome {
-                    Some(Ok(true)) => {
-                        members[mi]
-                            .1
-                            .batch_arm_mut()
-                            .append_window_to(&mut self.windows);
-                        self.due.push(mi);
+                    Some(Ok(())) => {
+                        let (windows, count) = members[mi].1.captured();
+                        self.windows.extend_from_slice(windows);
+                        self.due.extend((0..count).map(|j| (mi, j)));
                     }
-                    Some(Ok(false)) | None => {}
-                    Some(Err(e)) => {
-                        members[mi].1.poisoned = true;
-                        errors[mi] = Some(e.into());
-                    }
+                    Some(Err(e)) => errors[mi] = Some(e),
+                    None => {}
                 }
             }
             if self.due.is_empty() {
                 continue;
             }
-            // Inference phase: one batched call for every due window.
+            // Inference phase: one batched call for every gathered window.
             let k = self.due.len();
             self.probas.clear();
             self.probas.resize(k * CLASSES, 0.0);
@@ -332,20 +286,24 @@ impl BatchGroup {
             }))
             .map_err(panic_message);
             let inference_s = t1.elapsed().as_secs_f64();
-            // Actuation phase, in admission order.
-            for (j, &mi) in self.due.iter().enumerate() {
-                let slot = &mut *members[mi].1;
+            // Actuation phase, in gather order; a member whose window
+            // failed is poisoned and skips its later ones.
+            for (w, &(mi, j)) in self.due.iter().enumerate() {
+                let session = &mut *members[mi].1;
+                if session.poisoned {
+                    continue;
+                }
                 let outcome = match &classified {
                     Ok(()) => {
-                        let label = argmax(&self.probas[j * CLASSES..(j + 1) * CLASSES]);
-                        slot.batch_arm_mut()
-                            .apply_label(label, n, inference_s, &mut traces[mi])
-                            .map_err(ServeError::from)
+                        let label = argmax(&self.probas[w * CLASSES..(w + 1) * CLASSES]);
+                        session.guard(|s| s.actuate(j, label, inference_s, &mut traces[mi]))
                     }
-                    Err(msg) => Err(ServeError::Panicked(msg.clone())),
+                    Err(msg) => {
+                        session.poisoned = true;
+                        Err(ServeError::Panicked(msg.clone()))
+                    }
                 };
                 if let Err(e) = outcome {
-                    slot.poisoned = true;
                     errors[mi] = Some(e);
                 }
             }
@@ -354,40 +312,27 @@ impl BatchGroup {
             .iter()
             .zip(errors)
             .zip(traces)
-            .map(|((&(si, _), error), trace)| match error {
-                Some(e) => (si, Err(e)),
-                None => (si, Ok(trace)),
-            })
+            .map(|((&(si, _), error), trace)| (si, error.map_or(Ok(trace), Err)))
             .collect()
     }
-}
-
-/// One work item of a serving segment: a streaming session running its
-/// segment, or a whole micro-batch group running its lockstep ticks (with
-/// the group's member slots pre-split out of the session vector).
-enum Work<'a> {
-    Stream(usize, &'a mut Slot),
-    Group(&'a mut BatchGroup, Vec<(usize, &'a mut Slot)>),
 }
 
 /// Multiplexes many long-lived sessions over one shared [`ExecPool`].
 ///
 /// [`SessionManager::run_for`] advances **every** session by the same
-/// simulated duration, one pool work item per streaming session or
-/// micro-batch group; a work item's own parallel stages (filter advances,
-/// ensemble inference) nest on the same pool, which the persistent
-/// caller-participates pool design makes deadlock-free. Sessions are independent and results are collected in
+/// simulated duration, one pool work item per micro-batch group; a group's
+/// own parallel stages (member advances, ensemble inference) nest on the
+/// same pool, which the persistent caller-participates pool design makes
+/// deadlock-free. Sessions are independent and results are collected in
 /// session order, so a serving run is bit-identical to running each
 /// session alone, sequentially, at any thread count.
 pub struct SessionManager {
     pool: Arc<ExecPool>,
-    /// Admitted sessions by id; a removed session leaves a tombstone so
-    /// ids stay stable under churn (`None` slots cost one pointer-sized
-    /// entry and are skipped everywhere).
-    sessions: Vec<Option<Slot>>,
-    /// Micro-batch groups over the batch-shaped sessions (streaming
-    /// sessions classify inline, one window at a time, and are not
-    /// grouped).
+    /// Admitted sessions by id, boxed; a removed session leaves a
+    /// tombstone so ids stay stable under churn (`None` slots cost one
+    /// pointer-sized entry and are skipped everywhere).
+    sessions: Vec<Option<Box<StreamSession>>>,
+    /// Micro-batch groups; every live session belongs to exactly one.
     groups: Vec<BatchGroup>,
     /// Interned artifacts, keyed by weight-image content hash: one shared
     /// image per distinct artifact no matter how many times it is opened.
@@ -475,53 +420,45 @@ impl SessionManager {
     }
 
     /// Sizes of the micro-batch groups, in creation order — how many
-    /// batch sessions share one batched ensemble call per tick (streaming
-    /// sessions are not grouped and do not appear).
+    /// sessions, batch and streaming alike, share one batched ensemble
+    /// call per tick. The sizes sum to [`SessionManager::len`].
     #[must_use]
     pub fn group_sizes(&self) -> Vec<usize> {
         self.groups.iter().map(|g| g.members.len()).collect()
     }
 
-    /// Admits a batch session (the monolithic `CognitiveArm` loop) on the
-    /// manager's pool. Sessions admitted with a structurally equal
-    /// ensemble and label cadence join one **micro-batch group**: windows
-    /// that come due on the same serving tick are classified in a single
-    /// batched ensemble call (label-invisible: the batched kernels are
-    /// row-count invariant).
+    /// Admits a batch session (the monolithic loop, read straight off the
+    /// board) on the manager's pool. Sessions admitted with a structurally
+    /// equal ensemble and label cadence join one **micro-batch group**:
+    /// windows that come due on the same serving tick are classified in a
+    /// single batched ensemble call (label-invisible: the batched kernels
+    /// are row-count invariant).
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadRequest`] for an invalid spec.
+    /// [`ServeError::BadRequest`] for a spec [`SessionSpec::validate`]
+    /// refuses.
     pub fn add_session(&mut self, spec: SessionSpec) -> Result<SessionId> {
-        spec.validate()?;
-        let slot_index = self.sessions.len();
+        self.admit(spec, false)
+    }
+
+    fn admit(&mut self, spec: SessionSpec, streaming: bool) -> Result<SessionId> {
+        let chain = spec.checked_chain()?;
+        let slot = self.sessions.len();
+        let label_every = spec.config.label_every;
         match self
             .groups
             .iter_mut()
-            .find(|g| g.admits(&spec.ensemble, spec.config.label_every))
+            .find(|g| g.admits(&spec.ensemble, label_every))
         {
-            Some(group) => group.members.push(slot_index),
-            None => self.groups.push(BatchGroup::new(
-                spec.ensemble.clone(),
-                spec.config.label_every,
-                slot_index,
-            )),
+            Some(group) => group.members.push(slot),
+            None => self
+                .groups
+                .push(BatchGroup::new(spec.ensemble.clone(), label_every, slot)),
         }
-        let mut arm = CognitiveArm::with_pool(
-            spec.config,
-            spec.ensemble,
-            spec.subject_seed,
-            Arc::clone(&self.pool),
-        );
-        if let Some(z) = spec.normalization {
-            arm.set_normalization(z);
-        }
-        arm.set_subject_action(spec.action);
-        self.sessions.push(Some(Slot {
-            session: ManagedSession::Batch(Box::new(arm)),
-            poisoned: false,
-        }));
-        Ok(SessionId(slot_index))
+        let session = StreamSession::build(spec, chain, streaming, Arc::clone(&self.pool));
+        self.sessions.push(Some(Box::new(session)));
+        Ok(SessionId(slot))
     }
 
     /// Interns the artifact at `path` as one shared [`WeightImage`]:
@@ -589,7 +526,7 @@ impl SessionManager {
     /// the artifact's decoded model, whose weight tensors share the
     /// [`WeightImage`] (refcount bumps, no weight copies), and every
     /// session of one artifact lands in the same micro-batch group
-    /// (clones are structurally equal).
+    /// (clones compare equal without reading a weight).
     ///
     /// # Errors
     ///
@@ -608,20 +545,17 @@ impl SessionManager {
         self.add_session(spec)
     }
 
-    /// Admits a streaming session (wire → dejitter → filter stage, which
-    /// classifies and actuates inline at each label boundary) on the
-    /// manager's pool.
+    /// Admits a streaming session (wire → dejitter → filter → window) on
+    /// the manager's pool. It joins a micro-batch group by the same rule
+    /// as [`SessionManager::add_session`], so its windows share the
+    /// group's batched call with batch sessions of the same model.
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadRequest`] for an invalid spec.
+    /// [`ServeError::BadRequest`] for a spec [`SessionSpec::validate`]
+    /// refuses.
     pub fn add_streaming_session(&mut self, spec: SessionSpec) -> Result<SessionId> {
-        let session = StreamSession::new(spec, Arc::clone(&self.pool))?;
-        self.sessions.push(Some(Slot {
-            session: ManagedSession::Streaming(Box::new(session)),
-            poisoned: false,
-        }));
-        Ok(SessionId(self.sessions.len() - 1))
+        self.admit(spec, true)
     }
 
     /// Changes one subject's mental task.
@@ -630,7 +564,7 @@ impl SessionManager {
     ///
     /// [`ServeError::UnknownSession`] for a foreign id.
     pub fn set_action(&mut self, id: SessionId, action: Action) -> Result<()> {
-        self.session_mut(id)?.set_action(action);
+        self.session_mut(id)?.set_subject_action(action);
         Ok(())
     }
 
@@ -644,10 +578,10 @@ impl SessionManager {
         Ok(())
     }
 
-    fn session_mut(&mut self, id: SessionId) -> Result<&mut Slot> {
+    fn session_mut(&mut self, id: SessionId) -> Result<&mut StreamSession> {
         self.sessions
             .get_mut(id.0)
-            .and_then(Option::as_mut)
+            .and_then(Option::as_deref_mut)
             .ok_or(ServeError::UnknownSession(id.0))
     }
 
@@ -661,23 +595,22 @@ impl SessionManager {
         self.sessions
             .get(id.0)
             .and_then(Option::as_ref)
-            .map(|slot| slot.poisoned)
+            .map(|session| session.poisoned)
             .ok_or(ServeError::UnknownSession(id.0))
     }
 
     /// Advances every live session by `seconds` of simulated time,
     /// returning each session's segment result in admission order (one
     /// entry per live session; [`SessionManager::session_ids`] gives the
-    /// matching ids). Streaming sessions run as parallel work items; batch
-    /// sessions run through their micro-batch groups, each tick's due
-    /// windows classified in **one batched ensemble call** (filter stages
-    /// advance in parallel; the batched call itself fans
-    /// `members × windows` across the pool). Everything stays
+    /// matching ids). The micro-batch groups run as parallel work items;
+    /// each tick of a group advances its members in parallel and
+    /// classifies their captured windows in **one batched ensemble call**,
+    /// which fans `members × windows` across the pool. Everything stays
     /// bit-identical to running each session alone, sequentially, at any
     /// thread count. A failing session is **poisoned** (it will not run
     /// again) but never takes its neighbours' traces with it; a panic in a
-    /// streaming segment or a group's batched classify is caught there and
-    /// reported as [`ServeError::Panicked`].
+    /// member's advance or actuation, or in a group's batched classify, is
+    /// caught there and reported as [`ServeError::Panicked`].
     ///
     /// # Errors
     ///
@@ -697,51 +630,31 @@ impl SessionManager {
             ..
         } = self;
 
-        // Route every live slot to its micro-batch group or the streaming
-        // set (one pass of mutable borrows, so groups and streaming
-        // sessions can then run as *concurrent* pool work items — no
-        // shape waits on the other).
-        let mut slot_group: Vec<Option<usize>> = vec![None; sessions.len()];
+        // Split the live sessions into their groups' member lists (one
+        // pass of mutable borrows, so the groups run as concurrent pool
+        // work items). Every live session is in exactly one group.
+        let mut slot_group = vec![usize::MAX; sessions.len()];
         for (gi, group) in groups.iter().enumerate() {
             for &si in &group.members {
-                slot_group[si] = Some(gi);
+                slot_group[si] = gi;
             }
         }
-        let mut buckets: Vec<Vec<(usize, &mut Slot)>> =
-            groups.iter().map(|_| Vec::new()).collect();
-        let mut work: Vec<Work<'_>> = Vec::new();
-        for (i, slot) in sessions.iter_mut().enumerate() {
-            let Some(slot) = slot.as_mut() else { continue };
-            match slot_group[i] {
-                Some(gi) => buckets[gi].push((i, slot)),
-                None => work.push(Work::Stream(i, slot)),
+        let mut work: Vec<(&mut BatchGroup, Vec<(usize, &mut StreamSession)>)> =
+            groups.iter_mut().map(|g| (g, Vec::new())).collect();
+        for (si, session) in sessions.iter_mut().enumerate() {
+            if let Some(session) = session.as_deref_mut() {
+                work[slot_group[si]].1.push((si, session));
             }
         }
-        for (group, bucket) in groups.iter_mut().zip(buckets) {
-            work.push(Work::Group(group, bucket));
-        }
-
-        // One fan-out: each streaming session and each micro-batch group
-        // is a work item; a group's inner phases (parallel filter advance,
-        // the batched ensemble call) nest on the same pool, which the
-        // caller-participates design keeps deadlock-free.
-        let outcomes = pool.par_map_mut(&mut work, |item| match item {
-            Work::Stream(i, slot) => vec![(*i, slot.run_streaming_for(seconds))],
-            Work::Group(group, slots) => group.run(slots, pool, seconds),
+        let outcomes = pool.par_map_mut(&mut work, |(group, members)| {
+            group.run(members, pool, seconds)
         });
 
         let mut results: Vec<Option<Result<SessionTrace>>> =
             (0..sessions.len()).map(|_| None).collect();
-        let mut filled = 0usize;
         for (si, result) in outcomes.into_iter().flatten() {
             results[si] = Some(result);
-            filled += 1;
         }
-        debug_assert_eq!(
-            filled,
-            sessions.iter().filter(|s| s.is_some()).count(),
-            "every live session belongs to a group or the streaming set"
-        );
         Ok(results.into_iter().flatten().collect())
     }
 

@@ -9,9 +9,9 @@
 //!    across pool sizes (CI runs this suite at `COGARM_THREADS=1` and
 //!    `=4`).
 //! 2. **Streaming is invisible.** A streaming session (wire → dejitter →
-//!    filter stage → inline classify and actuate) reproduces the
-//!    monolithic batch loop's label trace exactly, alone or beside batch
-//!    sessions in one fan-out.
+//!    filter → window → classify and actuate) reproduces the monolithic
+//!    batch loop's label trace exactly, alone or in a micro-batch group
+//!    beside batch sessions.
 //! 3. **Parallel training is invisible.** `train_default_ensemble` fans
 //!    its members out on the pool; a 1-thread pool and a 4-thread pool
 //!    must train bit-identical ensembles.
@@ -104,6 +104,12 @@ fn manager_traces(threads: usize, streams: Roster, seconds: f64) -> Vec<SessionT
             manager.add_session(spec_for(subject)).expect("admit session");
         }
     }
+    // Both shapes join one group and share its batched call.
+    assert_eq!(
+        manager.group_sizes(),
+        vec![SUBJECTS.len()],
+        "threads={threads}"
+    );
     manager.run_for(seconds).expect("manager run")
 }
 
@@ -127,7 +133,7 @@ fn streaming_sessions_match_the_monolithic_loop_bitwise() {
     // The strongest equivalence in the serving layer: wire transport and
     // dejitter must be label-invisible, for a streaming-only fleet and for
     // a roster that alternates batch and streaming admissions, so both
-    // session shapes share one fan-out.
+    // session shapes share one micro-batch group.
     let reference = sequential_reference(2.0);
     let rosters: [(&str, Roster); 2] = [("streaming", |_| true), ("mixed", |i| i % 2 == 1)];
     for (roster, streams) in rosters {
@@ -191,7 +197,9 @@ fn adversarial_wire_streaming_matches_the_monolithic_loop_bitwise() {
     // retransmission, heavy reordering: the pooled wire must deliver a
     // label trace bit-identical to the wire-free monolithic loop (the
     // allocating reference path), because the dejitter ring restores
-    // sequence order no matter how packets arrive.
+    // sequence order no matter how packets arrive. Served together through
+    // a manager, a window whose boundary sample arrives a period late
+    // joins a later batched call, and the traces must not notice.
     let adversarial = TransportParams {
         base_latency: 0.004,
         jitter: 0.050, // > 6 sample periods of reorder
@@ -216,6 +224,19 @@ fn adversarial_wire_streaming_matches_the_monolithic_loop_bitwise() {
             assert!(
                 session.out_of_order() > 0,
                 "wire never reordered — the adversarial path went untested"
+            );
+        }
+        let mut manager = SessionManager::new(Arc::clone(&pool));
+        for &subject in &SUBJECTS {
+            let spec = spec_for(subject).with_wire(adversarial);
+            manager.add_streaming_session(spec).expect("admit");
+        }
+        let served = manager.run_for(3.0).expect("adversarial fleet");
+        for (i, (a, b)) in reference.iter().zip(&served).enumerate() {
+            assert_identical(
+                &format!("adversarial fleet threads={threads} session={i}"),
+                a,
+                b,
             );
         }
     }
@@ -293,18 +314,22 @@ fn session_churn_keeps_survivors_bitwise_identical() {
             );
         }
 
-        // Reconnects are fresh sessions with fresh ids.
-        let re = manager.add_session(spec_for(22)).expect("re-admit");
+        // Reconnects are fresh sessions with fresh ids, and a streaming
+        // reconnect joins the survivors' group.
+        let re = manager
+            .add_streaming_session(spec_for(22))
+            .expect("re-admit");
         assert_ne!(re, ids[1]);
         assert_eq!(manager.len(), 4);
+        assert_eq!(manager.group_sizes(), vec![4]);
     }
 }
 
 #[test]
 fn mixed_artifacts_form_separate_groups_and_stay_bitwise_correct() {
     // Two different trained ensembles: admission must separate them into
-    // two groups (a batched call can only run one model), and every trace
-    // must still match its solo reference.
+    // two groups (a batched call can only run one model) whichever the
+    // session shape, and every trace must still match its solo reference.
     let a = quick_trained(21, 21);
     let b = quick_trained(22, 22);
     let sessions: Vec<(u64, &std::sync::Arc<integration_tests::QuickArtifacts>)> =
@@ -334,7 +359,11 @@ fn mixed_artifacts_form_separate_groups_and_stay_bitwise_correct() {
         )
         .with_normalization(artifacts.data.zscores[0].clone())
         .with_action(Action::Left);
-        manager.add_session(spec).expect("admit");
+        if subject < 63 {
+            manager.add_session(spec).expect("admit");
+        } else {
+            manager.add_streaming_session(spec).expect("admit");
+        }
     }
     assert_eq!(manager.group_sizes(), vec![3, 2], "grouping by artifact");
     let batched = manager.run_for(1.5).expect("mixed run");
@@ -399,9 +428,46 @@ fn manager_rejects_degenerate_requests() {
     let id = manager.add_session(spec_for(21)).expect("admit");
     assert!(manager.run_for(0.0).is_err(), "zero duration must refuse");
     assert!(manager.set_action(id, Action::Idle).is_ok());
-    let mut bad = spec_for(21);
-    bad.config.label_every = 0;
-    assert!(manager.add_session(bad).is_err(), "bad spec must refuse");
+    let mut zero_cadence = spec_for(21);
+    zero_cadence.config.label_every = 0;
+    // A normalization fitted on too few channels would index past its
+    // statistics in the filter; a negative rate limit would panic in the
+    // safety gate's clamp, and a NaN one would switch the limit off.
+    let narrow = spec_for(21).with_normalization(
+        dsp::normalize::Zscore::from_parts(vec![0.0; 4], vec![1.0; 4]).expect("valid stats"),
+    );
+    let mut negative_step = spec_for(21);
+    negative_step.config.safety.max_step = -1.0;
+    let mut nan_step = spec_for(21);
+    nan_step.config.safety.max_step = f64::NAN;
+    for (name, bad) in [
+        ("zero label_every", zero_cadence),
+        ("4-channel normalization", narrow),
+        ("negative max_step", negative_step),
+        ("NaN max_step", nan_step),
+    ] {
+        assert!(bad.validate().is_err(), "{name}: validate must refuse");
+        assert!(
+            matches!(
+                manager.add_session(bad.clone()),
+                Err(ServeError::BadRequest(_))
+            ),
+            "{name}: batch admission must refuse"
+        );
+        assert!(
+            matches!(
+                manager.add_streaming_session(bad),
+                Err(ServeError::BadRequest(_))
+            ),
+            "{name}: streaming admission must refuse"
+        );
+    }
+    assert_eq!(manager.len(), 1, "refused specs leave no session");
+    assert_eq!(
+        manager.group_sizes(),
+        vec![1],
+        "refused specs leave no group"
+    );
 }
 
 #[test]
@@ -527,11 +593,13 @@ impl Classifier for Panics {
 #[test]
 fn a_panicking_member_poisons_only_its_own_sessions() {
     // A batch session and a streaming session whose only member panics,
-    // beside a healthy batch session. The call must return, both faulty
-    // sessions must fail with the panic's message and stay poisoned, and
-    // the healthy session must keep serving its solo trace. Segments are
-    // whole label periods (1.024 s = 128 samples), so two segments line up
-    // with one continuous solo run.
+    // beside a healthy batch session, plus a streaming session in the
+    // healthy session's group whose wire panics in its first advance (a
+    // loss probability of 2 trips the transport's RNG). The call must
+    // return, the faulty sessions must fail with their panics and stay
+    // poisoned, and the healthy session must keep serving its solo trace.
+    // Segments are whole label periods (1.024 s = 128 samples), so two
+    // segments line up with one continuous solo run.
     let artifacts = quick_trained(21, 21);
     let solo = &sequential_reference(2.048)[0];
     let panicking = Ensemble::new(
@@ -545,11 +613,17 @@ fn a_panicking_member_poisons_only_its_own_sessions() {
             .with_normalization(artifacts.data.zscores[0].clone())
             .with_action(Action::Right)
     };
+    let mut broken_wire = TransportParams::lsl();
+    broken_wire.loss_prob = 2.0;
     for threads in [1usize, 4] {
         let mut manager = SessionManager::new(Arc::new(ExecPool::new(threads)));
         let batch = manager.add_session(faulty(98)).expect("admit");
         let streaming = manager.add_streaming_session(faulty(99)).expect("admit");
         let healthy = manager.add_session(spec_for(SUBJECTS[0])).expect("admit");
+        let wire = manager
+            .add_streaming_session(spec_for(SUBJECTS[1]).with_wire(broken_wire))
+            .expect("admit");
+        assert_eq!(manager.group_sizes(), vec![1, 1, 2]);
 
         let first = manager.run_for_each(1.024).expect("the call returns");
         for (i, id) in [batch, streaming].into_iter().enumerate() {
@@ -560,13 +634,19 @@ fn a_panicking_member_poisons_only_its_own_sessions() {
             );
             assert!(manager.is_poisoned(id).expect("known id"));
         }
+        assert!(
+            matches!(&first[3], Err(ServeError::Panicked(_))),
+            "threads={threads}: {:?}",
+            first[3].as_ref().err()
+        );
+        assert!(manager.is_poisoned(wire).expect("known id"));
         assert!(!manager.is_poisoned(healthy).expect("known id"));
 
         let second = manager
             .run_for_each(1.024)
             .expect("the second call returns");
         assert!(
-            second[0].is_err() && second[1].is_err(),
+            second[0].is_err() && second[1].is_err() && second[3].is_err(),
             "poisoned sessions stay out"
         );
         let mut joined = first[2].as_ref().expect("healthy session").clone();
