@@ -13,8 +13,9 @@
 //! measured tick advances the whole fleet one label period; every cycle
 //! also disconnects the oldest session and admits a fresh subject in its
 //! place, so `COGARM_LOAD_CYCLES` (default 2000) cycles exercise
-//! thousands of connect/disconnect transitions through the tombstoned
-//! slot table and group recomposition. Determinism is not measured here
+//! thousands of connect/disconnect transitions through group
+//! recomposition (a leaving session is removed from the group that owns
+//! it and leaves nothing behind). Determinism is not measured here
 //! — `tests/tests/serving.rs` proves churn and the adversarial wire are
 //! bit-invisible; this bench prices them.
 //!

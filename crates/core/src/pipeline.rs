@@ -519,11 +519,13 @@ impl CognitiveArm {
     ///
     /// # Errors
     ///
-    /// Propagates board and actuation failures; rejects non-positive
-    /// durations.
+    /// Propagates board and actuation failures; rejects a duration that is
+    /// not finite and positive.
     pub fn run_into(&mut self, seconds: f64, trace: &mut SessionTrace) -> Result<()> {
-        if seconds <= 0.0 {
-            return Err(CoreError::BadConfig("non-positive run duration".into()));
+        if !seconds.is_finite() || seconds <= 0.0 {
+            return Err(CoreError::BadConfig(
+                "run duration must be finite and positive".into(),
+            ));
         }
         let total = (seconds * SAMPLE_RATE) as usize;
         let step = self.config.label_every;
@@ -696,10 +698,12 @@ mod tests {
     #[test]
     fn zero_duration_is_rejected() {
         let mut sys = quick_system();
-        assert!(matches!(
-            sys.run_for(0.0),
-            Err(CoreError::BadConfig(_))
-        ));
+        for seconds in [0.0, f64::NAN, f64::INFINITY] {
+            assert!(
+                matches!(sys.run_for(seconds), Err(CoreError::BadConfig(_))),
+                "{seconds} s must be refused"
+            );
+        }
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //!   via [`SessionSpec::from_saved`]) and advances them **concurrently**
 //!   over one shared persistent-worker [`exec::ExecPool`]. Sessions that
 //!   share an ensemble and label cadence — batch and streaming alike —
-//!   form a micro-batch group whose tick advances every member, classifies
-//!   the windows they captured in one batched ensemble call and actuates
-//!   in admission order. Each group is one work item; its inner parallel
-//!   stages nest on the same pool.
+//!   form a micro-batch group that owns them and whose tick advances every
+//!   member, classifies the windows they captured in one batched ensemble
+//!   call and actuates in admission order. Each group is one work item;
+//!   its inner parallel stages nest on the same pool. A removed session
+//!   leaves its group and nothing behind, so churn never grows the tick.
 //! * [`StreamSession`] — the one session type: samples travel board →
 //!   outlet → transport → inlet (the LSL wire role), are dejittered,
 //!   causally filtered and windowed, and each window that comes due at a

@@ -1,5 +1,5 @@
 //! The [`SessionManager`]: many concurrent sessions multiplexed over one
-//! shared [`ExecPool`], in micro-batch groups.
+//! shared [`ExecPool`], in micro-batch groups that own their sessions.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
@@ -100,8 +100,9 @@ impl SessionSpec {
     ///
     /// [`ServeError::BadRequest`] for an undesignable filter, a zero
     /// `label_every`, a normalization not fitted on [`CHANNELS`]
-    /// channels, a negative or NaN `safety.max_step`, or a silently lossy
-    /// wire.
+    /// channels, a negative or NaN `safety.max_step`, a wire whose
+    /// `loss_prob` lies outside `[0, 1]` or whose `base_latency` or
+    /// `jitter` is negative or not finite, or a silently lossy wire.
     pub fn validate(&self) -> Result<()> {
         self.checked_chain().map(drop)
     }
@@ -129,13 +130,21 @@ impl SessionSpec {
                 "safety.max_step must be non-negative, got {max_step}"
             ));
         }
-        if self
-            .wire
-            .is_some_and(|w| w.loss_prob > 0.0 && !w.retransmit)
-        {
-            return refuse(
-                "streaming sessions need a reliable wire: lossy transports must retransmit".into(),
-            );
+        if let Some(w) = self.wire {
+            if !(0.0..=1.0).contains(&w.loss_prob) {
+                return refuse(format!("wire loss_prob {} is not in [0, 1]", w.loss_prob));
+            }
+            for (name, value) in [("base_latency", w.base_latency), ("jitter", w.jitter)] {
+                if !value.is_finite() || value < 0.0 {
+                    return refuse(format!("wire {name} {value} is negative or not finite"));
+                }
+            }
+            if w.loss_prob > 0.0 && !w.retransmit {
+                return refuse(
+                    "streaming sessions need a reliable wire: lossy transports must retransmit"
+                        .into(),
+                );
+            }
         }
         StreamingChain::new(&self.config.filter)
             .map_err(|e| ServeError::BadRequest(format!("filter spec rejected: {e}")))
@@ -147,7 +156,8 @@ impl SessionSpec {
 pub struct SessionId(usize);
 
 impl SessionId {
-    /// The manager-local index.
+    /// The session's admission number in its manager: ids count up from 0
+    /// in admission order and are never reused.
     #[must_use]
     pub fn index(self) -> usize {
         self.0
@@ -188,8 +198,9 @@ struct BatchGroup {
     /// compares against it; the batched call runs it).
     ensemble: Ensemble,
     label_every: usize,
-    /// Slot indices in admission order.
-    members: Vec<usize>,
+    /// The member sessions with their ids, in admission order, so the ids
+    /// ascend.
+    members: Vec<(SessionId, Box<StreamSession>)>,
     scratch: EnsembleScratch,
     /// Gathered captured windows, contiguous channel-major.
     windows: Vec<f32>,
@@ -200,12 +211,12 @@ struct BatchGroup {
 }
 
 impl BatchGroup {
-    fn new(ensemble: Ensemble, label_every: usize, slot: usize) -> Self {
+    fn new(ensemble: Ensemble, label_every: usize) -> Self {
         let scratch = EnsembleScratch::new(&ensemble);
         Self {
             ensemble,
             label_every,
-            members: vec![slot],
+            members: Vec::new(),
             scratch,
             windows: Vec::new(),
             probas: Vec::new(),
@@ -219,28 +230,28 @@ impl BatchGroup {
         self.label_every == label_every && self.ensemble == *ensemble
     }
 
-    /// Advances this group's member sessions (passed pre-split from the
-    /// session vector, in admission order) by `seconds`: the serving tick.
-    /// Each label period, every member advances in parallel, the windows
-    /// they captured are classified in one batched ensemble call, and
-    /// each window is actuated in admission order (in capture order
-    /// within a member). Returns `(slot index, segment result)` per
-    /// member. A member whose advance or actuation fails or panics is
-    /// poisoned alone and skips the rest of the segment; a panic in the
-    /// batched call cannot be traced to one window, so it poisons every
-    /// member with a window in that call.
-    fn run(
-        &mut self,
-        members: &mut [(usize, &mut StreamSession)],
-        pool: &ExecPool,
-        seconds: f64,
-    ) -> Vec<(usize, Result<SessionTrace>)> {
+    /// Advances every member by `seconds`: the serving tick. Each label
+    /// period, every member advances in parallel, the windows they
+    /// captured are classified in one batched ensemble call, and each
+    /// window is actuated in admission order (in capture order within a
+    /// member). Returns `(id, segment result)` per member, in admission
+    /// order; a result is `Err` exactly when its member is poisoned. A
+    /// member whose advance or actuation fails or panics is poisoned alone
+    /// and skips the rest of the segment; a panic in the batched call
+    /// cannot be traced to one window, so it poisons every member with a
+    /// window in that call.
+    fn run(&mut self, pool: &ExecPool, seconds: f64) -> Vec<(SessionId, Result<SessionTrace>)> {
         let total = (seconds * SAMPLE_RATE) as usize;
-        let mut traces: Vec<SessionTrace> =
-            members.iter().map(|_| SessionTrace::default()).collect();
-        let mut errors: Vec<Option<ServeError>> = members
+        let mut results: Vec<Result<SessionTrace>> = self
+            .members
             .iter()
-            .map(|(_, s)| s.poisoned.then(|| ServeError::BadRequest(POISONED.into())))
+            .map(|(_, s)| {
+                if s.poisoned {
+                    Err(ServeError::BadRequest(POISONED.into()))
+                } else {
+                    Ok(SessionTrace::default())
+                }
+            })
             .collect();
 
         let mut done = 0usize;
@@ -249,7 +260,7 @@ impl BatchGroup {
             done += n;
             let last = done == total;
             // Advance phase: live members in parallel, results in order.
-            let advanced = pool.par_map_mut(members, |(_, s)| {
+            let advanced = pool.par_map_mut(&mut self.members, |(_, s)| {
                 (!s.poisoned).then(|| s.guard(|s| s.advance(n, last)))
             });
             // Gather phase, in admission order.
@@ -258,11 +269,11 @@ impl BatchGroup {
             for (mi, outcome) in advanced.into_iter().enumerate() {
                 match outcome {
                     Some(Ok(())) => {
-                        let (windows, count) = members[mi].1.captured();
+                        let (windows, count) = self.members[mi].1.captured();
                         self.windows.extend_from_slice(windows);
                         self.due.extend((0..count).map(|j| (mi, j)));
                     }
-                    Some(Err(e)) => errors[mi] = Some(e),
+                    Some(Err(e)) => results[mi] = Err(e),
                     None => {}
                 }
             }
@@ -289,14 +300,14 @@ impl BatchGroup {
             // Actuation phase, in gather order; a member whose window
             // failed is poisoned and skips its later ones.
             for (w, &(mi, j)) in self.due.iter().enumerate() {
-                let session = &mut *members[mi].1;
-                if session.poisoned {
+                let Ok(trace) = &mut results[mi] else {
                     continue;
-                }
+                };
+                let session = &mut *self.members[mi].1;
                 let outcome = match &classified {
                     Ok(()) => {
                         let label = argmax(&self.probas[w * CLASSES..(w + 1) * CLASSES]);
-                        session.guard(|s| s.actuate(j, label, inference_s, &mut traces[mi]))
+                        session.guard(|s| s.actuate(j, label, inference_s, trace))
                     }
                     Err(msg) => {
                         session.poisoned = true;
@@ -304,16 +315,12 @@ impl BatchGroup {
                     }
                 };
                 if let Err(e) = outcome {
-                    errors[mi] = Some(e);
+                    results[mi] = Err(e);
                 }
             }
         }
-        members
-            .iter()
-            .zip(errors)
-            .zip(traces)
-            .map(|((&(si, _), error), trace)| (si, error.map_or(Ok(trace), Err)))
-            .collect()
+        let ids = self.members.iter().map(|&(id, _)| id);
+        ids.zip(results).collect()
     }
 }
 
@@ -324,16 +331,14 @@ impl BatchGroup {
 /// own parallel stages (member advances, ensemble inference) nest on the
 /// same pool, which the persistent caller-participates pool design makes
 /// deadlock-free. Sessions are independent and results are collected in
-/// session order, so a serving run is bit-identical to running each
+/// admission order, so a serving run is bit-identical to running each
 /// session alone, sequentially, at any thread count.
 pub struct SessionManager {
     pool: Arc<ExecPool>,
-    /// Admitted sessions by id, boxed; a removed session leaves a
-    /// tombstone so ids stay stable under churn (`None` slots cost one
-    /// pointer-sized entry and are skipped everywhere).
-    sessions: Vec<Option<Box<StreamSession>>>,
-    /// Micro-batch groups; every live session belongs to exactly one.
+    /// Micro-batch groups, never empty; each owns its live sessions.
     groups: Vec<BatchGroup>,
+    /// Sessions admitted so far, the next session's id.
+    admitted: usize,
     /// Interned artifacts, keyed by weight-image content hash: one shared
     /// image per distinct artifact no matter how many times it is opened.
     artifacts: Vec<ArtifactEntry>,
@@ -354,8 +359,8 @@ impl SessionManager {
     pub fn new(pool: Arc<ExecPool>) -> Self {
         Self {
             pool,
-            sessions: Vec::new(),
             groups: Vec::new(),
+            admitted: 0,
             artifacts: Vec::new(),
         }
     }
@@ -376,46 +381,54 @@ impl SessionManager {
     /// Number of live (admitted and not removed) sessions.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.sessions.iter().filter(|s| s.is_some()).count()
+        self.groups.iter().map(|g| g.members.len()).sum()
     }
 
     /// Whether no live session remains.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.groups.is_empty()
     }
 
     /// The ids of every live session, in admission order — the order
     /// [`SessionManager::run_for_each`] reports results in.
     #[must_use]
     pub fn session_ids(&self) -> Vec<SessionId> {
-        self.sessions
+        let mut ids: Vec<SessionId> = self
+            .groups
             .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|_| SessionId(i)))
-            .collect()
+            .flat_map(|g| g.members.iter().map(|&(id, _)| id))
+            .collect();
+        ids.sort_unstable_by_key(|id| id.0);
+        ids
     }
 
-    /// Disconnects a session: its slot becomes a tombstone (ids of other
-    /// sessions are unaffected), it leaves its micro-batch group, and a
-    /// group left empty is dropped. The churn path — thousands of
-    /// connect/disconnect cycles leave nothing behind but the
-    /// pointer-sized tombstones.
+    /// The group holding session `id` and the session's position in it.
+    fn locate(&self, id: SessionId) -> Result<(usize, usize)> {
+        self.groups
+            .iter()
+            .enumerate()
+            .find_map(|(gi, g)| {
+                let found = g.members.binary_search_by_key(&id.0, |(m, _)| m.0);
+                found.ok().map(|pos| (gi, pos))
+            })
+            .ok_or(ServeError::UnknownSession(id.0))
+    }
+
+    /// Disconnects a session: it leaves its micro-batch group (ids of
+    /// other sessions are unaffected), and a group left empty is dropped.
+    /// The churn path — connect/disconnect cycles leave nothing behind.
     ///
     /// # Errors
     ///
     /// [`ServeError::UnknownSession`] for a foreign or already-removed id.
     pub fn remove_session(&mut self, id: SessionId) -> Result<()> {
-        match self.sessions.get_mut(id.0) {
-            Some(slot @ Some(_)) => {
-                *slot = None;
-            }
-            _ => return Err(ServeError::UnknownSession(id.0)),
+        let (gi, pos) = self.locate(id)?;
+        let group = &mut self.groups[gi];
+        group.members.remove(pos);
+        if group.members.is_empty() {
+            self.groups.remove(gi);
         }
-        for group in &mut self.groups {
-            group.members.retain(|&si| si != id.0);
-        }
-        self.groups.retain(|g| !g.members.is_empty());
         Ok(())
     }
 
@@ -444,21 +457,21 @@ impl SessionManager {
 
     fn admit(&mut self, spec: SessionSpec, streaming: bool) -> Result<SessionId> {
         let chain = spec.checked_chain()?;
-        let slot = self.sessions.len();
+        let id = SessionId(self.admitted);
+        self.admitted += 1;
         let label_every = spec.config.label_every;
-        match self
+        let gi = self
             .groups
-            .iter_mut()
-            .find(|g| g.admits(&spec.ensemble, label_every))
-        {
-            Some(group) => group.members.push(slot),
-            None => self
-                .groups
-                .push(BatchGroup::new(spec.ensemble.clone(), label_every, slot)),
-        }
+            .iter()
+            .position(|g| g.admits(&spec.ensemble, label_every))
+            .unwrap_or_else(|| {
+                self.groups
+                    .push(BatchGroup::new(spec.ensemble.clone(), label_every));
+                self.groups.len() - 1
+            });
         let session = StreamSession::build(spec, chain, streaming, Arc::clone(&self.pool));
-        self.sessions.push(Some(Box::new(session)));
-        Ok(SessionId(slot))
+        self.groups[gi].members.push((id, Box::new(session)));
+        Ok(id)
     }
 
     /// Interns the artifact at `path` as one shared [`WeightImage`]:
@@ -579,10 +592,8 @@ impl SessionManager {
     }
 
     fn session_mut(&mut self, id: SessionId) -> Result<&mut StreamSession> {
-        self.sessions
-            .get_mut(id.0)
-            .and_then(Option::as_deref_mut)
-            .ok_or(ServeError::UnknownSession(id.0))
+        let (gi, pos) = self.locate(id)?;
+        Ok(&mut self.groups[gi].members[pos].1)
     }
 
     /// Whether a session has been poisoned by a mid-segment failure (its
@@ -592,11 +603,8 @@ impl SessionManager {
     ///
     /// [`ServeError::UnknownSession`] for a foreign id.
     pub fn is_poisoned(&self, id: SessionId) -> Result<bool> {
-        self.sessions
-            .get(id.0)
-            .and_then(Option::as_ref)
-            .map(|session| session.poisoned)
-            .ok_or(ServeError::UnknownSession(id.0))
+        let (gi, pos) = self.locate(id)?;
+        Ok(self.groups[gi].members[pos].1.poisoned)
     }
 
     /// Advances every live session by `seconds` of simulated time,
@@ -614,48 +622,28 @@ impl SessionManager {
     ///
     /// # Errors
     ///
-    /// The outer `Err` only for an empty manager or a non-positive
-    /// duration; per-session failures are the inner results.
+    /// The outer `Err` only for an empty manager or a duration that is
+    /// not finite and positive; per-session failures are the inner
+    /// results.
     pub fn run_for_each(&mut self, seconds: f64) -> Result<Vec<Result<SessionTrace>>> {
         if self.is_empty() {
             return Err(ServeError::BadRequest("no sessions admitted".into()));
         }
-        if seconds <= 0.0 {
-            return Err(ServeError::BadRequest("non-positive run duration".into()));
+        if !seconds.is_finite() || seconds <= 0.0 {
+            return Err(ServeError::BadRequest(
+                "run duration must be finite and positive".into(),
+            ));
         }
-        let Self {
-            pool,
-            sessions,
-            groups,
-            ..
-        } = self;
-
-        // Split the live sessions into their groups' member lists (one
-        // pass of mutable borrows, so the groups run as concurrent pool
-        // work items). Every live session is in exactly one group.
-        let mut slot_group = vec![usize::MAX; sessions.len()];
-        for (gi, group) in groups.iter().enumerate() {
-            for &si in &group.members {
-                slot_group[si] = gi;
-            }
-        }
-        let mut work: Vec<(&mut BatchGroup, Vec<(usize, &mut StreamSession)>)> =
-            groups.iter_mut().map(|g| (g, Vec::new())).collect();
-        for (si, session) in sessions.iter_mut().enumerate() {
-            if let Some(session) = session.as_deref_mut() {
-                work[slot_group[si]].1.push((si, session));
-            }
-        }
-        let outcomes = pool.par_map_mut(&mut work, |(group, members)| {
-            group.run(members, pool, seconds)
-        });
-
-        let mut results: Vec<Option<Result<SessionTrace>>> =
-            (0..sessions.len()).map(|_| None).collect();
-        for (si, result) in outcomes.into_iter().flatten() {
-            results[si] = Some(result);
-        }
-        Ok(results.into_iter().flatten().collect())
+        let pool = &self.pool;
+        let mut results: Vec<_> = pool
+            .par_map_mut(&mut self.groups, |group| group.run(pool, seconds))
+            .into_iter()
+            .flatten()
+            .collect();
+        // Ids are admission numbers: sorting by id restores admission
+        // order across groups.
+        results.sort_unstable_by_key(|(id, _)| id.0);
+        Ok(results.into_iter().map(|(_, result)| result).collect())
     }
 
     /// [`SessionManager::run_for_each`] flattened to the all-success case:
@@ -669,5 +657,96 @@ impl SessionManager {
     /// failure.
     pub fn run_for(&mut self, seconds: f64) -> Result<Vec<SessionTrace>> {
         self.run_for_each(seconds)?.into_iter().collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ml::ensemble::{Classifier, Member, Voting};
+
+    /// Votes from the sign of the window's mean, so labels follow the
+    /// signal without a trained model.
+    #[derive(Clone)]
+    struct MeanSign;
+
+    impl Classifier for MeanSign {
+        fn predict_proba_window(&self, window: &[f32], _: usize, _: usize) -> Vec<f32> {
+            let mean = window.iter().sum::<f32>() / window.len() as f32;
+            let mut proba = vec![0.0; CLASSES];
+            proba[usize::from(mean > 0.0)] = 1.0;
+            proba
+        }
+
+        fn window(&self) -> usize {
+            32
+        }
+
+        fn name(&self) -> String {
+            "mean-sign".into()
+        }
+
+        fn param_count(&self) -> usize {
+            0
+        }
+
+        fn clone_box(&self) -> Box<dyn Classifier> {
+            Box::new(self.clone())
+        }
+    }
+
+    fn spec(subject_seed: u64) -> SessionSpec {
+        let ensemble = Ensemble::new(vec![Member::Custom(Box::new(MeanSign))], Voting::Soft);
+        SessionSpec::new(PipelineConfig::default(), ensemble, subject_seed)
+            .with_action(Action::Right)
+    }
+
+    #[test]
+    fn a_member_whose_advance_panics_is_poisoned_alone() {
+        // A loss probability of 2 trips the transport's RNG in the first
+        // advance. Admission refuses that wire, so the session is built
+        // past the checks and pushed straight into a healthy batch
+        // session's group. Segments are whole label periods (1.024 s =
+        // 128 samples), so two segments line up with one solo run.
+        let solo = {
+            let mut manager = SessionManager::new(Arc::new(ExecPool::new(1)));
+            manager.add_session(spec(21)).expect("admit");
+            manager.run_for(2.048).expect("solo run").remove(0)
+        };
+        assert!(!solo.labels.is_empty(), "the solo run labelled nothing");
+        let mut broken_wire = TransportParams::lsl();
+        broken_wire.loss_prob = 2.0;
+        for threads in [1usize, 4] {
+            let pool = Arc::new(ExecPool::new(threads));
+            let mut manager = SessionManager::new(Arc::clone(&pool));
+            let healthy = manager.add_session(spec(21)).expect("admit");
+            let spec = spec(22).with_wire(broken_wire);
+            assert!(spec.validate().is_err(), "admission refuses the wire");
+            let chain = StreamingChain::new(&spec.config.filter).expect("filter designs");
+            let broken = SessionId(manager.admitted);
+            manager.admitted += 1;
+            let session = StreamSession::build(spec, chain, true, pool);
+            manager.groups[0].members.push((broken, Box::new(session)));
+            assert_eq!(manager.group_sizes(), vec![2]);
+
+            let first = manager.run_for_each(1.024).expect("the call returns");
+            assert!(
+                matches!(&first[1], Err(ServeError::Panicked(_))),
+                "threads={threads}: {:?}",
+                first[1].as_ref().err()
+            );
+            assert!(manager.is_poisoned(broken).expect("known id"));
+            assert!(!manager.is_poisoned(healthy).expect("known id"));
+            let second = manager
+                .run_for_each(1.024)
+                .expect("the second call returns");
+            assert!(second[1].is_err(), "the poisoned session stays out");
+
+            let mut joined = first[0].as_ref().expect("healthy session").clone();
+            let tail = second[0].as_ref().expect("healthy session still serves");
+            joined.labels.extend_from_slice(&tail.labels);
+            joined.joints.extend_from_slice(&tail.joints);
+            assert_eq!(joined, solo, "threads={threads}: the healthy trace moved");
+        }
     }
 }

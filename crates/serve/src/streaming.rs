@@ -324,10 +324,10 @@ impl StreamSession {
     ///
     /// Propagates board, wire and actuation failures, and turns a panic
     /// (say, from a custom ensemble member) into
-    /// [`ServeError::Panicked`]; rejects non-positive durations. A failed
-    /// segment **poisons** the session (the board advanced past the
-    /// recorded trace), so further `run_for` calls return an error instead
-    /// of desynchronized labels.
+    /// [`ServeError::Panicked`]; rejects a duration that is not finite and
+    /// positive. A failed segment **poisons** the session (the board
+    /// advanced past the recorded trace), so further `run_for` calls
+    /// return an error instead of desynchronized labels.
     pub fn run_for(&mut self, seconds: f64) -> Result<SessionTrace> {
         let mut trace = SessionTrace::default();
         self.run_into(seconds, &mut trace)?;
@@ -342,8 +342,10 @@ impl StreamSession {
     ///
     /// As [`StreamSession::run_for`].
     pub fn run_into(&mut self, seconds: f64, trace: &mut SessionTrace) -> Result<()> {
-        if seconds <= 0.0 {
-            return Err(ServeError::BadRequest("non-positive run duration".into()));
+        if !seconds.is_finite() || seconds <= 0.0 {
+            return Err(ServeError::BadRequest(
+                "run duration must be finite and positive".into(),
+            ));
         }
         if self.poisoned {
             return Err(ServeError::BadRequest(POISONED.into()));

@@ -21,6 +21,11 @@
 //! board drain → pooled outlet push → transport → inlet pull → dejitter
 //! ring → filter → window → classify → actuate
 //! (`full_streaming_tick_is_allocation_free_once_warm` below).
+//!
+//! The allocator also counts the bytes each event asks for, so a test can
+//! hold a tick that does allocate to a fixed budget: a `SessionManager`
+//! tick allocates its result vectors, and churn must not grow them
+//! (`manager_tick_allocations_do_not_grow_with_churn` below).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -38,32 +43,39 @@ use integration_tests::{quick_data, quick_trained, window_forest, FOREST_WINDOW}
 use ml::ensemble::{Ensemble, EnsembleScratch, ForestClassifier, Member, Voting};
 use ml::forest::ForestConfig;
 use ml::models::CLASSES;
-use serve::{SessionSpec, StreamSession};
+use serve::{SessionManager, SessionSpec, StreamSession};
 use stream::clock::SimClock;
 use stream::inlet::{Inlet, ReceivedSample};
 use stream::transport::{Transport, TransportParams};
 
 /// Counts allocator entries (alloc/realloc/alloc_zeroed) on the current
-/// thread. `try_with` keeps TLS teardown safe.
+/// thread, and the bytes they ask for (a realloc counts its new size).
+/// `try_with` keeps TLS teardown safe.
 struct CountingAllocator;
 
 thread_local! {
     static ALLOC_EVENTS: Cell<u64> = const { Cell::new(0) };
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn bump() {
+fn bump(bytes: usize) {
     let _ = ALLOC_EVENTS.try_with(|c| c.set(c.get() + 1));
+    let _ = ALLOC_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 fn events() -> u64 {
     ALLOC_EVENTS.try_with(Cell::get).unwrap_or(0)
 }
 
-// SAFETY: delegates to `System`; the counter never allocates (const-init
-// thread-local `Cell`).
+fn bytes() -> u64 {
+    ALLOC_BYTES.try_with(Cell::get).unwrap_or(0)
+}
+
+// SAFETY: delegates to `System`; the counters never allocate (const-init
+// thread-local `Cell`s).
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -72,12 +84,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -91,6 +103,13 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
     let before = events();
     f();
     events() - before
+}
+
+/// Runs `f` and returns `(events, bytes)` it allocated on this thread.
+fn count_alloc_bytes(f: impl FnOnce()) -> (u64, u64) {
+    let (events_before, bytes_before) = (events(), bytes());
+    f();
+    (events() - events_before, bytes() - bytes_before)
 }
 
 #[test]
@@ -332,6 +351,48 @@ fn full_streaming_tick_is_allocation_free_once_warm() {
         "measured segment allocated fresh payload buffers"
     );
     assert!(reused > 0, "pool was never exercised");
+}
+
+#[test]
+fn manager_tick_allocations_do_not_grow_with_churn() {
+    // A manager tick allocates its per-session results, and nothing else
+    // may scale with the sessions served: a warm one-period tick of a
+    // batch and a streaming session asks for the same allocations after
+    // 500 connect/disconnect cycles of a third session as before them.
+    let artifacts = quick_trained(21, 21);
+    let spec = |subject: u64| {
+        SessionSpec::new(
+            PipelineConfig::default(),
+            artifacts.ensemble.clone(),
+            subject,
+        )
+        .with_normalization(artifacts.data.zscores[0].clone())
+        .with_action(Action::Right)
+    };
+    let mut manager = SessionManager::new(Arc::new(ExecPool::new(1)));
+    manager.add_session(spec(21)).expect("admit");
+    manager.add_streaming_session(spec(22)).expect("admit");
+    // Past window fill, so every measured tick labels both sessions.
+    manager.run_for(2.0).expect("warm-up runs");
+
+    let tick = |manager: &mut SessionManager| {
+        count_alloc_bytes(|| {
+            let results = manager.run_for_each(0.064).expect("tick runs");
+            assert!(
+                results
+                    .iter()
+                    .all(|r| r.as_ref().is_ok_and(|t| t.labels.len() == 1)),
+                "every session labels once per tick"
+            );
+        })
+    };
+    let before = tick(&mut manager);
+    for _ in 0..500 {
+        let id = manager.add_session(spec(23)).expect("admit");
+        manager.remove_session(id).expect("remove");
+    }
+    let after = tick(&mut manager);
+    assert_eq!(before, after, "(events, bytes) of one tick grew with churn");
 }
 
 #[test]
