@@ -14,9 +14,9 @@
 //! This is a standalone `harness = false` bench with its own **counting
 //! global allocator** (total bytes requested — the honest "what did
 //! admission allocate" number; freed scratch still had to be allocated).
-//! Results are hand-written to `BENCH_footprint.json` (the criterion
-//! shim's JSON is timing-shaped; these are byte counts), honoring
-//! `COGARM_BENCH_JSON_DIR` like the shim does.
+//! Its byte counts and timings go to `BENCH_footprint.json` through
+//! `criterion::write_values`, the shim's writer for results that are not
+//! criterion timings.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,48 +68,15 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// One reported metric: a byte count or a nanosecond timing.
-struct Metric {
-    name: String,
+fn record(
+    metrics: &mut Vec<(String, f64, &'static str)>,
+    name: impl Into<String>,
     value: f64,
     unit: &'static str,
-}
-
-fn record(metrics: &mut Vec<Metric>, name: impl Into<String>, value: f64, unit: &'static str) {
+) {
     let name = name.into();
     println!("footprint/{name:<28} {value:>14.0} {unit}");
-    metrics.push(Metric { name, value, unit });
-}
-
-/// Where `BENCH_footprint.json` lands: `COGARM_BENCH_JSON_DIR`, else the
-/// repository root (two levels above this crate's manifest).
-fn json_path() -> Option<std::path::PathBuf> {
-    if let Some(dir) = std::env::var_os("COGARM_BENCH_JSON_DIR") {
-        let dir = std::path::PathBuf::from(dir);
-        let _ = std::fs::create_dir_all(&dir);
-        return Some(dir.join("BENCH_footprint.json"));
-    }
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    root.join("Cargo.toml")
-        .exists()
-        .then(|| root.join("BENCH_footprint.json"))
-}
-
-fn write_json(metrics: &[Metric]) {
-    let Some(path) = json_path() else { return };
-    let mut out = String::from("{\n  \"group\": \"footprint\",\n  \"results\": [\n");
-    for (i, m) in metrics.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"value\": {:.1}, \"unit\": \"{}\"}}{}\n",
-            m.name,
-            m.value,
-            m.unit,
-            if i + 1 == metrics.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    let _ = std::fs::write(&path, out);
-    println!("wrote {}", path.display());
+    metrics.push((name, value, unit));
 }
 
 fn main() {
@@ -283,7 +250,7 @@ fn main() {
         }
     }
 
-    write_json(&metrics);
+    criterion::write_values("footprint", &metrics);
     let _ = std::fs::remove_dir_all(&dir);
     println!(
         "footprint acceptance: 128 shared sessions allocated fewer weight bytes \

@@ -6,22 +6,21 @@
 //! actuation lag).
 //!
 //! The fleet is the deployment shape: one shared trained artifact,
-//! `COGARM_LOAD_SESSIONS` (default 64) micro-batched sessions plus a
-//! squad of streaming sessions whose wire is adversarial (burst jitter
-//! above the sample cadence, 5% loss with retransmission); both shapes
-//! join one micro-batch group and share its batched ensemble call. Every
-//! measured tick advances the whole fleet one label period; every cycle
-//! also disconnects the oldest session and admits a fresh subject in its
-//! place, so `COGARM_LOAD_CYCLES` (default 2000) cycles exercise
-//! thousands of connect/disconnect transitions through group
+//! `FLEET` (64) micro-batched sessions plus a squad of streaming sessions
+//! whose wire is adversarial (burst jitter above the sample cadence, 5%
+//! loss with retransmission); both shapes join one micro-batch group and
+//! share its batched ensemble call. Every measured tick advances the whole
+//! fleet one label period; every cycle also disconnects the oldest session
+//! and admits a fresh subject in its place, so `CYCLES` (2000) cycles
+//! exercise thousands of connect/disconnect transitions through group
 //! recomposition (a leaving session is removed from the group that owns
 //! it and leaves nothing behind). Determinism is not measured here
 //! — `tests/tests/serving.rs` proves churn and the adversarial wire are
 //! bit-invisible; this bench prices them.
 //!
-//! Standalone `harness = false` bench; results are hand-written to
-//! `BENCH_serving-load.json` (sessions/sec and percentile tails are not
-//! criterion-shaped), honoring `COGARM_BENCH_JSON_DIR` like the shim.
+//! Standalone `harness = false` bench; its rates and percentile tails go
+//! to `BENCH_serving-load.json` through `criterion::write_values`, the
+//! shim's writer for results that are not criterion timings.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -39,8 +38,12 @@ use stream::transport::TransportParams;
 /// One scheduling quantum: 8 samples at 125 Hz — exactly one label period,
 /// the smallest segment the engine serves.
 const TICK_S: f64 = 0.064;
+/// Micro-batched sessions in the fleet.
+const FLEET: usize = 64;
 /// Streaming sessions riding the adversarial wire alongside the batch fleet.
 const STREAMING: usize = 8;
+/// Measured cycles: one fleet tick and one connect/disconnect each.
+const CYCLES: usize = 2000;
 
 /// Burst jitter far above the 8 ms sample cadence plus 5% loss with
 /// retransmission: heavy reordering every tick (the same wire
@@ -56,54 +59,15 @@ fn adversarial_wire() -> TransportParams {
     }
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-struct Metric {
-    name: String,
+fn record(
+    metrics: &mut Vec<(String, f64, &'static str)>,
+    name: impl Into<String>,
     value: f64,
     unit: &'static str,
-}
-
-fn record(metrics: &mut Vec<Metric>, name: impl Into<String>, value: f64, unit: &'static str) {
+) {
     let name = name.into();
     println!("serving-load/{name:<24} {value:>16.1} {unit}");
-    metrics.push(Metric { name, value, unit });
-}
-
-/// Where `BENCH_serving-load.json` lands: `COGARM_BENCH_JSON_DIR`, else
-/// the repository root (two levels above this crate's manifest).
-fn json_path() -> Option<std::path::PathBuf> {
-    if let Some(dir) = std::env::var_os("COGARM_BENCH_JSON_DIR") {
-        let dir = std::path::PathBuf::from(dir);
-        let _ = std::fs::create_dir_all(&dir);
-        return Some(dir.join("BENCH_serving-load.json"));
-    }
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    root.join("Cargo.toml")
-        .exists()
-        .then(|| root.join("BENCH_serving-load.json"))
-}
-
-fn write_json(metrics: &[Metric]) {
-    let Some(path) = json_path() else { return };
-    let mut out = String::from("{\n  \"group\": \"serving-load\",\n  \"results\": [\n");
-    for (i, m) in metrics.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"value\": {:.1}, \"unit\": \"{}\"}}{}\n",
-            m.name,
-            m.value,
-            m.unit,
-            if i + 1 == metrics.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    let _ = std::fs::write(&path, out);
-    println!("wrote {}", path.display());
+    metrics.push((name, value, unit));
 }
 
 fn percentile(sorted_ns: &[f64], p: f64) -> f64 {
@@ -121,8 +85,6 @@ fn spec(data: &PreparedData, ensemble: &Ensemble, subject: u64) -> SessionSpec {
 }
 
 fn main() {
-    let fleet = env_usize("COGARM_LOAD_SESSIONS", 64).max(1);
-    let cycles = env_usize("COGARM_LOAD_CYCLES", 2000).max(1);
     let threads = exec::shared().threads();
 
     // One shared trained artifact for the whole fleet.
@@ -135,7 +97,7 @@ fn main() {
     let mut manager = SessionManager::new(Arc::new(ExecPool::new(threads)));
     let mut roster: VecDeque<serve::SessionId> = VecDeque::new();
     let mut next_subject = 100u64;
-    for _ in 0..fleet {
+    for _ in 0..FLEET {
         roster.push_back(
             manager
                 .add_session(spec(&data, &ensemble, next_subject))
@@ -153,10 +115,10 @@ fn main() {
         );
         next_subject += 1;
     }
-    let live = fleet + STREAMING;
+    let live = FLEET + STREAMING;
     println!(
-        "serving-load: {live} sessions ({fleet} batched + {STREAMING} adversarial-wire \
-         streaming), {cycles} churn cycles, {threads} pool threads, {TICK_S} s ticks"
+        "serving-load: {live} sessions ({FLEET} batched + {STREAMING} adversarial-wire \
+         streaming), {CYCLES} churn cycles, {threads} pool threads, {TICK_S} s ticks"
     );
 
     // Warm-up: fill every window, grow packet pools and dejitter rings,
@@ -166,11 +128,11 @@ fn main() {
     // The measured loop. Each cycle: one fleet tick (timed), then one
     // connect/disconnect transition (timed separately — admission cost is
     // real but must not pollute the tick tail).
-    let mut tick_ns: Vec<f64> = Vec::with_capacity(cycles);
-    let mut churn_ns: Vec<f64> = Vec::with_capacity(cycles);
+    let mut tick_ns: Vec<f64> = Vec::with_capacity(CYCLES);
+    let mut churn_ns: Vec<f64> = Vec::with_capacity(CYCLES);
     let mut streaming_turn = false;
     let bench_t0 = Instant::now();
-    for _ in 0..cycles {
+    for _ in 0..CYCLES {
         let t0 = Instant::now();
         manager.run_for(TICK_S).expect("fleet tick runs");
         tick_ns.push(t0.elapsed().as_nanos() as f64);
@@ -198,13 +160,13 @@ fn main() {
     // simulated by the wall clock of the tick loop alone: how many
     // real-time sessions this host sustains at this thread count.
     let tick_wall_s: f64 = tick_ns.iter().sum::<f64>() / 1e9;
-    let sessions_per_sec = (live as f64 * TICK_S * cycles as f64) / tick_wall_s;
+    let sessions_per_sec = (live as f64 * TICK_S * CYCLES as f64) / tick_wall_s;
     tick_ns.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite ns"));
     churn_ns.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite ns"));
 
     let mut metrics = Vec::new();
     record(&mut metrics, "sessions", live as f64, "count");
-    record(&mut metrics, "churn_cycles", cycles as f64, "count");
+    record(&mut metrics, "churn_cycles", CYCLES as f64, "count");
     record(&mut metrics, "pool_threads", threads as f64, "count");
     record(&mut metrics, "sessions_per_sec", sessions_per_sec, "1/s");
     record(&mut metrics, "tick_p50_ns", percentile(&tick_ns, 0.50), "ns");
@@ -218,7 +180,7 @@ fn main() {
     record(&mut metrics, "churn_p50_ns", percentile(&churn_ns, 0.50), "ns");
     record(&mut metrics, "churn_p99_ns", percentile(&churn_ns, 0.99), "ns");
     record(&mut metrics, "bench_wall_s", bench_wall, "s");
-    write_json(&metrics);
+    criterion::write_values("serving-load", &metrics);
 
     // Acceptance floor: the engine must at least keep the fleet real-time
     // (each session needs one simulated second per wall second), and the

@@ -1,5 +1,5 @@
-//! Ablations called out in DESIGN.md §4 that are not already covered by a
-//! figure harness:
+//! Ablations of this reproduction's own design choices that no figure
+//! harness covers:
 //!
 //! 1. **Window size** (the 100–200-sample gene of Table III): accuracy and
 //!    inference cost of the CNN as the window grows.
@@ -19,7 +19,7 @@ use ml::optim::OptimizerKind;
 fn main() {
     let scale = Scale::from_env();
     let seed = 113;
-    println!("# Ablations (DESIGN.md §4)\n");
+    println!("# Ablations\n");
     let data = prepared_data(scale, seed);
     let budget = TrainBudget {
         epochs: 15,

@@ -1,7 +1,7 @@
 //! Fig. 11 — ensemble comparison: every two-model combination of the four
 //! family representatives, scored by accuracy and single-window inference
 //! time. Expected shape: CNN + Transformer gives the best trade-off.
-//! Includes the soft-vs-hard voting ablation from DESIGN.md §4.
+//! Includes a soft-vs-hard voting ablation on the CNN + Transformer pair.
 
 use bench::{
     classifier_latency_s, common_eval_set, eval_accuracy, family_genomes, header, prepared_data,

@@ -1,7 +1,7 @@
 //! Fig. 12 — test accuracy vs inference time under compression: pruning at
 //! {0, 30, 50, 70, 90}% with sparse CSR kernels, and 8-bit quantization in
 //! the paper-faithful global mode (point "A": fast but accuracy collapses)
-//! plus the calibrated ablation from DESIGN.md §4.
+//! plus an ablation with per-tensor calibrated int8 scales.
 //!
 //! Expected shape: 70% pruning keeps accuracy ≈ dense while trimming
 //! latency; global int8 is the fastest and the least accurate.

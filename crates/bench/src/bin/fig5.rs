@@ -2,8 +2,8 @@
 //!
 //! Prints the time series (decimated) and band-power summary showing the
 //! Butterworth band-pass + 50 Hz notch removing drift and line noise while
-//! preserving in-band rhythms; plus the causal-vs-zero-phase ablation from
-//! DESIGN.md §4.
+//! preserving in-band rhythms; plus a causal-vs-zero-phase ablation (the
+//! real-time loop cannot run `filtfilt`).
 
 use cognitive_arm::preprocess::{FilterSpec, OfflineChain};
 use dsp::butterworth::Butterworth;

@@ -1,37 +1,13 @@
 //! Shared scaffolding for the benchmark harness binaries.
 //!
-//! Every table/figure of the paper has one binary in `src/bin/` (see
-//! DESIGN.md §3 for the index). They all honour the `COGARM_SCALE`
-//! environment variable:
+//! Every table/figure of the paper has one binary in `src/bin/` named
+//! after it (`fig4`…`fig12`, `table2`), beside `ablation`, `realworld`
+//! and `summary`; README "Reproducing figures" shows how to run them.
+//! They all honour the `COGARM_SCALE` environment variable:
 //!
 //! * `quick` — seconds per harness; orderings hold, absolute numbers rough.
 //! * `default` — a few minutes per harness (what CI would run).
 //! * `full` — the closest to the paper's training regime; slow.
-//!
-//! # Bench baseline policy
-//!
-//! The criterion shim compares every micro-bench against a **pinned**
-//! per-machine baseline under `target/cogm-bench-baselines/` and reports
-//! the delta in `BENCH_<group>.json`. Pins are recorded on first run and
-//! then *never* silently overwritten, so deltas measure against a fixed
-//! reference. That also means pins go stale on purpose-made performance
-//! changes: after an engine-generation change (new kernels, a format
-//! migration, a bench rename), refresh them **once, deliberately** with
-//! `COGARM_BENCH_SET_BASELINE=1 cargo bench`, in the same PR that
-//! changed the performance — a delta against a pre-change pin (e.g. the
-//! +244% `sequential_16` reading from the pre-plan-v2 era) is noise, not
-//! signal. CI never touches pins (`COGARM_BENCH_NO_BASELINE=1`); they
-//! are a local-iteration tool.
-//!
-//! Regression log (investigate before re-pinning — deltas have causes):
-//!
-//! * `inference/cold_load_mmap` times the one load path:
-//!   `model_io::WeightImage` (mmap + one validation pass) and the slice
-//!   decoder every `Persist` type reads through.
-//! * `inference/batch_16` readings of −14%..+5% across back-to-back
-//!   quiet runs bracket the pin: scheduler noise on a shared 1-core
-//!   container, not a regression. Left pinned; judge it by the
-//!   multi-run spread, not one delta.
 
 use cognitive_arm::eval::{DatasetBuilder, PreparedData, TrainBudget};
 use eeg::dataset::Protocol;

@@ -125,6 +125,17 @@ pub struct SessionTrace {
     pub joints: Vec<(f64, f64, f64, f64)>,
 }
 
+/// The longest duration one run call serves: an hour is 450 000 samples,
+/// and a trace reserved for it stays near 25 MB.
+pub const MAX_RUN_SECONDS: f64 = 3600.0;
+
+/// The sample count of a run of `seconds`, or `None` unless the duration
+/// is positive and at most [`MAX_RUN_SECONDS`] (NaN and ∞ are neither).
+#[must_use]
+pub fn run_samples(seconds: f64) -> Option<usize> {
+    (seconds > 0.0 && seconds <= MAX_RUN_SECONDS).then_some((seconds * SAMPLE_RATE) as usize)
+}
+
 /// Per-channel sliding window of the most recent filtered samples — the
 /// classifier's input buffer, shared by the monolithic loop and the
 /// serving engine's sessions so the two can never drift.
@@ -519,15 +530,12 @@ impl CognitiveArm {
     ///
     /// # Errors
     ///
-    /// Propagates board and actuation failures; rejects a duration that is
-    /// not finite and positive.
+    /// Propagates board and actuation failures; rejects a duration that
+    /// [`run_samples`] refuses.
     pub fn run_into(&mut self, seconds: f64, trace: &mut SessionTrace) -> Result<()> {
-        if !seconds.is_finite() || seconds <= 0.0 {
-            return Err(CoreError::BadConfig(
-                "run duration must be finite and positive".into(),
-            ));
-        }
-        let total = (seconds * SAMPLE_RATE) as usize;
+        let total = run_samples(seconds).ok_or_else(|| {
+            CoreError::BadConfig("run duration must be positive and at most one hour".into())
+        })?;
         let step = self.config.label_every;
         let expected_labels = total.div_ceil(step.max(1));
         trace.labels.reserve(expected_labels);
@@ -698,7 +706,8 @@ mod tests {
     #[test]
     fn zero_duration_is_rejected() {
         let mut sys = quick_system();
-        for seconds in [0.0, f64::NAN, f64::INFINITY] {
+        let past_cap = MAX_RUN_SECONDS * (1.0 + f64::EPSILON);
+        for seconds in [0.0, f64::NAN, f64::INFINITY, 1e300, past_cap] {
             assert!(
                 matches!(sys.run_for(seconds), Err(CoreError::BadConfig(_))),
                 "{seconds} s must be refused"

@@ -1,7 +1,7 @@
 //! Generative model of 16-channel motor-imagery EEG.
 //!
-//! This is the substitute for the human participants + OpenBCI headset (see
-//! DESIGN.md §1). The model is deliberately physiological rather than a
+//! This is the substitute for the paper's human participants and OpenBCI
+//! headset. The model is deliberately physiological rather than a
 //! plain class-conditional noise pattern, so the downstream pipeline has to
 //! do real work:
 //!

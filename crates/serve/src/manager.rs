@@ -6,11 +6,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use arm::controller::ControlMode;
-use cognitive_arm::pipeline::{PipelineConfig, SessionTrace};
+use cognitive_arm::pipeline::{run_samples, PipelineConfig, SessionTrace};
 use cognitive_arm::preprocess::StreamingChain;
 use dsp::normalize::Zscore;
 use eeg::types::Action;
-use eeg::{CHANNELS, SAMPLE_RATE};
+use eeg::CHANNELS;
 use exec::ExecPool;
 use ml::ensemble::{argmax, Ensemble, EnsembleScratch};
 use ml::models::CLASSES;
@@ -18,7 +18,7 @@ use model_io::{SavedModel, WeightImage};
 use stream::transport::TransportParams;
 
 use crate::error::panic_message;
-use crate::streaming::{StreamSession, POISONED};
+use crate::streaming::{StreamSession, BAD_DURATION, POISONED};
 use crate::{Result, ServeError};
 
 /// Everything needed to admit one user session: the trained artifact plus
@@ -230,7 +230,7 @@ impl BatchGroup {
         self.label_every == label_every && self.ensemble == *ensemble
     }
 
-    /// Advances every member by `seconds`: the serving tick. Each label
+    /// Advances every member by `total` samples: the serving tick. Each label
     /// period, every member advances in parallel, the windows they
     /// captured are classified in one batched ensemble call, and each
     /// window is actuated in admission order (in capture order within a
@@ -240,8 +240,7 @@ impl BatchGroup {
     /// and skips the rest of the segment; a panic in the batched call
     /// cannot be traced to one window, so it poisons every member with a
     /// window in that call.
-    fn run(&mut self, pool: &ExecPool, seconds: f64) -> Vec<(SessionId, Result<SessionTrace>)> {
-        let total = (seconds * SAMPLE_RATE) as usize;
+    fn run(&mut self, pool: &ExecPool, total: usize) -> Vec<(SessionId, Result<SessionTrace>)> {
         let mut results: Vec<Result<SessionTrace>> = self
             .members
             .iter()
@@ -622,21 +621,18 @@ impl SessionManager {
     ///
     /// # Errors
     ///
-    /// The outer `Err` only for an empty manager or a duration that is
-    /// not finite and positive; per-session failures are the inner
+    /// The outer `Err` only for an empty manager or a duration that
+    /// [`run_samples`] refuses; per-session failures are the inner
     /// results.
     pub fn run_for_each(&mut self, seconds: f64) -> Result<Vec<Result<SessionTrace>>> {
         if self.is_empty() {
             return Err(ServeError::BadRequest("no sessions admitted".into()));
         }
-        if !seconds.is_finite() || seconds <= 0.0 {
-            return Err(ServeError::BadRequest(
-                "run duration must be finite and positive".into(),
-            ));
-        }
+        let total =
+            run_samples(seconds).ok_or_else(|| ServeError::BadRequest(BAD_DURATION.into()))?;
         let pool = &self.pool;
         let mut results: Vec<_> = pool
-            .par_map_mut(&mut self.groups, |group| group.run(pool, seconds))
+            .par_map_mut(&mut self.groups, |group| group.run(pool, total))
             .into_iter()
             .flatten()
             .collect();

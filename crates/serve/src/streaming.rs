@@ -28,7 +28,9 @@ use std::time::Instant;
 use arm::controller::{ControlMode, Controller};
 use arm::kinematics::Joint;
 use arm::safety::SafetyGate;
-use cognitive_arm::pipeline::{InferenceHead, LatencyReport, SessionTrace, SlidingWindow};
+use cognitive_arm::pipeline::{
+    run_samples, InferenceHead, LatencyReport, SessionTrace, SlidingWindow,
+};
 use cognitive_arm::preprocess::StreamingChain;
 use eeg::board::{Board, SimulatedBoard};
 use eeg::signal::SubjectParams;
@@ -196,6 +198,8 @@ impl std::fmt::Debug for StreamSession {
 }
 
 pub(crate) const POISONED: &str = "session poisoned by an earlier mid-segment failure";
+/// Why a run call refused its duration ([`run_samples`] returned `None`).
+pub(crate) const BAD_DURATION: &str = "run duration must be positive and at most one hour";
 
 impl StreamSession {
     /// Assembles a streaming session from a spec on an explicit pool.
@@ -324,8 +328,8 @@ impl StreamSession {
     ///
     /// Propagates board, wire and actuation failures, and turns a panic
     /// (say, from a custom ensemble member) into
-    /// [`ServeError::Panicked`]; rejects a duration that is not finite and
-    /// positive. A failed segment **poisons** the session (the board
+    /// [`ServeError::Panicked`]; rejects a duration that [`run_samples`]
+    /// refuses. A failed segment **poisons** the session (the board
     /// advanced past the recorded trace), so further `run_for` calls
     /// return an error instead of desynchronized labels.
     pub fn run_for(&mut self, seconds: f64) -> Result<SessionTrace> {
@@ -342,15 +346,11 @@ impl StreamSession {
     ///
     /// As [`StreamSession::run_for`].
     pub fn run_into(&mut self, seconds: f64, trace: &mut SessionTrace) -> Result<()> {
-        if !seconds.is_finite() || seconds <= 0.0 {
-            return Err(ServeError::BadRequest(
-                "run duration must be finite and positive".into(),
-            ));
-        }
+        let total =
+            run_samples(seconds).ok_or_else(|| ServeError::BadRequest(BAD_DURATION.into()))?;
         if self.poisoned {
             return Err(ServeError::BadRequest(POISONED.into()));
         }
-        let total = (seconds * SAMPLE_RATE) as usize;
         let labels = total.div_ceil(self.label_every);
         trace.labels.reserve(labels);
         trace.joints.reserve(labels);

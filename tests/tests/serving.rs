@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use cognitive_arm::eval::train_default_ensemble_with;
 use cognitive_arm::eval::TrainBudget;
-use cognitive_arm::pipeline::{CognitiveArm, PipelineConfig, SessionTrace};
+use cognitive_arm::pipeline::{CognitiveArm, PipelineConfig, SessionTrace, MAX_RUN_SECONDS};
 use eeg::types::Action;
 use exec::ExecPool;
 use integration_tests::{quick_data, quick_trained};
@@ -428,9 +428,11 @@ fn manager_rejects_degenerate_requests() {
     let id = manager.add_session(spec_for(21)).expect("admit");
     let mut standalone =
         StreamSession::new(spec_for(21), Arc::new(ExecPool::new(1))).expect("session assembles");
-    // A NaN duration would run nothing and return empty traces, and an
-    // infinite one would overflow the trace reservation.
-    for seconds in [0.0, f64::NAN, f64::INFINITY] {
+    // A NaN duration would run nothing and return empty traces; an
+    // infinite or huge one would overflow the trace reservation (and the
+    // manager would loop over `usize::MAX` samples).
+    let past_cap = MAX_RUN_SECONDS * (1.0 + f64::EPSILON);
+    for seconds in [0.0, f64::NAN, f64::INFINITY, 1e300, past_cap] {
         assert!(
             matches!(manager.run_for(seconds), Err(ServeError::BadRequest(_))),
             "{seconds} s: the manager must refuse"
