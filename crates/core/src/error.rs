@@ -14,8 +14,13 @@ pub enum CoreError {
     Asr(asr::AsrError),
     /// Arm/actuation failure.
     Arm(arm::ArmError),
+    /// Stream-transport failure on a session's wire.
+    Stream(stream::StreamError),
     /// The pipeline was configured inconsistently.
     BadConfig(String),
+    /// A session's segment panicked, with the panic's message (say, from a
+    /// custom ensemble member). The session is poisoned.
+    Panicked(String),
 }
 
 impl fmt::Display for CoreError {
@@ -26,7 +31,9 @@ impl fmt::Display for CoreError {
             CoreError::Ml(e) => write!(f, "ml: {e}"),
             CoreError::Asr(e) => write!(f, "asr: {e}"),
             CoreError::Arm(e) => write!(f, "arm: {e}"),
+            CoreError::Stream(e) => write!(f, "stream: {e}"),
             CoreError::BadConfig(msg) => write!(f, "bad pipeline config: {msg}"),
+            CoreError::Panicked(msg) => write!(f, "session panicked: {msg}"),
         }
     }
 }
@@ -39,8 +46,21 @@ impl std::error::Error for CoreError {
             CoreError::Ml(e) => Some(e),
             CoreError::Asr(e) => Some(e),
             CoreError::Arm(e) => Some(e),
-            CoreError::BadConfig(_) => None,
+            CoreError::Stream(e) => Some(e),
+            CoreError::BadConfig(_) | CoreError::Panicked(_) => None,
         }
+    }
+}
+
+/// The message of a caught panic payload (`panic!` with a literal or a
+/// formatted string), for [`CoreError::Panicked`].
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(msg) => *msg,
+        Err(payload) => payload
+            .downcast_ref::<&str>()
+            .map_or("non-string panic payload", |msg| msg)
+            .to_owned(),
     }
 }
 
@@ -59,3 +79,4 @@ from_err!(Dsp, dsp::DspError);
 from_err!(Ml, ml::MlError);
 from_err!(Asr, asr::AsrError);
 from_err!(Arm, arm::ArmError);
+from_err!(Stream, stream::StreamError);

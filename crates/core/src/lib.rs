@@ -19,7 +19,11 @@
 //!   leave-one-subject-out evaluation harness of Sec. III-D; implements
 //!   [`evo::Evaluator`] so the evolutionary search can drive real training.
 //! * [`pipeline`] — the real-time loop of Sec. IV-A (15 Hz action labels,
-//!   voice-mode multiplexing, serial actuation) with latency tracking.
+//!   voice-mode multiplexing, serial actuation) with latency tracking, run
+//!   by the one session type, [`pipeline::CognitiveArm`], whether it reads
+//!   the board directly or through a network wire; the serving engine
+//!   drives the same sessions. [`pipeline::PipelineConfig::checked_chain`]
+//!   is the one check every session spec passes.
 //! * [`mux`] — the VAD-gated voice-command path of Sec. III-F.
 //! * [`session`] — the closed-loop real-world validation protocol of
 //!   Sec. IV-A5 (the paper's 19-out-of-20 sessions result).
@@ -50,7 +54,7 @@ pub mod session;
 
 mod error;
 
-pub use error::CoreError;
+pub use error::{panic_message, CoreError};
 
 /// Result alias used across the crate.
 pub type Result<T> = std::result::Result<T, CoreError>;

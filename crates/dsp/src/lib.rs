@@ -39,6 +39,8 @@
 //! # }
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod artifact;
 pub mod biquad;
 pub mod butterworth;

@@ -38,6 +38,8 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod pool;
 mod seed;
 

@@ -326,6 +326,8 @@ impl ExecPool {
             /// Pointer to `items[i]`; in bounds because `run` only hands
             /// out indices below the slice length.
             fn slot(&self, i: usize) -> *mut T {
+                // SAFETY: `i` is below the slice length, so the offset
+                // stays inside the slice's one allocation.
                 unsafe { self.0.add(i) }
             }
         }

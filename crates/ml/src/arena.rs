@@ -50,6 +50,8 @@ pub struct ArenaVec<T> {
 // `Arc<dyn Any + Send + Sync>`; with `T: Send + Sync` the view is as
 // thread-safe as `&[T]` plus the Arc handle itself.
 unsafe impl<T: Send + Sync> Send for ArenaVec<T> {}
+// SAFETY: as for `Send`: no shared view is ever written through, so
+// `&ArenaVec<T>` is as safe to share as `&[T]` and an `Arc` clone.
 unsafe impl<T: Send + Sync> Sync for ArenaVec<T> {}
 
 impl<T> ArenaVec<T> {
@@ -253,6 +255,8 @@ mod tests {
     #[test]
     fn shared_view_borrows_the_owner() {
         let backing: Arc<Vec<u32>> = Arc::new((0..100).collect());
+        // SAFETY: `backing` is an `Arc<Vec<u32>>` that is never written; the
+        // view holds a clone of it, so the slice outlives every use.
         let v = unsafe { ArenaVec::from_owner(backing.clone() as ArenaOwner, &backing[10..20]) };
         assert!(v.is_shared());
         assert_eq!(v.as_slice(), &(10..20).collect::<Vec<u32>>()[..]);
@@ -268,6 +272,8 @@ mod tests {
     fn shared_survives_dropping_the_original_handle() {
         let v = {
             let backing: Arc<Vec<u8>> = Arc::new(vec![7, 8, 9]);
+            // SAFETY: the view holds its own clone of the never-written
+            // `backing`, which keeps the slice alive past this block.
             unsafe { ArenaVec::from_owner(backing.clone() as ArenaOwner, &backing[..]) }
         };
         assert_eq!(v.as_slice(), &[7, 8, 9]);
@@ -276,6 +282,8 @@ mod tests {
     #[test]
     fn make_mut_detaches_shared_storage() {
         let backing: Arc<Vec<i8>> = Arc::new(vec![1, 2, 3]);
+        // SAFETY: `backing` is never written (the write below detaches the
+        // view into its own copy), and the view holds a clone of it.
         let mut v = unsafe { ArenaVec::from_owner(backing.clone() as ArenaOwner, &backing[..]) };
         v.make_mut()[0] = 42;
         assert!(!v.is_shared(), "write must detach from the arena");

@@ -30,6 +30,8 @@
 //! * [`metrics`] — accuracy, confusion matrices, paired t-tests
 //!   (Sec. V-A).
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod arena;
 pub mod compress;
 pub mod ensemble;

@@ -144,27 +144,18 @@ impl SavedModel {
         WeightImage::open(path)?.decode()
     }
 
-    /// The validation gate [`WeightImage::decode`] funnels through.
+    /// The validation gate [`WeightImage::decode`] funnels through: the
+    /// session constructor's own check
+    /// ([`PipelineConfig::checked_chain`]), so a hostile spec is a typed
+    /// error here instead of a panic in [`SavedModel::into_system`].
     pub(crate) fn from_parts(
         pipeline: PipelineConfig,
         ensemble: Ensemble,
         normalization: Option<Zscore>,
     ) -> Result<Self> {
-        ensure(
-            pipeline.label_every >= 1,
-            "label_every must be positive (the loop advances by it)",
-        )?;
-        // `CognitiveArm::new` expects a designable filter; run the same
-        // design here so a hostile spec is a typed error, not a panic.
-        cognitive_arm::preprocess::StreamingChain::new(&pipeline.filter)
-            .map_err(|e| ModelIoError::malformed(format!("filter spec rejected: {e}")))?;
-        // The streaming chain indexes the z-score per hardware channel.
-        if let Some(z) = &normalization {
-            ensure(
-                z.channels() == eeg::CHANNELS,
-                "normalization channel count disagrees with the headset",
-            )?;
-        }
+        pipeline
+            .checked_chain(normalization.as_ref())
+            .map_err(|e| ModelIoError::malformed(e.to_string()))?;
         Ok(Self {
             pipeline,
             ensemble,

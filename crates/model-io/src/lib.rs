@@ -70,6 +70,8 @@
 //! # }
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod container;
 pub mod crc32;
 pub mod error;

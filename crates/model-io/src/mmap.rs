@@ -128,6 +128,8 @@ impl Drop for Mmap {
 // mutably; sharing or moving it across threads is sound.
 #[cfg(unix)]
 unsafe impl Send for Mmap {}
+// SAFETY: as for `Send`: the mapping is never written, so shared
+// references only ever read it.
 #[cfg(unix)]
 unsafe impl Sync for Mmap {}
 

@@ -2,7 +2,7 @@
 //!
 //! The single-user story ends at
 //! [`CognitiveArm::run_for`](cognitive_arm::pipeline::CognitiveArm::run_for):
-//! one subject, one monolithic loop, one pool. This crate is the layer that
+//! one subject, one label loop, one pool. This crate is the layer that
 //! turns the reproduction into a *serving engine*, the shape a deployment
 //! actually needs — PCDM-style, the fixed costs (threads, filters, trained
 //! artifacts) are paid once and amortized across many sustained
@@ -18,20 +18,21 @@
 //!   call and actuates in admission order. Each group is one work item;
 //!   its inner parallel stages nest on the same pool. A removed session
 //!   leaves its group and nothing behind, so churn never grows the tick.
-//! * [`StreamSession`] — the one session type: samples travel board →
-//!   outlet → transport → inlet (the LSL wire role), are dejittered,
-//!   causally filtered and windowed, and each window that comes due at a
-//!   label boundary is classified and actuated through the session's own
-//!   inference head. The manager's batch sessions are the same type read
-//!   straight off the board.
+//! * [`StreamSession`] — core's one session type
+//!   ([`CognitiveArm`](cognitive_arm::pipeline::CognitiveArm)) under its
+//!   serving name. The manager's batch sessions read the board directly;
+//!   a streaming one, or a standalone one from
+//!   [`SessionSpec::into_session`], reads it through the LSL-role wire
+//!   (outlet → transport → inlet → dejitter). Groups drive the session's
+//!   lockstep API: `advance`, `captured`, `apply_label_at` and `guard`.
 //!
 //! Everything is deterministic: per-session state is seeded, pool results
 //! are index-ordered, and windows are classified in label order — so N
 //! concurrent sessions produce bit-identical traces to N sequential
 //! single-session runs, at any `COGARM_THREADS`, and a streamed session's
-//! label trace is bit-identical to the monolithic batch loop
-//! (`tests/tests/serving.rs` enforces both). A session whose segment fails
-//! or panics is poisoned; its neighbours' traces are untouched.
+//! label trace is bit-identical to the same session read straight off the
+//! board (`tests/tests/serving.rs` enforces both). A session whose segment
+//! fails or panics is poisoned; its neighbours' traces are untouched.
 //!
 //! # Examples
 //!
@@ -58,13 +59,12 @@
 //! ```
 
 pub mod manager;
-pub mod streaming;
 
 mod error;
 
+pub use cognitive_arm::pipeline::CognitiveArm as StreamSession;
 pub use error::ServeError;
 pub use manager::{ArtifactId, SessionId, SessionManager, SessionSpec};
-pub use streaming::StreamSession;
 
 /// Result alias used across the crate.
 pub type Result<T> = std::result::Result<T, ServeError>;

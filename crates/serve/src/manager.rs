@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use arm::controller::ControlMode;
 use cognitive_arm::pipeline::{run_samples, PipelineConfig, SessionTrace};
-use cognitive_arm::preprocess::StreamingChain;
+use cognitive_arm::{panic_message, CoreError};
 use dsp::normalize::Zscore;
 use eeg::types::Action;
 use eeg::CHANNELS;
@@ -17,9 +17,7 @@ use ml::models::CLASSES;
 use model_io::{SavedModel, WeightImage};
 use stream::transport::TransportParams;
 
-use crate::error::panic_message;
-use crate::streaming::{StreamSession, BAD_DURATION, POISONED};
-use crate::{Result, ServeError};
+use crate::{Result, ServeError, StreamSession};
 
 /// Everything needed to admit one user session: the trained artifact plus
 /// the per-user simulation parameters.
@@ -94,7 +92,8 @@ impl SessionSpec {
     }
 
     /// Rejects specs the session would panic on, so admission is a typed
-    /// error instead of a crash.
+    /// error instead of a crash: the wire checks below, then core's
+    /// [`PipelineConfig::checked_chain`].
     ///
     /// # Errors
     ///
@@ -104,50 +103,61 @@ impl SessionSpec {
     /// `loss_prob` lies outside `[0, 1]` or whose `base_latency` or
     /// `jitter` is negative or not finite, or a silently lossy wire.
     pub fn validate(&self) -> Result<()> {
-        self.checked_chain().map(drop)
+        self.check_wire()?;
+        self.config.checked_chain(self.normalization.as_ref())?;
+        Ok(())
     }
 
-    /// Runs [`SessionSpec::validate`]'s checks and returns the filter chain
-    /// they designed, for the session constructor to take.
-    pub(crate) fn checked_chain(&self) -> Result<StreamingChain> {
+    /// Assembles a standalone streaming session on `pool`: the spec's
+    /// wire, or the LSL role, between the board and the filter.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::BadRequest`] for a spec [`SessionSpec::validate`]
+    /// refuses.
+    pub fn into_session(self, pool: Arc<ExecPool>) -> Result<StreamSession> {
+        self.assemble(true, pool).map(|session| *session)
+    }
+
+    /// The wire checks, then core's constructor, which runs the config
+    /// checks and designs the filter once. `streaming` puts the wire
+    /// between board and filter; a batch session reads the board directly.
+    /// Boxed as a group stores it, so admission moves the session once.
+    fn assemble(self, streaming: bool, pool: Arc<ExecPool>) -> Result<Box<StreamSession>> {
+        self.check_wire()?;
+        let mut session = Box::new(StreamSession::assemble(
+            self.config,
+            self.ensemble,
+            self.normalization,
+            self.subject_seed,
+            streaming.then(|| self.wire.unwrap_or_else(TransportParams::lsl)),
+            pool,
+        )?);
+        session.set_subject_action(self.action);
+        Ok(session)
+    }
+
+    /// The checks core leaves to admission: a wire the transport cannot
+    /// sample or that would lose packets for good.
+    fn check_wire(&self) -> Result<()> {
+        let Some(w) = self.wire else {
+            return Ok(());
+        };
         let refuse = |msg: String| Err(ServeError::BadRequest(msg));
-        if self.config.label_every == 0 {
-            return refuse("label_every must be positive".into());
+        if !(0.0..=1.0).contains(&w.loss_prob) {
+            return refuse(format!("wire loss_prob {} is not in [0, 1]", w.loss_prob));
         }
-        if let Some(z) = self
-            .normalization
-            .as_ref()
-            .filter(|z| z.channels() != CHANNELS)
-        {
-            return refuse(format!(
-                "normalization fitted on {} channels, the board streams {CHANNELS}",
-                z.channels()
-            ));
-        }
-        let max_step = self.config.safety.max_step;
-        if max_step.is_nan() || max_step < 0.0 {
-            return refuse(format!(
-                "safety.max_step must be non-negative, got {max_step}"
-            ));
-        }
-        if let Some(w) = self.wire {
-            if !(0.0..=1.0).contains(&w.loss_prob) {
-                return refuse(format!("wire loss_prob {} is not in [0, 1]", w.loss_prob));
-            }
-            for (name, value) in [("base_latency", w.base_latency), ("jitter", w.jitter)] {
-                if !value.is_finite() || value < 0.0 {
-                    return refuse(format!("wire {name} {value} is negative or not finite"));
-                }
-            }
-            if w.loss_prob > 0.0 && !w.retransmit {
-                return refuse(
-                    "streaming sessions need a reliable wire: lossy transports must retransmit"
-                        .into(),
-                );
+        for (name, value) in [("base_latency", w.base_latency), ("jitter", w.jitter)] {
+            if !value.is_finite() || value < 0.0 {
+                return refuse(format!("wire {name} {value} is negative or not finite"));
             }
         }
-        StreamingChain::new(&self.config.filter)
-            .map_err(|e| ServeError::BadRequest(format!("filter spec rejected: {e}")))
+        if w.loss_prob > 0.0 && !w.retransmit {
+            return refuse(
+                "streaming sessions need a reliable wire: lossy transports must retransmit".into(),
+            );
+        }
+        Ok(())
     }
 }
 
@@ -206,8 +216,8 @@ struct BatchGroup {
     windows: Vec<f32>,
     /// Batched combined probabilities.
     probas: Vec<f32>,
-    /// (member position, captured window) of each gathered window.
-    due: Vec<(usize, usize)>,
+    /// (member position, `(t, period)` stamp) of each gathered window.
+    due: Vec<(usize, (f64, usize))>,
 }
 
 impl BatchGroup {
@@ -235,22 +245,17 @@ impl BatchGroup {
     /// captured are classified in one batched ensemble call, and each
     /// window is actuated in admission order (in capture order within a
     /// member). Returns `(id, segment result)` per member, in admission
-    /// order; a result is `Err` exactly when its member is poisoned. A
-    /// member whose advance or actuation fails or panics is poisoned alone
-    /// and skips the rest of the segment; a panic in the batched call
-    /// cannot be traced to one window, so it poisons every member with a
-    /// window in that call.
+    /// order; a result is `Err` exactly when its member is poisoned (a
+    /// member poisoned before the segment gets the session guard's
+    /// refusal). A member whose advance or actuation fails or panics is
+    /// poisoned alone and skips the rest of the segment; a panic in the
+    /// batched call cannot be traced to one window, so it poisons every
+    /// member with a window in that call.
     fn run(&mut self, pool: &ExecPool, total: usize) -> Vec<(SessionId, Result<SessionTrace>)> {
         let mut results: Vec<Result<SessionTrace>> = self
             .members
-            .iter()
-            .map(|(_, s)| {
-                if s.poisoned {
-                    Err(ServeError::BadRequest(POISONED.into()))
-                } else {
-                    Ok(SessionTrace::default())
-                }
-            })
+            .iter_mut()
+            .map(|(_, s)| s.guard(|_| Ok(SessionTrace::default())).map_err(Into::into))
             .collect();
 
         let mut done = 0usize;
@@ -260,7 +265,7 @@ impl BatchGroup {
             let last = done == total;
             // Advance phase: live members in parallel, results in order.
             let advanced = pool.par_map_mut(&mut self.members, |(_, s)| {
-                (!s.poisoned).then(|| s.guard(|s| s.advance(n, last)))
+                (!s.is_poisoned()).then(|| s.guard(|s| s.advance(n, last)))
             });
             // Gather phase, in admission order.
             self.windows.clear();
@@ -268,11 +273,11 @@ impl BatchGroup {
             for (mi, outcome) in advanced.into_iter().enumerate() {
                 match outcome {
                     Some(Ok(())) => {
-                        let (windows, count) = self.members[mi].1.captured();
+                        let (windows, stamps) = self.members[mi].1.captured();
                         self.windows.extend_from_slice(windows);
-                        self.due.extend((0..count).map(|j| (mi, j)));
+                        self.due.extend(stamps.iter().map(|&stamp| (mi, stamp)));
                     }
-                    Some(Err(e)) => results[mi] = Err(e),
+                    Some(Err(e)) => results[mi] = Err(e.into()),
                     None => {}
                 }
             }
@@ -298,7 +303,7 @@ impl BatchGroup {
             let inference_s = t1.elapsed().as_secs_f64();
             // Actuation phase, in gather order; a member whose window
             // failed is poisoned and skips its later ones.
-            for (w, &(mi, j)) in self.due.iter().enumerate() {
+            for (w, &(mi, (t, period))) in self.due.iter().enumerate() {
                 let Ok(trace) = &mut results[mi] else {
                     continue;
                 };
@@ -306,15 +311,12 @@ impl BatchGroup {
                 let outcome = match &classified {
                     Ok(()) => {
                         let label = argmax(&self.probas[w * CLASSES..(w + 1) * CLASSES]);
-                        session.guard(|s| s.actuate(j, label, inference_s, trace))
+                        session.guard(|s| s.apply_label_at(label, t, period, inference_s, trace))
                     }
-                    Err(msg) => {
-                        session.poisoned = true;
-                        Err(ServeError::Panicked(msg.clone()))
-                    }
+                    Err(msg) => session.guard(|_| Err(CoreError::Panicked(msg.clone()))),
                 };
                 if let Err(e) = outcome {
-                    results[mi] = Err(e);
+                    results[mi] = Err(e.into());
                 }
             }
         }
@@ -439,8 +441,8 @@ impl SessionManager {
         self.groups.iter().map(|g| g.members.len()).collect()
     }
 
-    /// Admits a batch session (the monolithic loop, read straight off the
-    /// board) on the manager's pool. Sessions admitted with a structurally
+    /// Admits a batch session (one that reads the board directly, with no
+    /// wire) on the manager's pool. Sessions admitted with a structurally
     /// equal ensemble and label cadence join one **micro-batch group**:
     /// windows that come due on the same serving tick are classified in a
     /// single batched ensemble call (label-invisible: the batched kernels
@@ -455,21 +457,20 @@ impl SessionManager {
     }
 
     fn admit(&mut self, spec: SessionSpec, streaming: bool) -> Result<SessionId> {
-        let chain = spec.checked_chain()?;
+        let session = spec.assemble(streaming, Arc::clone(&self.pool))?;
         let id = SessionId(self.admitted);
         self.admitted += 1;
-        let label_every = spec.config.label_every;
+        let label_every = session.config().label_every;
         let gi = self
             .groups
             .iter()
-            .position(|g| g.admits(&spec.ensemble, label_every))
+            .position(|g| g.admits(session.ensemble(), label_every))
             .unwrap_or_else(|| {
                 self.groups
-                    .push(BatchGroup::new(spec.ensemble.clone(), label_every));
+                    .push(BatchGroup::new(session.ensemble().clone(), label_every));
                 self.groups.len() - 1
             });
-        let session = StreamSession::build(spec, chain, streaming, Arc::clone(&self.pool));
-        self.groups[gi].members.push((id, Box::new(session)));
+        self.groups[gi].members.push((id, session));
         Ok(id)
     }
 
@@ -603,7 +604,7 @@ impl SessionManager {
     /// [`ServeError::UnknownSession`] for a foreign id.
     pub fn is_poisoned(&self, id: SessionId) -> Result<bool> {
         let (gi, pos) = self.locate(id)?;
-        Ok(self.groups[gi].members[pos].1.poisoned)
+        Ok(self.groups[gi].members[pos].1.is_poisoned())
     }
 
     /// Advances every live session by `seconds` of simulated time,
@@ -628,8 +629,7 @@ impl SessionManager {
         if self.is_empty() {
             return Err(ServeError::BadRequest("no sessions admitted".into()));
         }
-        let total =
-            run_samples(seconds).ok_or_else(|| ServeError::BadRequest(BAD_DURATION.into()))?;
+        let total = run_samples(seconds)?;
         let pool = &self.pool;
         let mut results: Vec<_> = pool
             .par_map_mut(&mut self.groups, |group| group.run(pool, total))
@@ -701,8 +701,8 @@ mod tests {
     fn a_member_whose_advance_panics_is_poisoned_alone() {
         // A loss probability of 2 trips the transport's RNG in the first
         // advance. Admission refuses that wire, so the session is built
-        // past the checks and pushed straight into a healthy batch
-        // session's group. Segments are whole label periods (1.024 s =
+        // through core's constructor, past serve's checks, and pushed
+        // straight into a healthy batch session's group. Segments are whole label periods (1.024 s =
         // 128 samples), so two segments line up with one solo run.
         let solo = {
             let mut manager = SessionManager::new(Arc::new(ExecPool::new(1)));
@@ -718,10 +718,19 @@ mod tests {
             let healthy = manager.add_session(spec(21)).expect("admit");
             let spec = spec(22).with_wire(broken_wire);
             assert!(spec.validate().is_err(), "admission refuses the wire");
-            let chain = StreamingChain::new(&spec.config.filter).expect("filter designs");
+            // Core's constructor leaves wire checks to admission.
+            let mut session = StreamSession::assemble(
+                spec.config,
+                spec.ensemble,
+                spec.normalization,
+                spec.subject_seed,
+                spec.wire,
+                pool,
+            )
+            .expect("the config passes core's checks");
+            session.set_subject_action(spec.action);
             let broken = SessionId(manager.admitted);
             manager.admitted += 1;
-            let session = StreamSession::build(spec, chain, true, pool);
             manager.groups[0].members.push((broken, Box::new(session)));
             assert_eq!(manager.group_sizes(), vec![2]);
 

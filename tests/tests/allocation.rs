@@ -43,7 +43,7 @@ use integration_tests::{quick_data, quick_trained, window_forest, FOREST_WINDOW}
 use ml::ensemble::{Ensemble, EnsembleScratch, ForestClassifier, Member, Voting};
 use ml::forest::ForestConfig;
 use ml::models::CLASSES;
-use serve::{SessionManager, SessionSpec, StreamSession};
+use serve::{SessionManager, SessionSpec};
 use stream::clock::SimClock;
 use stream::inlet::{Inlet, ReceivedSample};
 use stream::transport::{Transport, TransportParams};
@@ -319,8 +319,9 @@ fn full_streaming_tick_is_allocation_free_once_warm() {
     let spec = SessionSpec::new(PipelineConfig::default(), artifacts.ensemble.clone(), 21)
         .with_normalization(artifacts.data.zscores[0].clone())
         .with_action(Action::Right);
-    let mut session =
-        StreamSession::new(spec, Arc::new(ExecPool::new(1))).expect("session assembles");
+    let mut session = spec
+        .into_session(Arc::new(ExecPool::new(1)))
+        .expect("session assembles");
 
     let mut trace = SessionTrace::default();
     trace.labels.reserve(4096);

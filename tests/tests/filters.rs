@@ -9,9 +9,10 @@
 //! (`COGARM_NO_SIMD=1`). This suite locks that four ways:
 //!
 //! 1. golden label traces for the monolithic loop and the streaming
-//!    session, committed as fixtures *before* the engine swap
-//!    (regenerate deliberately with `COGARM_REGEN_FIXTURES=1 cargo test
-//!    -q --test filters`);
+//!    session, committed as fixtures *before* the engine swap, plus the
+//!    streaming session over an adversarial (jittery, lossy,
+//!    retransmitting) wire (regenerate deliberately with
+//!    `COGARM_REGEN_FIXTURES=1 cargo test -q --test filters`);
 //! 2. a golden filtered-sample trace straight off the causal chain — the
 //!    rawest view of the filter bits, before windowing or inference can
 //!    coarsen a discrepancy into an unchanged label;
@@ -40,7 +41,8 @@ use exec::ExecPool;
 use integration_tests::quick_trained;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serve::{SessionSpec, StreamSession};
+use serve::SessionSpec;
+use stream::transport::TransportParams;
 
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -99,22 +101,40 @@ fn mono_trace(threads: usize) -> SessionTrace {
     sys.run_for(2.0).expect("monolithic run")
 }
 
-/// The streaming session's label trace over `threads`.
-fn stream_trace(threads: usize) -> SessionTrace {
+/// The streaming session's label trace over `threads`, on `wire` (`None`
+/// is the LSL role).
+fn streamed_trace(threads: usize, wire: Option<TransportParams>) -> SessionTrace {
     let artifacts = quick_trained(21, 21);
-    let spec = SessionSpec::new(PipelineConfig::default(), artifacts.ensemble.clone(), 22)
+    let mut spec = SessionSpec::new(PipelineConfig::default(), artifacts.ensemble.clone(), 22)
         .with_normalization(artifacts.data.zscores[0].clone())
         .with_action(Action::Right);
-    let mut session =
-        StreamSession::new(spec, Arc::new(ExecPool::new(threads))).expect("session assembles");
+    spec.wire = wire;
+    let mut session = spec
+        .into_session(Arc::new(ExecPool::new(threads)))
+        .expect("session assembles");
     session.run_for(2.0).expect("streaming run")
 }
+
+/// Burst jitter far above the sample cadence, 5% loss with
+/// retransmission and heavy reordering: the dejitter ring must restore
+/// sequence order however the packets arrive.
+const ADVERSARIAL_WIRE: TransportParams = TransportParams {
+    base_latency: 0.004,
+    jitter: 0.050,
+    loss_prob: 0.05,
+    retransmit: true,
+    timestamps: true,
+    overhead_bytes: 66,
+};
 
 #[test]
 fn golden_label_traces_survive_the_filter_swap() {
     for (tag, run) in [
         ("mono", mono_trace as fn(usize) -> SessionTrace),
-        ("stream", stream_trace as fn(usize) -> SessionTrace),
+        ("stream", |threads| streamed_trace(threads, None)),
+        ("adversarial", |threads| {
+            streamed_trace(threads, Some(ADVERSARIAL_WIRE))
+        }),
     ] {
         let trace = run(1);
         // Thread-count invariance, in-test: the filter stage is causal

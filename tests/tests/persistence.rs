@@ -597,6 +597,23 @@ fn nan_notch_quality_is_rejected_at_load_time() {
     );
 }
 
+/// A negative `safety.max_step` used to load `Ok` and then panic the
+/// safety gate's clamp on the first command; a NaN one would switch the
+/// rate limit off. Both must be refused at load time.
+#[test]
+fn bad_max_step_is_rejected_at_load_time() {
+    for max_step in [-1.0, f64::NAN] {
+        let mut model = small_saved_model();
+        model.pipeline.safety.max_step = max_step;
+        let bytes = model.to_container().expect("serializes").to_file_bytes();
+        let err = load_image(&bytes).unwrap_err();
+        assert!(
+            matches!(err, ModelIoError::Malformed { .. }),
+            "max_step {max_step}: expected Malformed, got {err}"
+        );
+    }
+}
+
 /// A NaN, infinite or negative leaf probability used to load `Ok` and
 /// then panic the first label routed to that leaf (the vote's argmax
 /// needs comparable numbers); it must be refused at load time. The leaf

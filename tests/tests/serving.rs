@@ -21,12 +21,13 @@ use std::sync::Arc;
 use cognitive_arm::eval::train_default_ensemble_with;
 use cognitive_arm::eval::TrainBudget;
 use cognitive_arm::pipeline::{CognitiveArm, PipelineConfig, SessionTrace, MAX_RUN_SECONDS};
+use cognitive_arm::CoreError;
 use eeg::types::Action;
 use exec::ExecPool;
 use integration_tests::{quick_data, quick_trained};
 use ml::ensemble::{Classifier, Ensemble, Member, Voting};
 use ml::models::CLASSES;
-use serve::{ServeError, SessionManager, SessionSpec, StreamSession};
+use serve::{ServeError, SessionManager, SessionSpec};
 use stream::transport::TransportParams;
 
 /// Subject seeds for the concurrent-session fleet. All sessions share one
@@ -213,8 +214,9 @@ fn adversarial_wire_streaming_matches_the_monolithic_loop_bitwise() {
         let pool = Arc::new(ExecPool::new(threads));
         for (i, &subject) in SUBJECTS.iter().enumerate() {
             let spec = spec_for(subject).with_wire(adversarial);
-            let mut session =
-                StreamSession::new(spec, Arc::clone(&pool)).expect("session assembles");
+            let mut session = spec
+                .into_session(Arc::clone(&pool))
+                .expect("session assembles");
             let trace = session.run_for(3.0).expect("adversarial run");
             assert_identical(
                 &format!("adversarial threads={threads} session={i}"),
@@ -426,8 +428,9 @@ fn manager_rejects_degenerate_requests() {
     let mut manager = SessionManager::new(Arc::new(ExecPool::new(2)));
     assert!(manager.run_for(1.0).is_err(), "empty manager must refuse");
     let id = manager.add_session(spec_for(21)).expect("admit");
-    let mut standalone =
-        StreamSession::new(spec_for(21), Arc::new(ExecPool::new(1))).expect("session assembles");
+    let mut standalone = spec_for(21)
+        .into_session(Arc::new(ExecPool::new(1)))
+        .expect("session assembles");
     // A NaN duration would run nothing and return empty traces; an
     // infinite or huge one would overflow the trace reservation (and the
     // manager would loop over `usize::MAX` samples).
@@ -438,7 +441,7 @@ fn manager_rejects_degenerate_requests() {
             "{seconds} s: the manager must refuse"
         );
         assert!(
-            matches!(standalone.run_for(seconds), Err(ServeError::BadRequest(_))),
+            matches!(standalone.run_for(seconds), Err(CoreError::BadConfig(_))),
             "{seconds} s: a standalone session must refuse"
         );
     }
@@ -483,7 +486,7 @@ fn manager_rejects_degenerate_requests() {
         assert!(bad.validate().is_err(), "{name}: validate must refuse");
         assert!(
             matches!(
-                StreamSession::new(bad.clone(), Arc::new(ExecPool::new(1))),
+                bad.clone().into_session(Arc::new(ExecPool::new(1))),
                 Err(ServeError::BadRequest(_))
             ),
             "{name}: a standalone session must refuse"
@@ -640,7 +643,8 @@ fn a_panicking_member_poisons_only_its_own_sessions() {
     // advance panics is covered by serve's own unit tests: admission
     // refuses every wire known to panic there.) Segments are whole label
     // periods (1.024 s = 128 samples), so two segments line up with one
-    // continuous solo run.
+    // continuous solo run. Standalone sessions of the same ensemble, with
+    // and without a wire, must fail the same way on their own.
     let artifacts = quick_trained(21, 21);
     let solo = &sequential_reference(2.048)[0];
     let panicking = Ensemble::new(
@@ -688,6 +692,30 @@ fn a_panicking_member_poisons_only_its_own_sessions() {
             solo,
             &joined,
         );
+
+        let pool = Arc::new(ExecPool::new(threads));
+        let mut direct = CognitiveArm::with_pool(
+            PipelineConfig::default(),
+            panicking.clone(),
+            97,
+            Arc::clone(&pool),
+        );
+        direct.set_normalization(artifacts.data.zscores[0].clone());
+        direct.set_subject_action(Action::Right);
+        let wired = faulty(96).into_session(pool).expect("session assembles");
+        for (shape, mut session) in [("no wire", direct), ("wire", wired)] {
+            let outcome = session.run_for(1.024);
+            assert!(
+                matches!(&outcome, Err(CoreError::Panicked(msg)) if msg == "member exploded"),
+                "threads={threads} standalone {shape}: {:?}",
+                outcome.err()
+            );
+            assert!(session.is_poisoned(), "standalone {shape} stays poisoned");
+            assert!(
+                session.run_for(1.024).is_err(),
+                "standalone {shape}: a poisoned session refuses to run"
+            );
+        }
     }
 }
 
@@ -700,8 +728,9 @@ fn streaming_sessions_report_stage_latency() {
         SUBJECTS[0],
     )
     .with_normalization(artifacts.data.zscores[0].clone());
-    let mut session =
-        StreamSession::new(spec, Arc::new(ExecPool::new(2))).expect("session assembles");
+    let mut session = spec
+        .into_session(Arc::new(ExecPool::new(2)))
+        .expect("session assembles");
     let trace = session.run_for(2.0).expect("runs");
     let lat = session.latency();
     assert_eq!(lat.inference.count as usize, trace.labels.len());
@@ -723,8 +752,9 @@ fn streaming_wire_reordering_is_label_invisible() {
         SUBJECTS[0],
     )
     .with_normalization(artifacts.data.zscores[0].clone());
-    let mut session =
-        StreamSession::new(spec, Arc::new(ExecPool::new(2))).expect("session assembles");
+    let mut session = spec
+        .into_session(Arc::new(ExecPool::new(2)))
+        .expect("session assembles");
     let trace = session.run_for(4.0).expect("runs");
     assert!(!trace.labels.is_empty());
     assert!(
