@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks for the numeric kernels: the paper's
-//! filters, the FFT, the forest classify call, the compiled
-//! per-architecture forward passes, the paper-scale Transformer label and
-//! the fleet workload's two members (the dense/CSR/int8 matvec group
-//! lives in `benches/matvec.rs`).
+//! filters, the FFT, the forest classify call, the fleet workload's
+//! training, the compiled per-architecture forward passes, the
+//! paper-scale Transformer label and the fleet workload's two members
+//! (the dense/CSR/int8 matvec group lives in `benches/matvec.rs`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -19,7 +19,9 @@ use ml::ensemble::{Ensemble, EnsembleScratch, ForestClassifier, Member, Voting};
 use ml::forest::{window_stat_features, ForestConfig, RandomForest};
 use ml::infer::{compile_cnn, compile_lstm, compile_transformer, MatRep};
 use ml::models::{CnnConfig, LstmConfig, TransformerConfig, CLASSES};
+use ml::optim::OptimizerKind;
 use ml::plan::InferPlan;
+use ml::train::{train_built, TrainConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -93,6 +95,57 @@ fn forest_classify(c: &mut Criterion) {
             })
         });
     }
+    g.finish();
+}
+
+/// The training in cogbench's `fleet` set-up: the two genomes
+/// `train_default_ensemble_with` trains at a quick budget —
+/// `quick_cnn_config` (seed 1) with Adam at lr 2e-3 and
+/// `quick_transformer_config` (seed 2) with AdamW at lr 1e-3 and weight
+/// decay 1e-5 — each for one epoch of 8 minibatches of 16 windows of the
+/// one-subject quick study (seed 1, window 100, step 25), without
+/// validation, on the calling thread. Registered ahead of
+/// `forward_passes`, whose `cnn_compressed` assert can end a run.
+fn fleet_training(c: &mut Criterion) {
+    const WINDOWS: usize = 8 * 16;
+    let data = DatasetBuilder::new(Protocol::quick(), 1, 1)
+        .build()
+        .expect("quick study builds");
+    let windows = data.windows(100, 25).expect("windows");
+    let picked: Vec<_> = windows
+        .iter()
+        .step_by((windows.len() / WINDOWS).max(1))
+        .take(WINDOWS)
+        .collect();
+    let xs: Vec<Vec<f32>> = picked.iter().map(|w| w.data.clone()).collect();
+    let ys: Vec<usize> = picked.iter().map(|w| w.label.label()).collect();
+    let config = |optimizer| TrainConfig {
+        epochs: 1,
+        batch_size: 16,
+        optimizer,
+        seed: 1,
+        patience: None,
+        max_batches: Some(8),
+    };
+    let cnn = config(OptimizerKind::Adam { lr: 2e-3 });
+    let tf = config(OptimizerKind::AdamW {
+        lr: 1e-3,
+        weight_decay: 1e-5,
+    });
+    let mut g = c.benchmark_group("fleet_training");
+    g.bench_function("cnn", |b| {
+        b.iter(|| {
+            let built = train_built(|| quick_cnn_config().build(1), &xs, &ys, &[], &[], &cnn);
+            black_box(built.expect("trains").1)
+        })
+    });
+    g.bench_function("transformer", |b| {
+        b.iter(|| {
+            let build = || quick_transformer_config().build(2);
+            let built = train_built(build, &xs, &ys, &[], &[], &tf);
+            black_box(built.expect("trains").1)
+        })
+    });
     g.finish();
 }
 
@@ -246,6 +299,7 @@ criterion_group!(
     filter_kernels,
     fft_kernels,
     forest_classify,
+    fleet_training,
     forward_passes,
     paper_transformer,
     fleet_members

@@ -305,12 +305,7 @@ impl TrainedArtifact {
             TrainedArtifact::Net(m) => m.predict_proba_window(window, channels, win_len),
             TrainedArtifact::Forest(c) => c.predict_proba_window(window, channels, win_len),
         };
-        probs
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite probs"))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
+        ml::ensemble::argmax(&probs)
     }
 }
 

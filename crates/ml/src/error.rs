@@ -24,10 +24,18 @@ pub enum MlError {
     },
     /// A model configuration is invalid (zero layers, zero units, …).
     BadConfig(String),
-    /// Numeric failure during training (NaN/inf loss).
+    /// Numeric failure during training: a NaN/inf loss, or a NaN/inf
+    /// parameter after an epoch's last step.
     Diverged {
         /// Epoch at which divergence was detected.
         epoch: usize,
+    },
+    /// A training feature is NaN, which no split threshold can order.
+    NanFeature {
+        /// Row of the offending feature vector.
+        row: usize,
+        /// Index of the NaN within that row.
+        feature: usize,
     },
     /// A CSR matrix's structure is internally inconsistent (bad row
     /// pointers or a column index outside the matrix).
@@ -49,7 +57,10 @@ impl fmt::Display for MlError {
             }
             MlError::BadConfig(msg) => write!(f, "invalid model configuration: {msg}"),
             MlError::Diverged { epoch } => {
-                write!(f, "training diverged (non-finite loss) at epoch {epoch}")
+                write!(f, "training diverged (non-finite values) at epoch {epoch}")
+            }
+            MlError::NanFeature { row, feature } => {
+                write!(f, "feature {feature} of row {row} is NaN")
             }
             MlError::MalformedCsr(msg) => write!(f, "malformed CSR matrix: {msg}"),
             MlError::NoQuantizableWeights => {

@@ -400,8 +400,10 @@ impl RandomForest {
     /// # Errors
     ///
     /// Returns [`MlError::EmptyDataset`] on empty input,
-    /// [`MlError::BadLabel`] on out-of-range labels, and
-    /// [`MlError::BadConfig`] for zero estimators/classes.
+    /// [`MlError::BadLabel`] on out-of-range labels,
+    /// [`MlError::BadConfig`] for zero estimators/classes,
+    /// [`MlError::ShapeMismatch`] for a row whose length differs from the
+    /// first, and [`MlError::NanFeature`] for a NaN feature (±Inf fits).
     pub fn fit(config: ForestConfig, x: &[Vec<f32>], y: &[usize]) -> Result<Self> {
         Self::fit_with(config, x, y, &exec::shared())
     }
@@ -434,6 +436,18 @@ impl RandomForest {
             }
         }
         let n_features = x[0].len();
+        for (row, features) in x.iter().enumerate() {
+            if features.len() != n_features {
+                return Err(MlError::ShapeMismatch {
+                    op: "forest fit row",
+                    lhs: vec![features.len()],
+                    rhs: vec![n_features],
+                });
+            }
+            if let Some(feature) = features.iter().position(|v| v.is_nan()) {
+                return Err(MlError::NanFeature { row, feature });
+            }
+        }
         let mtry = ((n_features as f64).sqrt().ceil() as usize).max(1);
         let trees = pool.par_map_range(0..config.n_estimators, |t| {
             let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(t as u64 * 7919));
@@ -538,16 +552,11 @@ impl RandomForest {
         }
     }
 
-    /// Predicted class for one feature vector.
+    /// Predicted class for one feature vector, by the one total
+    /// [`crate::ensemble::argmax`].
     #[must_use]
     pub fn predict(&self, features: &[f32]) -> usize {
-        let probs = self.predict_proba(features);
-        probs
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite probs"))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
+        crate::ensemble::argmax(&self.predict_proba(features))
     }
 
     /// Predicted classes for a batch of feature vectors, evaluated in
@@ -816,6 +825,19 @@ mod tests {
             RandomForest::fit(ForestConfig::paper_best(), &[vec![0.0]], &[7]),
             Err(MlError::BadLabel { .. })
         ));
+        let rows = [vec![0.0, 1.0], vec![1.0, f32::NAN], vec![2.0, 3.0]];
+        assert_eq!(
+            RandomForest::fit(ForestConfig::paper_best(), &rows, &[0, 1, 2]).err(),
+            Some(MlError::NanFeature { row: 1, feature: 1 })
+        );
+        let ragged = [vec![0.0, 1.0], vec![1.0]];
+        assert!(matches!(
+            RandomForest::fit(ForestConfig::paper_best(), &ragged, &[0, 1]),
+            Err(MlError::ShapeMismatch { .. })
+        ));
+        // ±Inf features still fit, as they always have.
+        let inf = [vec![f32::NEG_INFINITY], vec![f32::INFINITY], vec![0.0]];
+        assert!(RandomForest::fit(ForestConfig::paper_best(), &inf, &[0, 1, 2]).is_ok());
     }
 
     /// A one-tree forest over three classes.

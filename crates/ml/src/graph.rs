@@ -148,9 +148,10 @@ impl Graph {
         let (m, n) = (xv.rows(), xv.cols());
         assert_eq!(bv.numel(), n, "bias width {} vs cols {n}", bv.numel());
         let mut out = xv.clone();
+        let data = out.data_mut();
         for i in 0..m {
-            for j in 0..n {
-                out.data_mut()[i * n + j] += bv.data()[j];
+            for (o, &b) in data[i * n..(i + 1) * n].iter_mut().zip(bv.data()) {
+                *o += b;
             }
         }
         self.push(
@@ -222,7 +223,11 @@ impl Graph {
 
     // --- linear algebra ---------------------------------------------------
 
-    /// Matrix product `a [m,k] × b [k,n]`.
+    /// Matrix product `a [m,k] × b [k,n]` ([`Tensor::matmul`]).
+    ///
+    /// Backward: `da = g·bᵀ` runs [`crate::tensor::matmul_t_kernel`] and
+    /// `db = aᵀ·g` runs [`crate::tensor::matmul_tn_kernel`], which reads
+    /// `a` in place.
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let v = self.value(a).matmul(self.value(b));
         self.push(
@@ -231,13 +236,17 @@ impl Graph {
             Some(Box::new(move |gr, g| {
                 // y = a b; da = g b^T ; db = a^T g
                 let da = g.matmul_t(gr.value(b));
-                let db = gr.value(a).transposed().matmul(g);
+                let db = gr.value(a).matmul_tn(g);
                 vec![da, db]
             })),
         )
     }
 
-    /// `a [m,k] × b^T` where `b` is `[n,k]`.
+    /// `a [m,k] × b^T` where `b` is `[n,k]` ([`Tensor::matmul_t`]).
+    ///
+    /// Backward: `da = g·b` runs [`crate::tensor::matmul_kernel`] and
+    /// `db = gᵀ·a` runs [`crate::tensor::matmul_tn_kernel`], which reads
+    /// `g` in place.
     pub fn matmul_nt(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let v = self.value(a).matmul_t(self.value(b));
         self.push(
@@ -246,7 +255,7 @@ impl Graph {
             Some(Box::new(move |gr, g| {
                 // y = a b^T; da = g b ; db = g^T a
                 let da = g.matmul(gr.value(b));
-                let db = g.transposed().matmul(gr.value(a));
+                let db = g.matmul_tn(gr.value(a));
                 vec![da, db]
             })),
         )
@@ -618,7 +627,10 @@ impl Graph {
     /// * `w` — kernel `[cout, cin * kh * kw]`.
     /// * stride applies to both spatial dims; padding is zero ("valid").
     ///
-    /// Output is `[batch, cout * hout * wout]`.
+    /// Output is `[batch, cout * hout * wout]`. The im2col product
+    /// `cols·wᵀ` runs [`crate::tensor::matmul_t_kernel`]; backward, `dW =
+    /// gᵀ·cols` runs [`crate::tensor::matmul_tn_kernel`] (reading `g` in
+    /// place) and `dcols = g·w` runs [`crate::tensor::matmul_kernel`].
     #[allow(clippy::too_many_arguments)]
     pub fn conv2d(
         &mut self,
@@ -697,8 +709,8 @@ impl Graph {
                     }
                 }
                 let gflat = Tensor::new(vec![batch * spots, cout], gflat);
-                // dW = gflat^T × cols : [cout, patch]
-                let dw = gflat.transposed().matmul(&cols_t);
+                // dW = gflat^T × cols : [cout, patch], gflat read in place
+                let dw = gflat.matmul_tn(&cols_t);
                 // dcols = gflat × w : [batch*spots, patch]
                 let dcols = gflat.matmul(wv);
                 // col2im

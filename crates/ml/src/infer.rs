@@ -767,16 +767,11 @@ impl InferModel {
         out
     }
 
-    /// Predicted class index for one window.
+    /// Predicted class index for one window, by the one total
+    /// [`crate::ensemble::argmax`] (a NaN logit never panics).
     #[must_use]
     pub fn predict(&self, window: &[f32]) -> usize {
-        let logits = self.predict_logits(window);
-        logits
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
+        crate::ensemble::argmax(&self.predict_logits(window))
     }
 
     /// Effective parameter count (non-zeros for pruned weights).

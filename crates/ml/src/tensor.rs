@@ -181,6 +181,24 @@ impl Tensor {
         Tensor::new(vec![m, n], out)
     }
 
+    /// Matrix multiply with the left operand transposed:
+    /// `self^T × rhs` where `self` is `[k,m]` and `rhs` is `[k,n]` ->
+    /// `[m,n]`. Bit-identical to `self.transposed().matmul(rhs)`, without
+    /// the copy (see [`matmul_tn_kernel`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on non-2-D operands or mismatched inner dimensions.
+    #[must_use]
+    pub fn matmul_tn(&self, rhs: &Tensor) -> Tensor {
+        let (k, m) = (self.rows(), self.cols());
+        let (k2, n) = (rhs.rows(), rhs.cols());
+        assert_eq!(k, k2, "matmul_tn inner dims: {k} vs {k2}");
+        let mut out = vec![0.0f32; m * n];
+        matmul_tn_kernel(&self.data, &rhs.data, m, k, n, &mut out);
+        Tensor::new(vec![m, n], out)
+    }
+
     /// Transpose of a matrix.
     ///
     /// # Panics
@@ -228,7 +246,9 @@ impl Tensor {
         self.data.iter().sum()
     }
 
-    /// Index of the maximum element in each row of a matrix.
+    /// Index of the maximum element in each row of a matrix, by the one
+    /// total rule of [`crate::ensemble::argmax`] (NaN ranks lowest, the
+    /// last maximum wins), so a NaN row never panics.
     ///
     /// # Panics
     ///
@@ -237,14 +257,7 @@ impl Tensor {
     pub fn argmax_rows(&self) -> Vec<usize> {
         let (m, n) = (self.rows(), self.cols());
         (0..m)
-            .map(|i| {
-                let row = &self.data[i * n..(i + 1) * n];
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-                    .map(|(j, _)| j)
-                    .unwrap_or(0)
-            })
+            .map(|i| crate::ensemble::argmax(&self.data[i * n..(i + 1) * n]))
             .collect()
     }
 
@@ -258,94 +271,465 @@ impl Tensor {
 /// The raw `a [m,k] × b [k,n] -> out [m,n]` kernel behind
 /// [`Tensor::matmul`], exposed over slices for the callers that run it
 /// into preallocated buffers: the densified sparse execution format
-/// (`crate::matexec`) and training. Attention's `softmax·V`
-/// (`attention_mix_into`) keeps its exact per-element sequence.
+/// (`crate::matexec`) and training. `out` is fully overwritten.
 ///
-/// `out` is fully overwritten (accumulation starts from zero).
+/// Per output element it runs **the v1 sequence**: start at `+0.0`, then
+/// `acc + a·b` (multiply, then add; never FMA) in ascending `k`, skipping
+/// every term whose `a` is exactly zero. Attention's `softmax·V`
+/// (`attention_mix_into`) and the transposed-lhs product
+/// ([`matmul_tn_kernel`]) run the same sequence, through the same bodies.
 ///
-/// On x86-64 hosts with AVX2 the kernel dispatches to an explicit SIMD
-/// variant (`matmul_v1_avx2`). Dispatch is **bit-invisible**: per output
-/// element both variants apply one `multiply, add` per non-zero `a` term
-/// in ascending `k` order (no FMA contraction, no reassociation) — column
-/// lanes are independent, so vectorizing across them cannot reorder any
-/// element's accumulation. The golden label traces therefore stay valid
-/// on every host.
+/// On x86-64 hosts with AVX2 the kernel runs register blocks of 4 rows ×
+/// 16 columns, then 8 columns, then the `n % 8` remainder columns as
+/// masked lanes, and single rows after the last 4-row block. Each lane
+/// runs one element's chain, so dispatch is **bit-invisible** and the
+/// golden label traces stay valid on every host.
+///
+/// **The finite-rhs rule.** With `m >= 8` the AVX2 dispatch first reads
+/// `b` once. If every value is finite, the skip cannot change a bit: the
+/// accumulator starts at `+0.0` and round-to-nearest never turns it into
+/// `-0.0`, and a `±0·finite` term is `±0`, which leaves any value
+/// unchanged. The blocks then drop the per-row branch (which ReLU and
+/// dropout zeros make mispredict), and narrow outputs (`n < 8`) put eight
+/// output rows in the lanes instead. An `Inf` or NaN in `b` keeps the
+/// skip, because `0·Inf` is NaN. Below 8 rows the pass would not
+/// amortize, so the skip stays and nothing is read twice: `matexec`'s
+/// densified rows run there.
 ///
 /// # Panics
 ///
 /// Panics if any slice is shorter than its `m`/`k`/`n` dimensions imply.
 pub fn matmul_kernel(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    assert!(a.len() >= m * k, "lhs shorter than m*k");
-    assert!(b.len() >= k * n, "rhs shorter than k*n");
-    let out = &mut out[..m * n];
-    out.fill(0.0);
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::enabled() && n >= 8 {
-        // SAFETY: AVX2 support was just detected, and the slice lengths
-        // were asserted above; the kernel reads `a[..m*k]`, `b[..k*n]` and
-        // writes `out[..m*n]` only.
-        unsafe { matmul_v1_avx2(a, b, m, k, n, out) };
-        return;
-    }
-    matmul_v1_scalar(a, b, m, k, n, 0, out);
+    let g = Product::dense(m, k, n);
+    v1_product(a, b, g, ZeroSkip::UnlessRhsFinite, None, out);
 }
 
-/// The scalar reference body of [`matmul_kernel`], restricted to the
-/// column range `[j0, n)` so it also serves as the SIMD variant's column
-/// tail. Accumulation starts from the (pre-zeroed) buffer contents.
-fn matmul_v1_scalar(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, j0: usize, out: &mut [f32]) {
+/// The transposed-lhs product `a [k,m]ᵀ × b [k,n] -> out [m,n]` behind
+/// [`Tensor::matmul_tn`]. Each element is [`matmul_kernel`]'s v1 sequence
+/// over the rows of `a` — exactly what `a.transposed().matmul(b)`
+/// computes, bit for bit and under the same finite-rhs rule, without the
+/// transposed copy. The backward rules of [`crate::graph::Graph::matmul`],
+/// [`crate::graph::Graph::matmul_nt`] and [`crate::graph::Graph::conv2d`]
+/// run it for their `aᵀ·g` gradients. `out` is fully overwritten.
+///
+/// # Panics
+///
+/// Panics if any slice is shorter than its `m`/`k`/`n` dimensions imply.
+pub fn matmul_tn_kernel(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+    let g = Product {
+        lhs_row: 1,
+        lhs_col: m,
+        ..Product::dense(m, k, n)
+    };
+    v1_product(a, b, g, ZeroSkip::UnlessRhsFinite, None, out);
+}
+
+/// The raw `a [m,k] × b^T (b [n,k]) -> out [m,n]` kernel behind
+/// [`Tensor::matmul_t`]; training's forward `a·Wᵀ` and backward `g·Wᵀ`
+/// products run it. Per element: start at `+0.0`, then `acc + a·b`
+/// (multiply, then add; never FMA) in ascending `k`, with **no** zero
+/// skip. `out` is fully overwritten.
+///
+/// The scalar body walks `b`'s rows as dot products. The AVX2 body
+/// transposes `b` once into per-call scratch (only training calls this
+/// kernel) and runs [`matmul_kernel`]'s register blocks without the skip,
+/// so the two agree bit for bit.
+///
+/// # Panics
+///
+/// Panics if any slice is shorter than its dimensions imply.
+pub fn matmul_t_kernel(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+    assert!(a.len() >= m * k, "lhs shorter than m*k");
+    assert!(b.len() >= n * k, "rhs shorter than n*k");
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::enabled() {
+        let mut bt = vec![0.0f32; k * n];
+        transpose_into(b, k, n, k, &mut bt);
+        v1_product(a, &bt, Product::dense(m, k, n), ZeroSkip::Never, None, out);
+        return;
+    }
+    matmul_t_scalar(a, b, m, k, n, out);
+}
+
+/// The scalar body of [`matmul_t_kernel`]: one dot product per element,
+/// over a row of `a` and a row of `b`.
+fn matmul_t_scalar(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     for i in 0..m {
         let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        for (p, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
+        for j in 0..n {
+            let brow = &b[j * k..(j + 1) * k];
+            let mut acc = 0.0f32;
+            for (&av, &bv) in arow.iter().zip(brow) {
+                acc += av * bv;
+            }
+            out[i * n + j] = acc;
+        }
+    }
+}
+
+/// One v1 product `out [m,n] = lhs [m,k] · rhs [k,n]` over strided views:
+/// lhs element `(i, p)` sits at `lhs[i·lhs_row + p·lhs_col]`, rhs element
+/// `(p, j)` at `rhs[p·ldb + j]` and output element `(i, j)` at
+/// `out[i·ldo + j]`. Either `lhs_row` or `lhs_col` is 1: a row-major lhs,
+/// or a transposed one read in place.
+#[derive(Clone, Copy, Debug)]
+struct Product {
+    m: usize,
+    k: usize,
+    n: usize,
+    lhs_row: usize,
+    lhs_col: usize,
+    ldb: usize,
+    ldo: usize,
+}
+
+impl Product {
+    /// Contiguous row-major operands and output.
+    fn dense(m: usize, k: usize, n: usize) -> Self {
+        Self {
+            m,
+            k,
+            n,
+            lhs_row: k,
+            lhs_col: 1,
+            ldb: n,
+            ldo: n,
+        }
+    }
+
+    /// Asserts that every element the view addresses lies inside its
+    /// slice — the invariant each AVX2 body's `SAFETY` note relies on.
+    fn check(&self, lhs: &[f32], rhs: &[f32], out: &[f32]) {
+        assert!(
+            self.lhs_row == 1 || self.lhs_col == 1,
+            "lhs view is neither row-major nor transposed"
+        );
+        assert!(
+            lhs.len() >= span(self.m, self.lhs_row, self.k, self.lhs_col),
+            "lhs shorter than its view"
+        );
+        assert!(
+            rhs.len() >= span(self.k, self.ldb, self.n, 1),
+            "rhs shorter than its view"
+        );
+        assert!(
+            out.len() >= span(self.m, self.ldo, self.n, 1),
+            "output shorter than its view"
+        );
+    }
+}
+
+/// Elements a `[rows, cols]` view spans from its first element:
+/// `(rows-1)·row_stride + (cols-1)·col_stride + 1`, or zero when empty.
+fn span(rows: usize, row_stride: usize, cols: usize, col_stride: usize) -> usize {
+    if rows == 0 || cols == 0 {
+        0
+    } else {
+        (rows - 1) * row_stride + (cols - 1) * col_stride + 1
+    }
+}
+
+/// Whether a v1 product skips a term whose lhs value is exactly zero.
+#[derive(Clone, Copy, Debug)]
+enum ZeroSkip {
+    /// Always (attention's `softmax·V`: its weights are rarely exactly
+    /// zero, so the branch predicts well).
+    Always,
+    /// Never (`matmul_t_kernel` and attention scores).
+    Never,
+    /// [`matmul_kernel`]'s finite-rhs rule: the AVX2 dispatch drops the
+    /// skip over at least `FINITE_CHECK_ROWS` rows when every rhs value
+    /// is finite, where dropping it cannot change a bit.
+    UnlessRhsFinite,
+}
+
+/// Output rows from which the AVX2 dispatch pays one pass over the rhs to
+/// test it for the finite-rhs rule.
+#[cfg(target_arch = "x86_64")]
+const FINITE_CHECK_ROWS: usize = 8;
+
+/// Whether every value is finite: one pass with no early exit, so it
+/// vectorizes.
+#[cfg(target_arch = "x86_64")]
+fn all_finite(v: &[f32]) -> bool {
+    v.iter().fold(true, |ok, x| ok & x.is_finite())
+}
+
+/// Runs one v1 product on the host's body, each element then multiplied
+/// by `scale` when given (attention scores). Every element of the output
+/// view is overwritten.
+fn v1_product(
+    lhs: &[f32],
+    rhs: &[f32],
+    g: Product,
+    skip: ZeroSkip,
+    scale: Option<f32>,
+    out: &mut [f32],
+) {
+    g.check(lhs, rhs, out);
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::enabled() {
+        let skip = match skip {
+            ZeroSkip::Always => true,
+            ZeroSkip::Never => false,
+            ZeroSkip::UnlessRhsFinite => {
+                g.m < FINITE_CHECK_ROWS || !all_finite(&rhs[..span(g.k, g.ldb, g.n, 1)])
+            }
+        };
+        let ops = Operands {
+            g,
+            lhs: lhs.as_ptr(),
+            rhs: rhs.as_ptr(),
+            out: out.as_mut_ptr(),
+            scale,
+        };
+        // SAFETY: AVX2 support was just detected, and `check` asserted
+        // that every element the view addresses lies inside its slice;
+        // the pointers come from those slices, and `out` is borrowed
+        // mutably for the call. The twin is `v1_scalar`, bit for bit.
+        unsafe {
+            if skip {
+                v1_avx2::<true>(ops);
+            } else {
+                v1_avx2::<false>(ops);
+            }
+        }
+        return;
+    }
+    v1_scalar(lhs, rhs, g, !matches!(skip, ZeroSkip::Never), scale, out);
+}
+
+/// The scalar body of every v1 product (`COGARM_NO_SIMD=1`, hosts without
+/// AVX2) and the twin each AVX2 body is held to: per output row, zero it,
+/// add `lhs·rhs` row by row in ascending `p` — skipping a zero lhs value
+/// when `skip` — then multiply by `scale`. With a finite rhs, `skip` does
+/// not change a bit (see [`matmul_kernel`]).
+fn v1_scalar(
+    lhs: &[f32],
+    rhs: &[f32],
+    g: Product,
+    skip: bool,
+    scale: Option<f32>,
+    out: &mut [f32],
+) {
+    for i in 0..g.m {
+        let orow = &mut out[i * g.ldo..i * g.ldo + g.n];
+        orow.fill(0.0);
+        for p in 0..g.k {
+            let av = lhs[i * g.lhs_row + p * g.lhs_col];
+            if skip && av == 0.0 {
                 continue;
             }
-            let brow = &b[p * n..(p + 1) * n];
-            for (o, &bv) in orow[j0..].iter_mut().zip(&brow[j0..]) {
+            for (o, &bv) in orow.iter_mut().zip(&rhs[p * g.ldb..p * g.ldb + g.n]) {
                 *o += av * bv;
             }
         }
+        if let Some(s) = scale {
+            for o in orow.iter_mut() {
+                *o *= s;
+            }
+        }
     }
 }
 
-/// AVX2 variant of the v1 kernel: eight-column panels whose accumulators
-/// live in registers across the entire `k` loop. Per output element the
-/// operation sequence is *identical* to [`matmul_v1_scalar`] — skip
-/// `a == 0`, broadcast, multiply, single add (`vmulps`/`vaddps`, never
-/// `vfmadd`) in ascending `k` order — so the variants agree bit for bit.
-/// Columns `n - n % 8..` are handled by the scalar tail.
+/// A checked [`Product`] with its buffers, for the AVX2 bodies.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Operands {
+    g: Product,
+    lhs: *const f32,
+    rhs: *const f32,
+    out: *mut f32,
+    scale: Option<f32>,
+}
+
+/// AVX2 body of every v1 product; the scalar twin is [`v1_scalar`]. With
+/// `!SKIP` and `n < 8`, eight output rows at a time ride the lanes
+/// ([`v1_row_lanes_avx2`]); every other row runs [`v1_rows_avx2`]'s
+/// column blocks, four rows at a time, then singly.
 ///
 /// # Safety
 ///
-/// Caller must ensure AVX2 is available and that `a.len() >= m*k`,
-/// `b.len() >= k*n`, `out.len() >= m*n`.
+/// Caller must ensure AVX2 is available and that `ops.g` was checked
+/// against the buffers `ops` points into ([`Product::check`]), with the
+/// output borrowed exclusively. With `!SKIP` the rhs must be all finite
+/// for the result to match `v1_scalar` with its skip.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn matmul_v1_avx2(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps,
-    };
-    let panels = n - n % 8;
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let mut j = 0;
-        while j + 8 <= n {
-            let mut acc = _mm256_setzero_ps();
-            for (p, &av) in arow.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = _mm256_loadu_ps(b.as_ptr().add(p * n + j));
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(av), brow));
+unsafe fn v1_avx2<const SKIP: bool>(ops: Operands) {
+    let g = ops.g;
+    if g.n == 0 {
+        return;
+    }
+    let mut i = 0;
+    if !SKIP && g.n < 8 {
+        while i + 8 <= g.m {
+            match g.n {
+                1 => v1_row_lanes_avx2::<1>(ops, i),
+                2 => v1_row_lanes_avx2::<2>(ops, i),
+                3 => v1_row_lanes_avx2::<3>(ops, i),
+                4 => v1_row_lanes_avx2::<4>(ops, i),
+                5 => v1_row_lanes_avx2::<5>(ops, i),
+                6 => v1_row_lanes_avx2::<6>(ops, i),
+                _ => v1_row_lanes_avx2::<7>(ops, i),
             }
-            _mm256_storeu_ps(out.as_mut_ptr().add(i * n + j), acc);
-            j += 8;
+            i += 8;
         }
     }
-    if panels < n {
-        matmul_v1_scalar(a, b, m, k, n, panels, out);
+    while i < g.m {
+        if i + 4 <= g.m {
+            v1_rows_avx2::<4, SKIP>(ops, i);
+            i += 4;
+        } else {
+            v1_rows_avx2::<1, SKIP>(ops, i);
+            i += 1;
+        }
+    }
+}
+
+/// Rows `i0..i0 + R` of a v1 product over every column: 16-column
+/// blocks, then an 8-column block, then the `n % 8` remainder columns as
+/// one masked block.
+///
+/// # Safety
+///
+/// As [`v1_avx2`], with `i0 + R <= ops.g.m`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn v1_rows_avx2<const R: usize, const SKIP: bool>(ops: Operands, i0: usize) {
+    use std::arch::x86_64::{_mm256_cmpgt_epi32, _mm256_set1_epi32, _mm256_setr_epi32};
+    let n = ops.g.n;
+    let all = _mm256_set1_epi32(-1);
+    let mut j = 0;
+    while j + 16 <= n {
+        v1_block_avx2::<R, 2, SKIP, false>(ops, i0, j, all);
+        j += 16;
+    }
+    if j + 8 <= n {
+        v1_block_avx2::<R, 1, SKIP, false>(ops, i0, j, all);
+        j += 8;
+    }
+    if j < n {
+        // Lane `c` is live iff `c < n - j`.
+        let live = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32((n - j) as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        );
+        v1_block_avx2::<R, 1, SKIP, true>(ops, i0, j, live);
+    }
+}
+
+/// Output rows `i0..i0 + R` by columns `j0..j0 + 8·P`: `R × P`
+/// accumulators, each rhs vector loaded once for all `R` rows and each
+/// lhs value broadcast once for all `P` vectors. Per element: start at
+/// `+0.0`, then `acc + lhs·rhs` (`vmulps`, `vaddps`; never `vfmadd`) in
+/// ascending `p`, and with `SKIP` a row whose lhs value is exactly zero
+/// skips the term — the sequence of [`v1_scalar`]. Then one multiply by
+/// the scale, if any. With `MASKED` only the lanes `live` selects are
+/// loaded and stored, so the remainder columns touch nothing past `n`.
+///
+/// # Safety
+///
+/// As [`v1_avx2`], with `i0 + R <= ops.g.m` and the block's columns
+/// inside `ops.g.n`: all `8·P` of them, or with `MASKED` the live lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn v1_block_avx2<const R: usize, const P: usize, const SKIP: bool, const MASKED: bool>(
+    ops: Operands,
+    i0: usize,
+    j0: usize,
+    live: std::arch::x86_64::__m256i,
+) {
+    use std::arch::x86_64::{
+        _mm256_add_ps, _mm256_loadu_ps, _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_mul_ps,
+        _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
+    };
+    let g = ops.g;
+    let mut acc = [[_mm256_setzero_ps(); P]; R];
+    for p in 0..g.k {
+        let row = ops.rhs.add(p * g.ldb + j0);
+        let mut bv = [_mm256_setzero_ps(); P];
+        for (x, bv) in bv.iter_mut().enumerate() {
+            *bv = if MASKED {
+                _mm256_maskload_ps(row.add(8 * x), live)
+            } else {
+                _mm256_loadu_ps(row.add(8 * x))
+            };
+        }
+        for (r, acc) in acc.iter_mut().enumerate() {
+            let av = *ops.lhs.add((i0 + r) * g.lhs_row + p * g.lhs_col);
+            if SKIP && av == 0.0 {
+                continue;
+            }
+            let av = _mm256_set1_ps(av);
+            for (a, &bv) in acc.iter_mut().zip(&bv) {
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(av, bv));
+            }
+        }
+    }
+    let scale = ops.scale.map(|s| _mm256_set1_ps(s));
+    for (r, acc) in acc.iter().enumerate() {
+        for (x, &a) in acc.iter().enumerate() {
+            let v = scale.map_or(a, |s| _mm256_mul_ps(a, s));
+            let dst = ops.out.add((i0 + r) * g.ldo + j0 + 8 * x);
+            if MASKED {
+                _mm256_maskstore_ps(dst, live, v);
+            } else {
+                _mm256_storeu_ps(dst, v);
+            }
+        }
+    }
+}
+
+/// Rows `i0..i0 + 8` of a v1 product without the skip and with `N < 8`
+/// columns: eight output rows ride the eight lanes, one accumulator per
+/// column, and lane `r` runs row `i0 + r`'s chain of [`v1_scalar`]: start
+/// at `+0.0`, then `acc + lhs·rhs` in ascending `p`. A transposed lhs
+/// holds the eight rows' values at one `p` contiguously; a row-major one
+/// reaches the lanes through [`columns8`]'s 8×8 transposes, a pure copy.
+///
+/// # Safety
+///
+/// As [`v1_avx2`] without the skip, with `0 < N = ops.g.n < 8` and
+/// `i0 + 8 <= ops.g.m`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn v1_row_lanes_avx2<const N: usize>(ops: Operands, i0: usize) {
+    use std::arch::x86_64::{
+        __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps,
+    };
+    let g = ops.g;
+    let mut acc = [_mm256_setzero_ps(); N];
+    // Lane `r` of `x` is lhs element `(i0 + r, p)`.
+    let term = |acc: &mut [__m256; N], x: __m256, p: usize| {
+        let b = ops.rhs.add(p * g.ldb);
+        for (j, acc) in acc.iter_mut().enumerate() {
+            *acc = _mm256_add_ps(*acc, _mm256_mul_ps(x, _mm256_set1_ps(*b.add(j))));
+        }
+    };
+    if g.lhs_row == 1 {
+        for p in 0..g.k {
+            let x = _mm256_loadu_ps(ops.lhs.add(i0 + p * g.lhs_col));
+            term(&mut acc, x, p);
+        }
+    } else {
+        let rows = ops.lhs.add(i0 * g.lhs_row);
+        for p in (0..g.k).step_by(8) {
+            let width = (g.k - p).min(8);
+            let x = columns8(rows.add(p), g.lhs_row, width);
+            for (c, &x) in x.iter().take(width).enumerate() {
+                term(&mut acc, x, p + c);
+            }
+        }
+    }
+    let scale = ops.scale.map(|s| _mm256_set1_ps(s));
+    for (j, &a) in acc.iter().enumerate() {
+        let mut lanes = [0.0f32; 8];
+        _mm256_storeu_ps(lanes.as_mut_ptr(), scale.map_or(a, |s| _mm256_mul_ps(a, s)));
+        for (r, &v) in lanes.iter().enumerate() {
+            *ops.out.add((i0 + r) * g.ldo + j) = v;
+        }
     }
 }
 
@@ -743,26 +1127,6 @@ unsafe fn load_columns8(src: *const f32, ld: usize) -> [std::arch::x86_64::__m25
     cols
 }
 
-/// The raw `a [m,k] × b^T (b [n,k]) -> out [m,n]` kernel behind
-/// [`Tensor::matmul_t`] (see [`matmul_kernel`] for why it exists).
-///
-/// # Panics
-///
-/// Panics if any slice is shorter than its dimensions imply.
-pub fn matmul_t_kernel(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        for j in 0..n {
-            let brow = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in arow.iter().zip(brow) {
-                acc += av * bv;
-            }
-            out[i * n + j] = acc;
-        }
-    }
-}
-
 /// Transposes the `[rows, cols]` view starting at `src[0]` with row
 /// stride `ld` into `dst` as a contiguous `[cols, rows]` matrix:
 /// `dst[c·rows + r] = src[r·ld + c]`. A pure copy, so every bit (NaN
@@ -861,8 +1225,9 @@ unsafe fn transpose_avx2(src: &[f32], ld: usize, rows: usize, cols: usize, dst: 
 /// Per element the sum is [`matmul_t_kernel`]'s exact sequence — start at
 /// `+0.0`, then `acc + q·k` (multiply, then add; never FMA) in ascending
 /// `p`, with **no** zero skip — followed by one multiply by `scale`, the
-/// separate scaling pass it replaces. The bits therefore match that
-/// kernel plus the pass, on every dispatch.
+/// separate scaling pass it replaces. It runs [`matmul_kernel`]'s blocks
+/// without the skip, so the bits match that kernel plus the pass, on
+/// every dispatch.
 ///
 /// # Panics
 ///
@@ -886,16 +1251,11 @@ pub(crate) fn attention_scores_into(
     );
     let kt = &mut kt[..dh * t];
     transpose_into(k, ld, t, dh, kt);
-    let scores = &mut scores[..t * t];
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::enabled() {
-        // SAFETY: AVX2 support was just detected; `q` holds `t` rows of
-        // stride `ld` with `dh <= ld` columns each (asserted above), `kt`
-        // and `scores` were sliced to `dh*t` and `t*t`.
-        unsafe { scores_avx2(q, kt, ld, t, dh, scale, scores) };
-        return;
-    }
-    scores_scalar(q, kt, ld, t, dh, scale, 0, scores);
+    let g = Product {
+        lhs_row: ld,
+        ..Product::dense(t, dh, t)
+    };
+    v1_product(q, kt, g, ZeroSkip::Never, Some(scale), scores);
 }
 
 /// Elements a `[t, dh]` view of row stride `ld` spans: `(t-1)·ld + dh`
@@ -909,147 +1269,19 @@ fn strided_len(ld: usize, t: usize, dh: usize) -> usize {
     }
 }
 
-/// The scalar body of [`attention_scores_into`] over score columns
-/// `[j0, t)`; also the SIMD variant's column tail.
-#[allow(clippy::too_many_arguments)]
-fn scores_scalar(
-    q: &[f32],
-    kt: &[f32],
-    ld: usize,
-    t: usize,
-    dh: usize,
-    scale: f32,
-    j0: usize,
-    scores: &mut [f32],
-) {
-    for i in 0..t {
-        let qrow = &q[i * ld..i * ld + dh];
-        for j in j0..t {
-            let mut acc = 0.0f32;
-            for (p, &qv) in qrow.iter().enumerate() {
-                acc += qv * kt[p * t + j];
-            }
-            scores[i * t + j] = acc * scale;
-        }
-    }
-}
-
-/// AVX2 body of [`attention_scores_into`]: four score rows by sixteen
-/// columns per register block (eight accumulators), then narrower blocks
-/// and single rows, then the scalar column tail for `t % 8`. Each lane
-/// runs one element's serial `p` chain.
-///
-/// # Safety
-///
-/// Caller must ensure AVX2 is available, `q.len() >= (t-1)*ld + dh`,
-/// `kt.len() >= dh*t` and `scores.len() >= t*t`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn scores_avx2(
-    q: &[f32],
-    kt: &[f32],
-    ld: usize,
-    t: usize,
-    dh: usize,
-    scale: f32,
-    scores: &mut [f32],
-) {
-    let shape = HeadShape { ld, t, dh };
-    let (qp, ktp, out) = (q.as_ptr(), kt.as_ptr(), scores.as_mut_ptr());
-    let mut i = 0;
-    while i < t {
-        let four = i + 4 <= t;
-        let mut j = 0;
-        while j + 16 <= t {
-            if four {
-                scores_block_avx2::<4, 2>(qp, ktp, shape, scale, i, j, out);
-            } else {
-                scores_block_avx2::<1, 2>(qp, ktp, shape, scale, i, j, out);
-            }
-            j += 16;
-        }
-        if j + 8 <= t {
-            if four {
-                scores_block_avx2::<4, 1>(qp, ktp, shape, scale, i, j, out);
-            } else {
-                scores_block_avx2::<1, 1>(qp, ktp, shape, scale, i, j, out);
-            }
-        }
-        i += if four { 4 } else { 1 };
-    }
-    let panels = t - t % 8;
-    if panels < t {
-        scores_scalar(q, kt, ld, t, dh, scale, panels, scores);
-    }
-}
-
-/// Dimensions of one attention head's strided view.
-#[cfg(target_arch = "x86_64")]
-#[derive(Clone, Copy)]
-struct HeadShape {
-    /// Row stride of the stacked matrix the head lives in.
-    ld: usize,
-    /// Sequence length (rows of the head, rows and columns of the scores).
-    t: usize,
-    /// Head width.
-    dh: usize,
-}
-
-/// Score rows `i0..i0 + R` by columns `j0..j0 + 8·P`.
-///
-/// # Safety
-///
-/// As [`scores_avx2`], with `i0 + R <= t` and `j0 + 8*P <= t`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn scores_block_avx2<const R: usize, const P: usize>(
-    q: *const f32,
-    kt: *const f32,
-    s: HeadShape,
-    scale: f32,
-    i0: usize,
-    j0: usize,
-    out: *mut f32,
-) {
-    use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps,
-    };
-    let mut acc = [[_mm256_setzero_ps(); P]; R];
-    for p in 0..s.dh {
-        let mut kv = [_mm256_setzero_ps(); P];
-        for (x, kv) in kv.iter_mut().enumerate() {
-            *kv = _mm256_loadu_ps(kt.add(p * s.t + j0 + 8 * x));
-        }
-        for (r, row) in acc.iter_mut().enumerate() {
-            let qv = _mm256_set1_ps(*q.add((i0 + r) * s.ld + p));
-            for (a, &kv) in row.iter_mut().zip(&kv) {
-                *a = _mm256_add_ps(*a, _mm256_mul_ps(qv, kv));
-            }
-        }
-    }
-    let scale = _mm256_set1_ps(scale);
-    for (r, row) in acc.iter().enumerate() {
-        for (x, &a) in row.iter().enumerate() {
-            _mm256_storeu_ps(
-                out.add((i0 + r) * s.t + j0 + 8 * x),
-                _mm256_mul_ps(a, scale),
-            );
-        }
-    }
-}
-
 /// One head's attention output, written in place: `out [t, dh] = P · V`,
 /// where `P` is the `[t, t]` softmax matrix `probs` and `V`/`out` are the
 /// `[t, dh]` column blocks starting at `v[0]`/`out[0]` of row-major
 /// matrices with row stride `ld`. Columns of `out` outside the head are
 /// left untouched, so heads write straight into the merged matrix.
 ///
-/// Per element the sum is [`matmul_kernel`]'s exact sequence: start at
-/// `+0.0`, then `acc + p·v` in ascending `j`, **skipping** every `p == 0`
-/// term. The skip is part of the bits, not an optimization: softmax
-/// weights underflow to exactly zero, and `0·Inf` is NaN where the skip
-/// leaves the sum finite.
+/// Per element the sum is [`matmul_kernel`]'s exact sequence, through
+/// its blocks: start at `+0.0`, then `acc + p·v` in ascending `j`,
+/// **skipping** every `p == 0` term. The skip is part of the bits, not an
+/// optimization: softmax weights underflow to exactly zero, and `0·Inf`
+/// is NaN where the skip leaves the sum finite. Each row tests its own
+/// weight, whatever `V` holds: the weights are rarely exactly zero, so
+/// the branch predicts well.
 ///
 /// # Panics
 ///
@@ -1067,125 +1299,12 @@ pub(crate) fn attention_mix_into(
         v.len() >= view && out.len() >= view,
         "head view shorter than its rows"
     );
-    let probs = &probs[..t * t];
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::enabled() {
-        // SAFETY: AVX2 support was just detected; `v` and `out` hold `t`
-        // rows of stride `ld` with `dh <= ld` columns each and `probs`
-        // holds `t*t` (all asserted above).
-        unsafe { mix_avx2(probs, v, ld, t, dh, out) };
-        return;
-    }
-    mix_scalar(probs, v, ld, t, dh, 0, out);
-}
-
-/// The scalar body of [`attention_mix_into`] over head columns
-/// `[c0, dh)`; also the SIMD variant's column tail.
-fn mix_scalar(
-    probs: &[f32],
-    v: &[f32],
-    ld: usize,
-    t: usize,
-    dh: usize,
-    c0: usize,
-    out: &mut [f32],
-) {
-    for i in 0..t {
-        let orow = &mut out[i * ld + c0..i * ld + dh];
-        orow.fill(0.0);
-        for (j, &pv) in probs[i * t..(i + 1) * t].iter().enumerate() {
-            if pv == 0.0 {
-                continue;
-            }
-            for (o, &vv) in orow.iter_mut().zip(&v[j * ld + c0..j * ld + dh]) {
-                *o += pv * vv;
-            }
-        }
-    }
-}
-
-/// AVX2 body of [`attention_mix_into`]: four output rows by sixteen head
-/// columns per register block, then narrower blocks and single rows, then
-/// the scalar column tail for `dh % 8`. Each row tests its own weight for
-/// zero, so the skip stays per element.
-///
-/// # Safety
-///
-/// Caller must ensure AVX2 is available, `probs.len() >= t*t` and
-/// `v.len()`, `out.len() >= (t-1)*ld + dh`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn mix_avx2(probs: &[f32], v: &[f32], ld: usize, t: usize, dh: usize, out: &mut [f32]) {
-    let shape = HeadShape { ld, t, dh };
-    let (p, vp, o) = (probs.as_ptr(), v.as_ptr(), out.as_mut_ptr());
-    let mut i = 0;
-    while i < t {
-        let four = i + 4 <= t;
-        let mut c = 0;
-        while c + 16 <= dh {
-            if four {
-                mix_block_avx2::<4, 2>(p, vp, shape, i, c, o);
-            } else {
-                mix_block_avx2::<1, 2>(p, vp, shape, i, c, o);
-            }
-            c += 16;
-        }
-        if c + 8 <= dh {
-            if four {
-                mix_block_avx2::<4, 1>(p, vp, shape, i, c, o);
-            } else {
-                mix_block_avx2::<1, 1>(p, vp, shape, i, c, o);
-            }
-        }
-        i += if four { 4 } else { 1 };
-    }
-    let panels = dh - dh % 8;
-    if panels < dh {
-        mix_scalar(probs, v, ld, t, dh, panels, out);
-    }
-}
-
-/// Output rows `i0..i0 + R` by head columns `c0..c0 + 8·P`.
-///
-/// # Safety
-///
-/// As [`mix_avx2`], with `i0 + R <= t` and `c0 + 8*P <= dh`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn mix_block_avx2<const R: usize, const P: usize>(
-    probs: *const f32,
-    v: *const f32,
-    s: HeadShape,
-    i0: usize,
-    c0: usize,
-    out: *mut f32,
-) {
-    use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps,
+    let g = Product {
+        ldb: ld,
+        ldo: ld,
+        ..Product::dense(t, t, dh)
     };
-    let mut acc = [[_mm256_setzero_ps(); P]; R];
-    for j in 0..s.t {
-        let mut vv = [_mm256_setzero_ps(); P];
-        for (x, vv) in vv.iter_mut().enumerate() {
-            *vv = _mm256_loadu_ps(v.add(j * s.ld + c0 + 8 * x));
-        }
-        for (r, row) in acc.iter_mut().enumerate() {
-            let pv = *probs.add((i0 + r) * s.t + j);
-            if pv == 0.0 {
-                continue;
-            }
-            let pv = _mm256_set1_ps(pv);
-            for (a, &vv) in row.iter_mut().zip(&vv) {
-                *a = _mm256_add_ps(*a, _mm256_mul_ps(pv, vv));
-            }
-        }
-    }
-    for (r, row) in acc.iter().enumerate() {
-        for (x, &a) in row.iter().enumerate() {
-            _mm256_storeu_ps(out.add((i0 + r) * s.ld + c0 + 8 * x), a);
-        }
-    }
+    v1_product(&probs[..t * t], v, g, ZeroSkip::Always, None, out);
 }
 
 #[cfg(test)]
@@ -1317,6 +1436,136 @@ pub(crate) mod tests {
         }
     }
 
+    /// Sizes for every `m`, `k` and `n` of the v1 sweep: empty, 1–9, and
+    /// both sides of the 4-row blocks, the 8-row lanes, the 16- and
+    /// 8-column blocks and the masked remainder lanes.
+    const V1_SIZES: [usize; 18] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 48, 49];
+
+    /// The v1 loop written out plainly, the reference every v1 body is
+    /// held to: zero the output, then per row add `a·b` rows in ascending
+    /// `p`, skipping a zero `a` when `skip`.
+    fn v1_reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, skip: bool) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for p in 0..k {
+                let av = a[i * k + p];
+                if skip && av == 0.0 {
+                    continue;
+                }
+                for j in 0..n {
+                    out[i * n + j] += av * b[p * n + j];
+                }
+            }
+        }
+        out
+    }
+
+    /// A `[m, k]` lhs and a `[k, n]` rhs with ±0 and denormals throughout,
+    /// and exact `±0.0` in the even rows of every third lhs column — the
+    /// zeros ReLU and dropout leave. With `special`, the rhs rows opposite
+    /// those columns hold ±Inf and NaN, where the skip must hold.
+    fn v1_operands(m: usize, k: usize, n: usize, special: bool) -> (Vec<f32>, Vec<f32>) {
+        let seed = (m * 4099 + k * 67 + n) as u64;
+        let mut lhs = adversarial(m * k, seed, false);
+        let mut rhs = adversarial(k * n, seed + 1, false);
+        let specials = [f32::INFINITY, f32::NAN, f32::NEG_INFINITY, 1.5];
+        for p in (1..k).step_by(3) {
+            for i in (0..m).step_by(2) {
+                lhs[i * k + p] = if i % 4 == 0 { 0.0 } else { -0.0 };
+            }
+            if special {
+                for j in 0..n {
+                    rhs[p * n + j] = specials[(j + p) % 4];
+                }
+            }
+        }
+        (lhs, rhs)
+    }
+
+    #[test]
+    fn v1_products_match_their_twins_and_what_they_replace() {
+        // Every v1 product against its scalar twin and against the code
+        // it replaced: `matmul_kernel` and `matmul_tn_kernel` against the
+        // old skip loop (and `matmul_tn_kernel` against `transposed()`
+        // followed by `matmul_kernel`), `matmul_t_kernel` against its dot
+        // loop. The finite pass takes the branch-free route from 8 rows;
+        // the special pass must keep the skip. Outputs start as 7.0, so
+        // an element no body writes shows.
+        let mut shapes = Vec::new();
+        for m in V1_SIZES {
+            for k in V1_SIZES {
+                for n in V1_SIZES {
+                    shapes.push((m, k, n));
+                }
+            }
+        }
+        // The CNN head's depth: 288 row-lane transposes, masked lanes
+        // over a long `k`.
+        for m in [0, 1, 7, 8, 9, 16, 17] {
+            for n in [0, 1, 3, 7, 8, 9, 25] {
+                shapes.push((m, 2304, n));
+            }
+        }
+        for special in [false, true] {
+            for &(m, k, n) in &shapes {
+                let ctx = format!("m={m} k={k} n={n} special={special}");
+                let (lhs, rhs) = v1_operands(m, k, n, special);
+                let run = |f: &dyn Fn(&mut [f32])| {
+                    let mut out = vec![7.0f32; m * n];
+                    f(&mut out);
+                    canon(&out)
+                };
+
+                let want = canon(&v1_reference(&lhs, &rhs, m, k, n, true));
+                let dense = Product::dense(m, k, n);
+                let got = run(&|o| matmul_kernel(&lhs, &rhs, m, k, n, o));
+                assert_eq!(got, want, "matmul_kernel {ctx}");
+                let twin = run(&|o| v1_scalar(&lhs, &rhs, dense, true, None, o));
+                assert_eq!(twin, want, "v1_scalar {ctx}");
+
+                let lhs_t = Tensor::new(vec![m, k], lhs.clone()).transposed();
+                let got = run(&|o| matmul_tn_kernel(lhs_t.data(), &rhs, m, k, n, o));
+                assert_eq!(got, want, "matmul_tn_kernel {ctx}");
+                let tn = Product {
+                    lhs_row: 1,
+                    lhs_col: m,
+                    ..dense
+                };
+                let twin = run(&|o| v1_scalar(lhs_t.data(), &rhs, tn, true, None, o));
+                assert_eq!(twin, want, "matmul_tn twin {ctx}");
+                let rhs_tensor = Tensor::new(vec![k, n], rhs.clone());
+                let replaced = lhs_t.transposed().matmul(&rhs_tensor);
+                assert_eq!(canon(replaced.data()), want, "transposed + matmul {ctx}");
+
+                let want = canon(&v1_reference(&lhs, &rhs, m, k, n, false));
+                let rhs_t = Tensor::new(vec![k, n], rhs.clone()).transposed();
+                let got = run(&|o| matmul_t_kernel(&lhs, rhs_t.data(), m, k, n, o));
+                assert_eq!(got, want, "matmul_t_kernel {ctx}");
+                let old = run(&|o| matmul_t_scalar(&lhs, rhs_t.data(), m, k, n, o));
+                assert_eq!(old, want, "matmul_t loop {ctx}");
+                let twin = run(&|o| v1_scalar(&lhs, &rhs, dense, false, None, o));
+                assert_eq!(twin, want, "v1_scalar without skip {ctx}");
+            }
+        }
+    }
+
+    #[test]
+    fn v1_products_refuse_short_buffers() {
+        let (a, b) = (vec![1.0f32; 6], vec![1.0f32; 6]);
+        let mut out = vec![0.0f32; 3];
+        let caught = |f: &dyn Fn(&mut [f32])| {
+            let mut out = out.clone();
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut out))).is_err()
+        };
+        // [3,2]·[2,3] needs 9 outputs; [2,3]ᵀ·[2,3] needs 9 too.
+        assert!(caught(&|o| matmul_kernel(&a, &b, 3, 2, 3, o)));
+        assert!(caught(&|o| matmul_tn_kernel(&a, &b, 3, 2, 3, o)));
+        assert!(caught(&|o| matmul_t_kernel(&a, &b, 3, 2, 3, o)));
+        assert!(caught(&|o| matmul_tn_kernel(&a[..5], &b, 3, 2, 1, o)));
+        matmul_tn_kernel(&a, &b, 3, 2, 1, &mut out);
+        assert_eq!(out, [2.0; 3]);
+    }
+
     /// The `[t, dh]` column block at `off` of a `[t, ld]` matrix, copied
     /// out — the per-head copy attention made before it read in place.
     fn head_copy(src: &[f32], ld: usize, t: usize, off: usize, dh: usize) -> Vec<f32> {
@@ -1374,7 +1623,11 @@ pub(crate) mod tests {
                     );
                     let mut twin = vec![7.0f32; t * t];
                     transpose_scalar(&k[off..], ld, t, dh, 0, 0, &mut kt);
-                    scores_scalar(&q[off..], &kt, ld, t, dh, scale, 0, &mut twin);
+                    let g = Product {
+                        lhs_row: ld,
+                        ..Product::dense(t, dh, t)
+                    };
+                    v1_scalar(&q[off..], &kt, g, false, Some(scale), &mut twin);
                     assert_eq!(canon(&old), canon(&got), "t={t} dh={dh} head at {off}");
                     assert_eq!(canon(&twin), canon(&got), "t={t} dh={dh} head at {off}");
                 }
@@ -1410,7 +1663,12 @@ pub(crate) mod tests {
                     let mut got = vec![7.0f32; t * ld];
                     attention_mix_into(&probs, &v[off..], ld, t, dh, &mut got[off..]);
                     let mut twin = vec![7.0f32; t * ld];
-                    mix_scalar(&probs, &v[off..], ld, t, dh, 0, &mut twin[off..]);
+                    let g = Product {
+                        ldb: ld,
+                        ldo: ld,
+                        ..Product::dense(t, t, dh)
+                    };
+                    v1_scalar(&probs, &v[off..], g, true, None, &mut twin[off..]);
                     assert_eq!(canon(&twin), canon(&got), "t={t} dh={dh} head at {off}");
                     assert_eq!(
                         canon(&old),

@@ -9,6 +9,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
+use crate::ensemble::argmax;
 use crate::graph::Graph;
 use crate::metrics::accuracy;
 use crate::models::Model;
@@ -97,7 +98,9 @@ where
 /// # Errors
 ///
 /// Returns [`MlError::EmptyDataset`] for empty inputs and
-/// [`MlError::Diverged`] if the loss becomes non-finite.
+/// [`MlError::Diverged`] if a training loss becomes non-finite, or if an
+/// epoch's last step leaves a non-finite parameter (which no training
+/// loss has seen yet, and validation would otherwise read).
 pub fn train_model<M: Model + ?Sized>(
     model: &mut M,
     train_x: &[Vec<f32>],
@@ -156,6 +159,10 @@ pub fn train_model<M: Model + ?Sized>(
             }
             optimizer.step(model.store_mut(), &grads);
         }
+        let store = model.store();
+        if (0..store.len()).any(|slot| store.get(slot).has_non_finite()) {
+            return Err(MlError::Diverged { epoch });
+        }
         report
             .train_losses
             .push(epoch_loss / batches.max(1) as f64);
@@ -183,18 +190,13 @@ pub fn train_model<M: Model + ?Sized>(
     Ok(report)
 }
 
-/// Predicts class indices for a set of windows.
+/// Predicts class indices for a set of windows, by the one total
+/// [`crate::ensemble::argmax`] (a NaN probability never panics).
 #[must_use]
 pub fn predict<M: Model + ?Sized>(model: &M, xs: &[Vec<f32>], batch_size: usize) -> Vec<usize> {
     predict_proba(model, xs, batch_size)
-        .into_iter()
-        .map(|p| {
-            p.iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite probs"))
-                .map(|(i, _)| i)
-                .unwrap_or(0)
-        })
+        .iter()
+        .map(|p| argmax(p))
         .collect()
 }
 
@@ -229,7 +231,7 @@ pub fn evaluate<M: Model + ?Sized>(model: &M, xs: &[Vec<f32>], ys: &[usize], bat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::{CnnConfig, ConvSpec, PoolKind};
+    use crate::models::{CnnConfig, ConvSpec, PoolKind, TransformerConfig};
     use rand::Rng;
 
     /// A tiny synthetic task: class is determined by which half of the
@@ -392,6 +394,73 @@ mod tests {
             train_model(&mut model, &[], &[], &[], &[], &cfg),
             Err(MlError::EmptyDataset)
         ));
+    }
+
+    /// The fleet fixture's two quick genomes (`quick_cnn_config` and
+    /// `quick_transformer_config` in the core crate's `eval`).
+    fn quick_cnn() -> CnnConfig {
+        CnnConfig {
+            convs: vec![ConvSpec {
+                filters: 8,
+                kernel: 5,
+                stride: 2,
+            }],
+            pool: PoolKind::None,
+            window: 100,
+            channels: 16,
+            dropout: 0.2,
+        }
+    }
+
+    fn quick_transformer() -> TransformerConfig {
+        TransformerConfig {
+            layers: 1,
+            heads: 2,
+            d_model: 32,
+            dim_ff: 64,
+            dropout: 0.2,
+            window: 100,
+            channels: 16,
+            time_stride: 4,
+        }
+    }
+
+    #[test]
+    fn a_diverging_run_returns_diverged() {
+        // SGD at lr 1e3 blows both quick nets up. The step that leaves a
+        // NaN weight can be an epoch's last, which no training loss sees:
+        // validation used to read it first and panic on a NaN probability.
+        let (xs, ys) = toy_dataset(48, 16, 100, 11);
+        let cfg = TrainConfig {
+            epochs: 12,
+            batch_size: 16,
+            optimizer: OptimizerKind::Sgd {
+                lr: 1e3,
+                momentum: 0.0,
+            },
+            seed: 0,
+            patience: None,
+            max_batches: None,
+        };
+        let cnn = train_built(|| quick_cnn().build(0), &xs, &ys, &xs, &ys, &cfg);
+        assert!(matches!(cnn, Err(MlError::Diverged { .. })), "{:?}", cnn.map(|r| r.1));
+        let tf = train_built(|| quick_transformer().build(0), &xs, &ys, &xs, &ys, &cfg);
+        assert!(matches!(tf, Err(MlError::Diverged { .. })), "{:?}", tf.map(|r| r.1));
+    }
+
+    #[test]
+    fn predicting_with_nan_weights_does_not_panic() {
+        let (xs, ys) = toy_dataset(12, 8, 32, 6);
+        let mut model = tiny_cnn(32).build(0).unwrap();
+        for slot in 0..model.store().len() {
+            model.store_mut().get_mut(slot).data_mut()[0] = f32::NAN;
+        }
+        let labels = predict(&model, &xs, 4);
+        assert_eq!(labels.len(), xs.len());
+        assert!(labels.iter().all(|&l| l < 3), "{labels:?}");
+        assert!(evaluate(&model, &xs, &ys, 4) <= 1.0);
+        let compiled = crate::infer::compile_cnn(&model);
+        assert!(compiled.predict(&xs[0]) < 3);
     }
 
     #[test]

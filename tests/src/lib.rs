@@ -103,7 +103,9 @@ fn exe_fingerprint() -> Option<(String, String)> {
 /// includes `COGARM_THREADS` so CI's 1- and 4-thread passes each *train*
 /// at their own pool size (the dual-thread matrix exists to prove training
 /// is thread-count-invariant; sharing one artifact would mask a
-/// regression there).
+/// regression there), and the kernel dispatch ([`ml::simd::enabled`]) so
+/// a `COGARM_NO_SIMD=1` pass trains through the scalar twins instead of
+/// loading an ensemble the SIMD bodies trained.
 fn fixture_cache_path(data_seed: u64, train_seed: u64) -> Option<PathBuf> {
     if std::env::var_os("COGARM_NO_FIXTURE_CACHE").is_some() {
         return None;
@@ -114,13 +116,19 @@ fn fixture_cache_path(data_seed: u64, train_seed: u64) -> Option<PathBuf> {
         .chars()
         .filter(char::is_ascii_alphanumeric)
         .collect();
+    // No '-' inside the component: the pruner splits on the last dash.
+    let dispatch = if ml::simd::enabled() {
+        "simd"
+    } else {
+        "scalar"
+    };
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("..")
         .join("target")
         .join("cogm-test-cache");
     std::fs::create_dir_all(&dir).ok()?;
     Some(dir.join(format!(
-        "quick-{data_seed}-{train_seed}-t{threads}-{stem}-{fingerprint}.cogm"
+        "quick-{data_seed}-{train_seed}-t{threads}-{dispatch}-{stem}-{fingerprint}.cogm"
     )))
 }
 
