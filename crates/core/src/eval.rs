@@ -47,7 +47,6 @@ pub struct DatasetBuilder {
     protocol: Protocol,
     n_subjects: usize,
     seed: u64,
-    filter: FilterSpec,
     pool: Arc<ExecPool>,
 }
 
@@ -60,16 +59,8 @@ impl DatasetBuilder {
             protocol,
             n_subjects,
             seed,
-            filter: FilterSpec::default(),
             pool: exec::shared(),
         }
-    }
-
-    /// Overrides the filter design.
-    #[must_use]
-    pub fn with_filter(mut self, filter: FilterSpec) -> Self {
-        self.filter = filter;
-        self
     }
 
     /// Runs the offline filtering on an explicit pool.
@@ -79,14 +70,15 @@ impl DatasetBuilder {
         self
     }
 
-    /// Generates, filters and normalizes the study.
+    /// Generates, filters (the paper's [`FilterSpec::default`] design) and
+    /// normalizes the study.
     ///
     /// # Errors
     ///
     /// Propagates generation and filtering failures.
     pub fn build(self) -> Result<PreparedData> {
         let mut study = Study::generate(&self.protocol, self.n_subjects, self.seed)?;
-        let chain = OfflineChain::with_pool(&self.filter, self.pool)?;
+        let chain = OfflineChain::with_pool(&FilterSpec::default(), self.pool)?;
         let mut zscores = Vec::with_capacity(study.recordings.len());
         for rec in &mut study.recordings {
             chain.apply(&mut rec.data)?;

@@ -9,9 +9,10 @@
 //! deterministic simulated time and per-stage latency accounting. The
 //! parallel hot paths (per-channel filtering, per-tree forest training,
 //! ensemble-member inference, per-genome search evaluation) run on the
-//! deterministic [`exec`] substrate: thread count — configured via
-//! [`pipeline::PipelineConfig::threads`] or `COGARM_THREADS` — changes
-//! wall-clock time, never outputs.
+//! deterministic [`exec`] substrate: thread count — set by `COGARM_THREADS`
+//! for the shared pool, or by the explicit pool a session is built on
+//! ([`pipeline::CognitiveArm::with_pool`]) — changes wall-clock time, never
+//! outputs.
 //!
 //! * [`preprocess`] — the streaming (causal) and offline (zero-phase)
 //!   preprocessing chains of Sec. III-A3.

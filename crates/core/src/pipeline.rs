@@ -51,10 +51,6 @@ pub struct PipelineConfig {
     pub controller: ControllerConfig,
     /// Safety limits.
     pub safety: SafetyConfig,
-    /// Worker threads for parallel stages (`None` = the process-wide
-    /// [`exec::shared`] pool, sized by `COGARM_THREADS` or
-    /// `available_parallelism`). Thread count never changes outputs.
-    pub threads: Option<usize>,
 }
 
 impl Default for PipelineConfig {
@@ -64,7 +60,6 @@ impl Default for PipelineConfig {
             filter: FilterSpec::default(),
             controller: ControllerConfig::default(),
             safety: SafetyConfig::default(),
-            threads: None,
         }
     }
 }
@@ -572,7 +567,9 @@ impl std::fmt::Debug for CognitiveArm {
 }
 
 impl CognitiveArm {
-    /// Assembles the system for one simulated subject.
+    /// Assembles the system for one simulated subject on the process-wide
+    /// [`exec::shared`] pool (sized by `COGARM_THREADS` or
+    /// `available_parallelism`).
     ///
     /// # Panics
     ///
@@ -580,17 +577,15 @@ impl CognitiveArm {
     /// the default config passes.
     #[must_use]
     pub fn new(config: PipelineConfig, ensemble: Ensemble, subject_seed: u64) -> Self {
-        let pool = match config.threads {
-            Some(n) => Arc::new(ExecPool::new(n)),
-            None => exec::shared(),
-        };
-        Self::with_pool(config, ensemble, subject_seed, pool)
+        Self::with_pool(config, ensemble, subject_seed, exec::shared())
     }
 
-    /// [`CognitiveArm::new`] on an explicit execution pool, ignoring
-    /// `config.threads` — the hook for multiplexing many systems over one
-    /// serving pool (`serve::SessionManager`). Thread count never changes
-    /// outputs, so sharing a pool never couples sessions numerically.
+    /// [`CognitiveArm::new`] on an explicit execution pool — how a
+    /// standalone session gets a pool of its own size, and the hook for
+    /// multiplexing many systems over one serving pool
+    /// (`serve::SessionManager`).
+    /// Thread count never changes outputs, so sharing a pool never couples
+    /// sessions numerically.
     ///
     /// # Panics
     ///
@@ -998,14 +993,13 @@ mod tests {
     }
 
     #[test]
-    fn threads_config_sizes_the_pool() {
-        let config = PipelineConfig {
-            threads: Some(3),
-            ..PipelineConfig::default()
-        };
-        let sys = CognitiveArm::new(config, stub_ensemble(), 1);
+    fn an_explicit_pool_sizes_the_session() {
+        let pool = Arc::new(ExecPool::new(3));
+        let sys =
+            CognitiveArm::with_pool(PipelineConfig::default(), stub_ensemble(), 1, pool.clone());
+        assert!(Arc::ptr_eq(sys.pool(), &pool));
         assert_eq!(sys.pool().threads(), 3);
-        // None delegates to the shared pool.
+        // `new` delegates to the shared pool.
         let sys = CognitiveArm::new(PipelineConfig::default(), stub_ensemble(), 1);
         assert!(Arc::ptr_eq(sys.pool(), &exec::shared()));
     }

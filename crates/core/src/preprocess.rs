@@ -7,7 +7,11 @@
 //!   real-time loop (a control loop cannot look into the future).
 //!
 //! Both are followed by the per-subject z-score normalization of Sec. V-A,
-//! whose statistics are fitted on training data and frozen.
+//! whose statistics are fitted on training data and frozen. The two apply
+//! those statistics with different rounding: dataset preparation through
+//! [`Zscore::apply`] (`(x - mean) * (1 / std)`), the real-time loop through
+//! [`StreamingChain::step`] (`(x - mean) / std`), so one filtered value can
+//! normalize to different last bits offline and online.
 
 use std::sync::{Arc, Mutex};
 
@@ -201,7 +205,11 @@ impl StreamingChain {
         self.zscore.as_ref()
     }
 
-    /// Processes one multichannel sample in place.
+    /// Processes one multichannel sample in place: the filter bank, then
+    /// the installed normalization as `(x - mean) / std`. That division
+    /// rounds differently from [`Zscore::apply`]'s multiply by `1 / std`
+    /// (see the module docs); both stay as they are until a numerics-version
+    /// bump, because either change moves committed bits.
     pub fn step(&mut self, sample: &mut [f32; CHANNELS]) {
         self.bank.step_frame(sample);
         if let Some(z) = &self.zscore {

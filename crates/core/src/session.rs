@@ -75,7 +75,7 @@ impl ValidationReport {
 ///
 /// Trials alternate left/right intentions. The system's current voice mode
 /// determines which joint is watched. Inference runs on the system's
-/// [`exec::ExecPool`] (see [`crate::pipeline::PipelineConfig::threads`]);
+/// [`exec::ExecPool`] (see [`crate::pipeline::CognitiveArm::with_pool`]);
 /// because the pool is deterministic, the report is identical for any
 /// thread count.
 ///
@@ -123,6 +123,7 @@ mod tests {
     use crate::eval::{train_default_ensemble, DatasetBuilder, TrainBudget};
     use crate::pipeline::PipelineConfig;
     use eeg::dataset::Protocol;
+    use std::sync::Arc;
 
     #[test]
     fn validation_mostly_succeeds_with_a_trained_system() {
@@ -135,11 +136,8 @@ mod tests {
         let zscore = data.zscores[0].clone();
         // Run the loop on a 2-worker pool: the validation outcome may not
         // depend on the thread count.
-        let config = PipelineConfig {
-            threads: Some(2),
-            ..PipelineConfig::default()
-        };
-        let mut system = CognitiveArm::new(config, ensemble, 33);
+        let pool = Arc::new(exec::ExecPool::new(2));
+        let mut system = CognitiveArm::with_pool(PipelineConfig::default(), ensemble, 33, pool);
         system.set_normalization(zscore);
         let report = run_validation(
             &mut system,

@@ -100,9 +100,9 @@ impl BiquadState {
 
 /// A cascade of second-order sections forming one higher-order filter.
 ///
-/// The cascade is immutable once designed; running it allocates transient
-/// state internally (see [`SosFilter::filter`]) or explicitly through
-/// [`SosFilter::runner`] for streaming use.
+/// The cascade is immutable once designed; [`SosFilter::filter`] runs it
+/// over a whole signal from zero state, and [`StreamingFilter`] owns the
+/// state for streaming use.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SosFilter {
     sections: Vec<Biquad>,
@@ -154,92 +154,27 @@ impl SosFilter {
 
     /// Causally filters a signal, returning a new vector of the same length.
     ///
-    /// The filter starts from zero state; for streaming use across chunk
-    /// boundaries use [`SosFilter::runner`] which preserves state. Hot
-    /// callers that re-run cascades should use [`SosFilter::filter_into`]
-    /// with reused buffers instead.
+    /// The filter starts from zero state. This is the scalar offline
+    /// reference; for streaming across chunk boundaries use
+    /// [`StreamingFilter`], which preserves state.
     #[must_use]
     pub fn filter(&self, signal: &[f32]) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.filter_into(signal, &mut out, &mut SosScratch::default());
-        out
-    }
-
-    /// [`SosFilter::filter`] into a reused output buffer (cleared first)
-    /// with reused section state — identical values, zero steady-state
-    /// allocations once `out` and `scratch` have warmed to the signal
-    /// length and cascade depth.
-    pub fn filter_into(&self, signal: &[f32], out: &mut Vec<f32>, scratch: &mut SosScratch) {
-        scratch.state.clear();
-        scratch.state.resize(self.sections.len(), BiquadState::default());
-        out.clear();
-        out.reserve(signal.len());
+        let mut states = vec![BiquadState::default(); self.sections.len()];
+        let mut out = Vec::with_capacity(signal.len());
         for &x in signal {
             let mut acc = f64::from(x);
-            for (coeff, state) in self.sections.iter().zip(scratch.state.iter_mut()) {
+            for (coeff, state) in self.sections.iter().zip(states.iter_mut()) {
                 acc = state.step(coeff, acc);
             }
             out.push(acc as f32);
         }
-    }
-
-    /// Creates a stateful runner for sample-by-sample streaming.
-    #[must_use]
-    pub fn runner(&self) -> SosRunner<'_> {
-        SosRunner {
-            filter: self,
-            state: vec![BiquadState::default(); self.sections.len()],
-        }
+        out
     }
 }
 
-/// Reusable delay-state scratch for [`SosFilter::filter_into`] — lets a
-/// caller re-run cascades of any depth without per-call allocation once
-/// the scratch has warmed to the deepest cascade it has seen.
-#[derive(Debug, Clone, Default)]
-pub struct SosScratch {
-    state: Vec<BiquadState>,
-}
-
-/// Stateful executor for an [`SosFilter`], suitable for real-time streaming.
-///
-/// Keeps per-section delay state so consecutive chunks filter identically to
-/// one contiguous signal.
-#[derive(Debug, Clone)]
-pub struct SosRunner<'a> {
-    filter: &'a SosFilter,
-    state: Vec<BiquadState>,
-}
-
-impl SosRunner<'_> {
-    /// Processes one input sample and returns the filtered output sample.
-    #[inline]
-    pub fn step(&mut self, x: f32) -> f32 {
-        let mut acc = f64::from(x);
-        for (coeff, state) in self.filter.sections.iter().zip(self.state.iter_mut()) {
-            acc = state.step(coeff, acc);
-        }
-        acc as f32
-    }
-
-    /// Processes a chunk in place.
-    pub fn process(&mut self, chunk: &mut [f32]) {
-        for x in chunk {
-            *x = self.step(*x);
-        }
-    }
-
-    /// Resets all delay state to zero.
-    pub fn reset(&mut self) {
-        for s in &mut self.state {
-            *s = BiquadState::default();
-        }
-    }
-}
-
-/// An owned filter + state pair for long-lived streaming use (e.g. one per
-/// EEG channel inside the real-time pipeline), where the borrowing
-/// [`SosRunner`] is inconvenient.
+/// An owned filter + state pair that runs a cascade one sample at a time,
+/// keeping its delay state across calls: the per-sample scalar reference
+/// that [`crate::filterbank::FilterBank`] is checked against, bit for bit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamingFilter {
     filter: SosFilter,
@@ -317,40 +252,31 @@ mod tests {
     }
 
     #[test]
-    fn runner_matches_batch_across_chunks() {
-        // A simple stable lowpass-ish section.
-        let f = SosFilter::new(vec![Biquad::new([0.2, 0.4, 0.2], [1.0, -0.5, 0.2])]);
-        let x: Vec<f32> = (0..64).map(|i| ((i * 7) % 13) as f32 - 6.0).collect();
-        let batch = f.filter(&x);
-
-        let mut runner = f.runner();
-        let mut chunked = Vec::new();
-        for chunk in x.chunks(5) {
-            for &s in chunk {
-                chunked.push(runner.step(s));
-            }
-        }
-        for (a, b) in batch.iter().zip(&chunked) {
-            assert!((a - b).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn magnitude_at_dc_for_unity_gain_section() {
         let f = SosFilter::new(vec![Biquad::identity()]);
         assert!((f.magnitude_at(0.0, 125.0) - 1.0).abs() < 1e-12);
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|y| y.to_bits()).collect()
+    }
+
     #[test]
     fn streaming_filter_matches_batch() {
-        let f = SosFilter::new(vec![Biquad::new([0.2, 0.4, 0.2], [1.0, -0.5, 0.2])]);
+        // Two sections, so state carries through the cascade as well as
+        // across the ragged chunks the samples arrive in.
+        let f = SosFilter::new(vec![
+            Biquad::new([0.2, 0.4, 0.2], [1.0, -0.5, 0.2]),
+            Biquad::new([0.3, -0.1, 0.05], [1.0, -0.6, 0.25]),
+        ]);
         let x: Vec<f32> = (0..64).map(|i| ((i * 11) % 7) as f32 - 3.0).collect();
         let batch = f.filter(&x);
         let mut s = StreamingFilter::new(f);
-        let streamed: Vec<f32> = x.iter().map(|&v| s.step(v)).collect();
-        for (a, b) in batch.iter().zip(&streamed) {
-            assert!((a - b).abs() < 1e-6);
+        let mut streamed = Vec::with_capacity(x.len());
+        for chunk in x.chunks(5) {
+            streamed.extend(chunk.iter().map(|&v| s.step(v)));
         }
+        assert_eq!(bits(&streamed), bits(&batch));
     }
 
     #[test]
@@ -392,11 +318,15 @@ mod tests {
 
     #[test]
     fn reset_clears_state() {
+        // After a reset the filter replays a fresh run's bits.
         let f = SosFilter::new(vec![Biquad::new([0.2, 0.4, 0.2], [1.0, -0.5, 0.2])]);
-        let mut r = f.runner();
-        let first = r.step(1.0);
-        r.reset();
-        let second = r.step(1.0);
-        assert!((first - second).abs() < 1e-9);
+        let x: Vec<f32> = (0..32).map(|i| ((i * 7) % 13) as f32 - 6.0).collect();
+        let mut s = StreamingFilter::new(f.clone());
+        for &v in &x {
+            s.step(v);
+        }
+        s.reset();
+        let replay: Vec<f32> = x.iter().map(|&v| s.step(v)).collect();
+        assert_eq!(bits(&replay), bits(&f.filter(&x)));
     }
 }

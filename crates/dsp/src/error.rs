@@ -36,11 +36,16 @@ pub enum DspError {
         /// Number of samples provided.
         actual: usize,
     },
-    /// Window parameters do not produce any segment.
+    /// A segment or channel layout that cannot be processed: a Welch
+    /// segment shorter than 4 samples ([`crate::welch::welch_psd`]), or
+    /// z-score data or statistics that do not match their channel count
+    /// ([`crate::normalize::Zscore`]).
     InvalidWindow {
-        /// Requested window size in samples.
+        /// Welch: the segment length. Z-score: the channel count (or the
+        /// number of means, for rejected statistics).
         size: usize,
-        /// Requested step in samples.
+        /// Welch: the segment hop. Z-score: 0 (or the number of standard
+        /// deviations, for rejected statistics).
         step: usize,
     },
     /// FFT input length must be a power of two.

@@ -10,7 +10,7 @@
 //! compiled form changes **where state lives, never what is computed**:
 //!
 //! * each lane evaluates the direct-form-II-transposed recurrence in the
-//!   same operation order as [`crate::biquad::SosRunner::step`] — one
+//!   same operation order as [`crate::biquad::StreamingFilter::step`] — one
 //!   multiply, add, subtract sequence per section, no FMA contraction,
 //!   no reassociation;
 //! * a chain of several cascades ("stages", e.g. band-pass then notch)
@@ -209,7 +209,7 @@ fn host_has_avx2() -> bool {
 }
 
 /// The scalar reference body: for each lane, the exact
-/// direct-form-II-transposed recurrence of `SosRunner::step`, with the
+/// direct-form-II-transposed recurrence of `StreamingFilter::step`, with the
 /// f64 → f32 → f64 narrowing at each stage boundary.
 fn advance_scalar(
     coeffs: &[[f64; 5]],

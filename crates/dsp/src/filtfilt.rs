@@ -6,12 +6,11 @@
 //! reflection padding at both ends to suppress edge transients (the same
 //! strategy as scipy's `filtfilt`).
 //!
-//! The real-time control loop must use the causal [`SosRunner`] instead; the
-//! ablation bench `fig5` quantifies the difference.
-//!
-//! [`SosRunner`]: crate::biquad::SosRunner
+//! The real-time control loop cannot look ahead, so it filters causally
+//! through a [`FilterBank`] (core's `StreamingChain`); the ablation bench
+//! `fig5` quantifies the difference.
 
-use crate::biquad::{SosFilter, SosScratch};
+use crate::biquad::SosFilter;
 use crate::filterbank::FilterBank;
 use crate::{DspError, Result};
 
@@ -30,34 +29,6 @@ fn reflection_pad(filter: &SosFilter) -> usize {
 /// Returns [`DspError::SignalTooShort`] when the signal is shorter than the
 /// reflection pad (3 × filter order + 3 samples).
 pub fn filtfilt(filter: &SosFilter, signal: &[f32]) -> Result<Vec<f32>> {
-    let mut out = Vec::new();
-    filtfilt_into(filter, signal, &mut out, &mut FiltfiltScratch::default())?;
-    Ok(out)
-}
-
-/// Reusable working memory for [`filtfilt_into`]: the odd-reflection
-/// extended signal, the intermediate pass, and the cascade delay state.
-/// Re-running chains of the same shape through one scratch performs zero
-/// steady-state allocations.
-#[derive(Debug, Clone, Default)]
-pub struct FiltfiltScratch {
-    extended: Vec<f32>,
-    filtered: Vec<f32>,
-    sos: SosScratch,
-}
-
-/// [`filtfilt`] into a reused output buffer (cleared first), with all
-/// working memory drawn from `scratch`. Identical values.
-///
-/// # Errors
-///
-/// As [`filtfilt`].
-pub fn filtfilt_into(
-    filter: &SosFilter,
-    signal: &[f32],
-    out: &mut Vec<f32>,
-    scratch: &mut FiltfiltScratch,
-) -> Result<()> {
     let pad = reflection_pad(filter);
     if signal.len() <= pad {
         return Err(DspError::SignalTooShort {
@@ -66,15 +37,8 @@ pub fn filtfilt_into(
         });
     }
 
-    let FiltfiltScratch {
-        extended,
-        filtered,
-        sos,
-    } = scratch;
-
     // Odd reflection about the first/last sample: 2*edge - x.
-    extended.clear();
-    extended.reserve(signal.len() + 2 * pad);
+    let mut extended = Vec::with_capacity(signal.len() + 2 * pad);
     let first = signal[0];
     let last = signal[signal.len() - 1];
     for i in (1..=pad).rev() {
@@ -85,14 +49,11 @@ pub fn filtfilt_into(
         extended.push(2.0 * last - signal[i]);
     }
 
-    filter.filter_into(extended, filtered, sos);
+    let mut filtered = filter.filter(&extended);
     filtered.reverse();
-    filter.filter_into(filtered, extended, sos);
-    extended.reverse();
-
-    out.clear();
-    out.extend_from_slice(&extended[pad..pad + signal.len()]);
-    Ok(())
+    let mut out = filter.filter(&filtered);
+    out.reverse();
+    Ok(out[pad..pad + signal.len()].to_vec())
 }
 
 /// Zero-phase filtering over a block of channels through a compiled
@@ -273,20 +234,6 @@ mod tests {
             filtfilt(&f, &x),
             Err(DspError::SignalTooShort { .. })
         ));
-    }
-
-    #[test]
-    fn filtfilt_into_reuses_buffers_with_identical_values() {
-        let f = Butterworth::bandpass(4, 0.5, 45.0, FS).unwrap();
-        let mut out = Vec::new();
-        let mut scratch = FiltfiltScratch::default();
-        for freq in [5.0, 12.0, 30.0] {
-            let x = tone(freq, 400);
-            let want = filtfilt(&f, &x).unwrap();
-            filtfilt_into(&f, &x, &mut out, &mut scratch).unwrap();
-            let same = want.iter().zip(&out).all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "freq {freq} diverged");
-        }
     }
 
     #[test]

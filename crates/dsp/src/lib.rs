@@ -6,16 +6,20 @@
 //! * [`butterworth`] — Butterworth low/high/band-pass IIR design via the
 //!   bilinear transform, emitted as cascaded second-order sections.
 //! * [`notch`] — the 50 Hz powerline notch filter (quality factor 30).
-//! * [`biquad`] — the direct-form-II-transposed second-order section used to
-//!   run any designed filter, causally or zero-phase ([`filtfilt`]).
+//! * [`biquad`] — the direct-form-II-transposed second-order section and
+//!   the scalar references that run a designed cascade: offline
+//!   ([`biquad::SosFilter::filter`]) and sample by sample
+//!   ([`biquad::StreamingFilter`]).
 //! * [`filterbank`] — the compiled channel-interleaved execution form for
-//!   per-channel causal chains: SIMD lanes advance several channels
-//!   through a biquad section per instruction, bit-identical to the
-//!   scalar runners ([`simd`] holds the crate-wide dispatch policy).
+//!   per-channel causal chains, the one body the real-time loop runs:
+//!   SIMD lanes advance several channels through a biquad section per
+//!   instruction, bit-identical to [`biquad::StreamingFilter`] ([`simd`]
+//!   holds the crate-wide dispatch policy).
+//! * [`filtfilt`] — zero-phase filtering for dataset preparation: the
+//!   scalar reference [`filtfilt::filtfilt`] and its bank-backed form
+//!   [`filtfilt::ZeroPhaseBank`].
 //! * [`fft`] — an iterative radix-2 complex FFT plus real-signal helpers.
 //! * [`welch`] — Welch power-spectral-density estimation.
-//! * [`features`] — statistical and band-power feature extraction.
-//! * [`window`] — sliding-window segmentation (window 100–200, step 25).
 //! * [`artifact`] — eye-blink / EMG artifact detection and repair.
 //! * [`normalize`] — per-channel z-score normalization (Sec. V-A).
 //!
@@ -44,7 +48,6 @@
 pub mod artifact;
 pub mod biquad;
 pub mod butterworth;
-pub mod features;
 pub mod fft;
 pub mod filterbank;
 pub mod filtfilt;
@@ -52,7 +55,6 @@ pub mod simd;
 pub mod normalize;
 pub mod notch;
 pub mod welch;
-pub mod window;
 
 mod error;
 

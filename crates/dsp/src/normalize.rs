@@ -2,8 +2,15 @@
 //!
 //! Sec. V-A: "we normalized EEG data using the mean and standard deviation of
 //! each participant's readings" — a fit/transform pair so the statistics are
-//! estimated on training data only and reused at inference time (the
-//! real-time loop applies the same frozen transform).
+//! estimated on training data only and reused at inference time.
+//!
+//! The real-time loop applies the same frozen statistics but not the same
+//! rounding: [`Zscore::apply`] multiplies by `1 / std`, while core's
+//! `StreamingChain::step` divides by `std`. The two results can differ in
+//! the last bit (about 4 in 10 samples for a std of 23.3), so one filtered
+//! value can normalize to different bits in training and in serving. Unifying
+//! them moves the bits of every trained fixture or of every golden trace,
+//! so it waits for a numerics-version bump.
 
 use serde::{Deserialize, Serialize};
 
@@ -101,7 +108,8 @@ impl Zscore {
     }
 
     /// Applies the transform in place to channel-major data with any number
-    /// of samples per channel.
+    /// of samples per channel, as `(x - mean) * (1 / std)` (see the module
+    /// docs for how this rounds against the streaming path).
     ///
     /// # Errors
     ///

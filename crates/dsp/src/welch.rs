@@ -1,8 +1,8 @@
 //! Welch power-spectral-density estimation.
 //!
-//! Used by the feature extractor to measure band power (mu/beta
-//! desynchronization is the discriminative signal for motor imagery) and by
-//! the artifact detector to quantify residual line noise.
+//! [`Psd::band_power`] measures band power (mu/beta desynchronization is the
+//! discriminative signal for motor imagery) and residual line noise; the
+//! figure harnesses and the filter tests read it.
 
 use crate::fft::{bin_frequency, rfft};
 use crate::{DspError, Result};

@@ -48,10 +48,6 @@ persist_struct!(ControllerConfig { step, debounce });
 
 persist_struct!(SafetyConfig { max_step });
 
-/// `threads` is deliberately **not** persisted: deployment concurrency is
-/// host configuration, not model state — a loaded config always has
-/// `threads: None`, so the serving host's `COGARM_THREADS` (or its core
-/// count) governs, and thread count never changes outputs anyway.
 impl Persist for PipelineConfig {
     fn write_to<W: Write>(&self, w: &mut W) -> Result<()> {
         self.label_every.write_to(w)?;
@@ -66,7 +62,6 @@ impl Persist for PipelineConfig {
             filter: Persist::read_from(r)?,
             controller: Persist::read_from(r)?,
             safety: Persist::read_from(r)?,
-            threads: None,
         })
     }
 }

@@ -482,20 +482,9 @@ fn filter_bank_tick_is_allocation_free() {
 #[test]
 fn zero_phase_rerun_is_allocation_free_once_warm() {
     // Re-running offline chains over same-shape recordings must not
-    // allocate: `filtfilt_into` draws all working memory from its
-    // scratch, and the bank-backed `ZeroPhaseBank` reuses its
-    // interleaved extended block.
+    // allocate: the bank-backed `ZeroPhaseBank` reuses its interleaved
+    // extended block.
     let bp = dsp::butterworth::Butterworth::bandpass(9, 0.5, 45.0, 125.0).expect("bandpass");
-    let signal: Vec<f32> = (0..400).map(|i| (i as f32 * 0.17).sin() * 12.0).collect();
-
-    let mut out = Vec::new();
-    let mut scratch = dsp::filtfilt::FiltfiltScratch::default();
-    dsp::filtfilt::filtfilt_into(&bp, &signal, &mut out, &mut scratch).expect("warm-up");
-    let allocs = count_allocs(|| {
-        dsp::filtfilt::filtfilt_into(&bp, &signal, &mut out, &mut scratch).expect("re-run");
-    });
-    assert_eq!(allocs, 0, "warm filtfilt_into allocated {allocs} times");
-
     let mut block: Vec<f32> = (0..4 * 400).map(|i| (i as f32 * 0.07).cos() * 9.0).collect();
     let mut zp = dsp::filtfilt::ZeroPhaseBank::new(&bp, 4);
     zp.apply_channel_major(&mut block, 400).expect("warm-up");

@@ -26,18 +26,14 @@ fn seeded_trace(seed: u64) -> SessionTrace {
 /// Builds and runs the full stack; `threads` pins every parallel stage
 /// (offline filtering, ensemble inference) to an explicit pool size.
 fn seeded_trace_with_threads(seed: u64, threads: Option<usize>) -> SessionTrace {
-    let mut builder = DatasetBuilder::new(Protocol::quick(), 1, seed);
-    if let Some(n) = threads {
-        builder = builder.with_pool(Arc::new(ExecPool::new(n)));
-    }
-    let data = builder.build().expect("dataset builds");
+    let pool = threads.map_or_else(exec::shared, |n| Arc::new(ExecPool::new(n)));
+    let data = DatasetBuilder::new(Protocol::quick(), 1, seed)
+        .with_pool(Arc::clone(&pool))
+        .build()
+        .expect("dataset builds");
     let ensemble =
         train_default_ensemble(&data, &TrainBudget::quick(), seed).expect("ensemble trains");
-    let config = PipelineConfig {
-        threads,
-        ..PipelineConfig::default()
-    };
-    let mut system = CognitiveArm::new(config, ensemble, seed);
+    let mut system = CognitiveArm::with_pool(PipelineConfig::default(), ensemble, seed, pool);
     system.set_normalization(data.zscores[0].clone());
     system.set_subject_action(Action::Right);
     system.run_for(3.0).expect("runs")

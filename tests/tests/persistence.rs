@@ -24,10 +24,12 @@
 //!    `WeightImage`.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use cognitive_arm::pipeline::{CognitiveArm, PipelineConfig, SessionTrace};
 use eeg::types::Action;
 use evo::{EvolutionarySearch, Family, SearchSpace};
+use exec::ExecPool;
 use integration_tests::quick_trained;
 use ml::ensemble::{Ensemble, ForestClassifier, Member, Voting};
 use ml::forest::{ForestConfig, RandomForest, TreeNode};
@@ -105,6 +107,19 @@ fn assert_traces_identical(a: &SessionTrace, b: &SessionTrace, context: &str) {
             "{context}: joint trajectory diverged"
         );
     }
+}
+
+/// A saved model's system on a pool of `threads` workers.
+fn system_on_pool(model: SavedModel, subject_seed: u64, threads: usize) -> CognitiveArm {
+    CognitiveArm::assemble(
+        model.pipeline,
+        model.ensemble,
+        model.normalization,
+        subject_seed,
+        None,
+        Arc::new(ExecPool::new(threads)),
+    )
+    .expect("a loaded model assembles")
 }
 
 fn temp_path(name: &str) -> PathBuf {
@@ -212,11 +227,13 @@ fn loaded_model_trace_matches_in_memory_trace_across_thread_counts() {
     };
 
     // Save from a fresh single-threaded system, before any samples flow.
-    let config = PipelineConfig {
-        threads: Some(1),
-        ..PipelineConfig::default()
-    };
-    let system = CognitiveArm::new(config, artifacts.ensemble.clone(), 33);
+    let pool = Arc::new(ExecPool::new(1));
+    let system = CognitiveArm::with_pool(
+        PipelineConfig::default(),
+        artifacts.ensemble.clone(),
+        33,
+        pool,
+    );
     system.save_model(&path).expect("saves");
     let reference = run(system);
     assert!(!reference.labels.is_empty(), "reference run emitted labels");
@@ -227,9 +244,12 @@ fn loaded_model_trace_matches_in_memory_trace_across_thread_counts() {
 
     // Loaded artifact, different thread count: the exec substrate keeps
     // thread count out of the numerics, so the trace must still match.
-    let mut saved = SavedModel::load(&path).expect("loads");
-    saved.pipeline.threads = Some(4);
-    assert_traces_identical(&reference, &run(saved.into_system(33)), "loaded @4 threads");
+    let saved = SavedModel::load(&path).expect("loads");
+    assert_traces_identical(
+        &reference,
+        &run(system_on_pool(saved, 33, 4)),
+        "loaded @4 threads",
+    );
 }
 
 #[test]
@@ -259,11 +279,13 @@ fn weight_image_models_reproduce_traces_across_thread_counts() {
         system.set_subject_action(Action::Right);
         system.run_for(2.0).expect("runs")
     };
-    let config = PipelineConfig {
-        threads: Some(1),
-        ..PipelineConfig::default()
-    };
-    let system = CognitiveArm::new(config, artifacts.ensemble.clone(), 33);
+    let pool = Arc::new(ExecPool::new(1));
+    let system = CognitiveArm::with_pool(
+        PipelineConfig::default(),
+        artifacts.ensemble.clone(),
+        33,
+        pool,
+    );
     system.save_model(&v2_path).expect("saves");
     let reference = run(system);
     assert!(!reference.labels.is_empty(), "reference run emitted labels");
@@ -277,16 +299,15 @@ fn weight_image_models_reproduce_traces_across_thread_counts() {
 
     for (path, label) in [(&v2_path, "v2 image"), (&v1_path, "v1-upgraded image")] {
         let image = WeightImage::open(path).expect("image opens");
-        let mut model = image.decode().expect("image decodes");
+        let model = image.decode().expect("image decodes");
         assert_traces_identical(
             &reference,
             &run(model.clone().into_system(33)),
             &format!("{label} @1 thread"),
         );
-        model.pipeline.threads = Some(4);
         assert_traces_identical(
             &reference,
-            &run(model.into_system(33)),
+            &run(system_on_pool(model, 33, 4)),
             &format!("{label} @4 threads"),
         );
     }
@@ -986,9 +1007,7 @@ fn env_model_artifact_is_deterministic_across_thread_counts() {
     };
     let saved = SavedModel::load(&path).expect("COGARM_MODEL artifact loads");
     let run = |threads: usize| -> SessionTrace {
-        let mut s = saved.clone();
-        s.pipeline.threads = Some(threads);
-        let mut system = s.into_system(33);
+        let mut system = system_on_pool(saved.clone(), 33, threads);
         system.set_subject_action(Action::Right);
         system.run_for(2.0).expect("runs")
     };
