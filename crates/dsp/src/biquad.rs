@@ -263,8 +263,7 @@ mod tests {
 
     #[test]
     fn streaming_filter_matches_batch() {
-        // Two sections, so state carries through the cascade as well as
-        // across the ragged chunks the samples arrive in.
+        // Two sections, so state carries through the cascade.
         let f = SosFilter::new(vec![
             Biquad::new([0.2, 0.4, 0.2], [1.0, -0.5, 0.2]),
             Biquad::new([0.3, -0.1, 0.05], [1.0, -0.6, 0.25]),
@@ -272,11 +271,23 @@ mod tests {
         let x: Vec<f32> = (0..64).map(|i| ((i * 11) % 7) as f32 - 3.0).collect();
         let batch = f.filter(&x);
         let mut s = StreamingFilter::new(f);
-        let mut streamed = Vec::with_capacity(x.len());
-        for chunk in x.chunks(5) {
-            streamed.extend(chunk.iter().map(|&v| s.step(v)));
-        }
+        let streamed: Vec<f32> = x.iter().map(|&v| s.step(v)).collect();
         assert_eq!(bits(&streamed), bits(&batch));
+    }
+
+    #[test]
+    fn runner_matches_batch_across_chunks() {
+        // A streaming filter fed in chunks of 5 carries its state across
+        // the chunk edges and replays the batch output bit for bit.
+        let f = SosFilter::new(vec![Biquad::new([0.2, 0.4, 0.2], [1.0, -0.5, 0.2])]);
+        let x: Vec<f32> = (0..64).map(|i| ((i * 7) % 13) as f32 - 6.0).collect();
+        let batch = f.filter(&x);
+        let mut s = StreamingFilter::new(f);
+        let mut chunked = Vec::with_capacity(x.len());
+        for chunk in x.chunks(5) {
+            chunked.extend(chunk.iter().map(|&v| s.step(v)));
+        }
+        assert_eq!(bits(&chunked), bits(&batch));
     }
 
     #[test]
