@@ -70,7 +70,7 @@ pub fn encode_into(cmd: Command, out: &mut Vec<u8>) {
     payload[0] = cmd.opcode();
     let len = if let Command::SetServo { id, decideg } = cmd {
         payload[1] = id;
-        // Wire order is big-endian, exactly like `BytesMut::put_u16`.
+        // Wire order is big-endian.
         payload[2..4].copy_from_slice(&decideg.to_be_bytes());
         4
     } else {

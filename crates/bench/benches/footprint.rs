@@ -82,7 +82,7 @@ fn record(
 fn main() {
     let mut metrics = Vec::new();
 
-    // One paper-scale artifact, saved in both formats. The weights are
+    // One paper-scale artifact. The weights are
     // randomly initialized (`paper_best` configs, no training) — a memory
     // bench cares about realistic weight *sizes*, and training a
     // paper-scale ensemble here would dominate the runtime without
@@ -108,45 +108,31 @@ fn main() {
     };
     let dir = std::env::temp_dir().join(format!("bench-footprint-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let v2_path = dir.join("model.cogm");
-    let v1_path = dir.join("model-v1.cogm");
-    saved.save(&v2_path).expect("v2 artifact saves");
-    saved
-        .to_container()
-        .expect("container builds")
-        .save_v1(&v1_path)
-        .expect("v1 artifact saves");
+    let path = dir.join("model.cogm");
+    saved.save(&path).expect("artifact saves");
 
     // The denominator of every ratio below: the weight payload (the ENSM
     // section) of the artifact on disk.
-    let weight_bytes = WeightImage::open(&v2_path)
+    let weight_bytes = WeightImage::open(&path)
         .expect("artifact opens")
         .section(tags::ENSEMBLE)
         .expect("ensemble section present")
         .len() as f64;
     record(&mut metrics, "weight_image_bytes", weight_bytes, "bytes");
 
-    // Cold start: mmap + validate + decode, from a v2 file and through
-    // the in-memory v1 upgrade.
-    let time_ns = |f: &mut dyn FnMut()| {
-        let reps = 20u32;
-        f(); // warm the page cache / branch predictors once
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        t0.elapsed().as_nanos() as f64 / f64::from(reps)
-    };
-    let mmap_ns = time_ns(&mut || {
-        let image = WeightImage::open(&v2_path).expect("image opens");
+    // Cold start: mmap + validate + decode.
+    let cold_start = || {
+        let image = WeightImage::open(&path).expect("image opens");
         std::hint::black_box(image.decode().expect("image decodes"));
-    });
+    };
+    let reps = 20u32;
+    cold_start(); // warm the page cache / branch predictors once
+    let t0 = Instant::now();
+    for _ in 0..reps {
+        cold_start();
+    }
+    let mmap_ns = t0.elapsed().as_nanos() as f64 / f64::from(reps);
     record(&mut metrics, "cold_start_mmap_ns", mmap_ns, "ns");
-    let upgrade_ns = time_ns(&mut || {
-        let image = WeightImage::open(&v1_path).expect("v1 image opens");
-        std::hint::black_box(image.decode().expect("v1 image decodes"));
-    });
-    record(&mut metrics, "cold_start_v1_upgrade_ns", upgrade_ns, "ns");
 
     // Bytes per session, split into the two things admission allocates:
     //
@@ -162,7 +148,7 @@ fn main() {
     // eager session allocates for its weights. Scratch is reported
     // separately (and honestly — it dominates per-session memory, as
     // "per-session memory is scratch-only" demands).
-    let file_bytes = std::fs::read(&v2_path).expect("artifact reads");
+    let file_bytes = std::fs::read(&path).expect("artifact reads");
     let mut eager_weights_1 = 0.0f64;
     for n in [1usize, 16, 128] {
         // Shared path: one interned image; the handoff is
@@ -170,7 +156,7 @@ fn main() {
         // `add_session_from_artifact` does internally, split out here so
         // the allocator delta isolates the weight side.
         let mut mgr = SessionManager::with_shared_pool();
-        let artifact = mgr.open_artifact(&v2_path).expect("artifact interns");
+        let artifact = mgr.open_artifact(&path).expect("artifact interns");
         let t0 = Instant::now();
         let before = allocated();
         let specs: Vec<SessionSpec> = {

@@ -13,6 +13,7 @@ use cognitive_arm::eval::{train_genome, TrainBudget};
 use eeg::dataset::train_val_split;
 use eeg::CHANNELS;
 use evo::Genome;
+use ml::ensemble::Classifier;
 use ml::models::{CnnConfig, ConvSpec, LstmConfig, PoolKind};
 use ml::optim::OptimizerKind;
 
@@ -46,13 +47,12 @@ fn main() {
         };
         let all = data.windows(window, 25).expect("windows cut");
         let (train, val) = train_val_split(all, 0.2, seed);
-        let (artifact, acc) =
-            train_genome(&genome, &train, &val, &budget, seed).expect("cnn trains");
+        let (member, acc) = train_genome(&genome, &train, &val, &budget, seed).expect("cnn trains");
         row(&[
             window.to_string(),
             format!("{:.2}", window as f64 / eeg::SAMPLE_RATE),
             format!("{acc:.3}"),
-            artifact.param_count().to_string(),
+            member.param_count().to_string(),
         ]);
     }
     println!("\npaper context: the evolutionary search settles on w=190 for CNN/TF and w=130 for LSTM.");

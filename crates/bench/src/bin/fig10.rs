@@ -7,6 +7,7 @@ use bench::{header, prepared_data, row, Scale};
 use cognitive_arm::eval::{train_genome, TrainBudget};
 use eeg::dataset::train_val_split;
 use evo::Genome;
+use ml::ensemble::Classifier;
 use ml::forest::ForestConfig;
 
 fn main() {
@@ -39,9 +40,9 @@ fn main() {
                 },
                 window: 90,
             };
-            let (artifact, acc) =
+            let (member, acc) =
                 train_genome(&genome, &train, &val, &budget, seed).expect("forest fits");
-            let nodes = artifact.param_count();
+            let nodes = member.param_count();
             let depth_str = max_depth.map_or("None".to_owned(), |d| d.to_string());
             row(&[
                 n_estimators.to_string(),

@@ -3,11 +3,8 @@
 //! time. Expected shape: CNN + Transformer gives the best trade-off.
 //! Includes a soft-vs-hard voting ablation on the CNN + Transformer pair.
 
-use bench::{
-    classifier_latency_s, common_eval_set, eval_accuracy, family_genomes, header, prepared_data,
-    row, train_one, Scale, EEG_CHANNELS,
-};
-use ml::ensemble::{Ensemble, Voting};
+use bench::{common_eval_set, family_genomes, header, prepared_data, row, score, train_one, Scale};
+use ml::ensemble::{Classifier, Ensemble, Voting};
 
 fn main() {
     let scale = Scale::from_env();
@@ -32,13 +29,13 @@ fn main() {
     println!("\n## Single models\n");
     header(&["model", "accuracy", "inference (ms)", "params"]);
     for t in &members {
-        let acc = eval_accuracy(&eval_set, |w| t.artifact.predict(w, EEG_CHANNELS));
-        let lat = classifier_latency_s(&eval_set, 20, |w| t.artifact.predict(w, EEG_CHANNELS));
+        let solo = Ensemble::new(vec![t.member.clone()], Voting::Soft);
+        let (acc, lat) = score(&solo, &eval_set);
         row(&[
             t.name.clone(),
             format!("{acc:.3}"),
             format!("{:.2}", lat * 1e3),
-            t.artifact.param_count().to_string(),
+            t.member.param_count().to_string(),
         ]);
     }
 
@@ -50,15 +47,10 @@ fn main() {
     for i in 0..n {
         for j in (i + 1)..n {
             let ensemble = Ensemble::new(
-                vec![
-                    members[i].artifact.clone().into_member(),
-                    members[j].artifact.clone().into_member(),
-                ],
+                vec![members[i].member.clone(), members[j].member.clone()],
                 Voting::Soft,
             );
-            let acc = eval_accuracy(&eval_set, |w| ensemble.predict(w, EEG_CHANNELS));
-            let lat =
-                classifier_latency_s(&eval_set, 20, |w| ensemble.predict(w, EEG_CHANNELS));
+            let (acc, lat) = score(&ensemble, &eval_set);
             let label = format!("{} + {}", names[i], names[j]);
             row(&[
                 label.clone(),
@@ -77,24 +69,11 @@ fn main() {
     println!("paper reference: CNN + Transformer ensemble, 91% accuracy at 0.075 s on Jetson Orin Nano.");
 
     // Voting ablation on the winning pair shape (CNN + Transformer).
-    let soft = Ensemble::new(
-        vec![
-            members[0].artifact.clone().into_member(),
-            members[2].artifact.clone().into_member(),
-        ],
-        Voting::Soft,
-    );
-    let hard = Ensemble::new(
-        vec![
-            members[0].artifact.clone().into_member(),
-            members[2].artifact.clone().into_member(),
-        ],
-        Voting::Hard,
-    );
     println!("\n## Voting ablation (CNN + Transformer)\n");
     header(&["voting", "accuracy"]);
-    for (name, e) in [("soft", &soft), ("hard", &hard)] {
-        let acc = eval_accuracy(&eval_set, |w| e.predict(w, EEG_CHANNELS));
+    for (name, voting) in [("soft", Voting::Soft), ("hard", Voting::Hard)] {
+        let pair = vec![members[0].member.clone(), members[2].member.clone()];
+        let (acc, _) = score(&Ensemble::new(pair, voting), &eval_set);
         row(&[name.to_owned(), format!("{acc:.3}")]);
     }
 }

@@ -6,13 +6,9 @@
 //! Expected shape: 70% pruning keeps accuracy ≈ dense while trimming
 //! latency; global int8 is the fastest and the least accurate.
 
-use bench::{
-    classifier_latency_s, common_eval_set, eval_accuracy, family_genomes, header, prepared_data,
-    row, train_one, Scale, EEG_CHANNELS,
-};
-use cognitive_arm::eval::TrainedArtifact;
+use bench::{common_eval_set, family_genomes, header, prepared_data, row, score, train_one, Scale};
 use ml::compress::{measured_sparsity, prune_global, quantize, storage_bytes, QuantMode, PAPER_PRUNE_LEVELS};
-use ml::ensemble::{Ensemble, Voting};
+use ml::ensemble::{Ensemble, Member, Voting};
 use ml::infer::InferModel;
 
 fn nets(scale: Scale, seed: u64, data: &cognitive_arm::eval::PreparedData) -> Vec<InferModel> {
@@ -21,11 +17,10 @@ fn nets(scale: Scale, seed: u64, data: &cognitive_arm::eval::PreparedData) -> Ve
     [&genomes[0], &genomes[2]]
         .iter()
         .map(|g| {
-            let t = train_one(data, g, scale, seed);
-            match t.artifact {
-                TrainedArtifact::Net(m) => m,
-                TrainedArtifact::Forest(_) => unreachable!("cnn/tf genomes compile to nets"),
-            }
+            let Member::Net(m) = train_one(data, g, scale, seed).member else {
+                unreachable!("cnn/tf genomes compile to nets")
+            };
+            m
         })
         .collect()
 }
@@ -36,14 +31,10 @@ fn measure(
     eval_set: &[eeg::types::LabeledWindow],
 ) -> (f64, f64, usize, usize) {
     let ensemble = Ensemble::new(
-        models
-            .iter()
-            .map(|m| ml::ensemble::Member::Net(m.clone()))
-            .collect(),
+        models.iter().map(|m| Member::Net(m.clone())).collect(),
         Voting::Soft,
     );
-    let acc = eval_accuracy(eval_set, |w| ensemble.predict(w, EEG_CHANNELS));
-    let lat = classifier_latency_s(eval_set, 20, |w| ensemble.predict(w, EEG_CHANNELS));
+    let (acc, lat) = score(&ensemble, eval_set);
     let params = ensemble.param_count();
     let bytes: usize = models.iter().map(storage_bytes).sum();
     println!(

@@ -3,13 +3,10 @@
 //! paired t-test vs the RF baseline), ensemble accuracy and latency, and
 //! the compressed variants.
 
-use bench::{
-    classifier_latency_s, common_eval_set, eval_accuracy, family_genomes, header, prepared_data,
-    row, train_one, Scale, EEG_CHANNELS,
-};
-use cognitive_arm::eval::{loso_accuracies, TrainedArtifact};
+use bench::{common_eval_set, family_genomes, header, prepared_data, row, score, train_one, Scale};
+use cognitive_arm::eval::loso_accuracies;
 use ml::compress::{prune_global, quantize, QuantMode};
-use ml::ensemble::{Ensemble, Voting};
+use ml::ensemble::{Ensemble, Member, Voting};
 use ml::metrics::{confidence_interval, mean_std, paired_t_test};
 
 fn main() {
@@ -57,23 +54,17 @@ fn main() {
     let genomes = family_genomes(scale);
     let cnn = train_one(&data, &genomes[0], scale, seed);
     let tf = train_one(&data, &genomes[2], scale, seed);
-    let (TrainedArtifact::Net(cnn_net), TrainedArtifact::Net(tf_net)) =
-        (cnn.artifact, tf.artifact)
-    else {
+    let (Member::Net(cnn_net), Member::Net(tf_net)) = (cnn.member, tf.member) else {
         unreachable!("cnn/tf compile to nets")
     };
 
     header(&["variant", "accuracy", "inference (ms)"]);
     let report = |label: &str, a: &ml::infer::InferModel, b: &ml::infer::InferModel| {
         let e = Ensemble::new(
-            vec![
-                ml::ensemble::Member::Net(a.clone()),
-                ml::ensemble::Member::Net(b.clone()),
-            ],
+            vec![Member::Net(a.clone()), Member::Net(b.clone())],
             Voting::Soft,
         );
-        let acc = eval_accuracy(&eval_set, |w| e.predict(w, EEG_CHANNELS));
-        let lat = classifier_latency_s(&eval_set, 20, |w| e.predict(w, EEG_CHANNELS));
+        let (acc, lat) = score(&e, &eval_set);
         row(&[label.to_owned(), format!("{acc:.3}"), format!("{:.2}", lat * 1e3)]);
         (acc, lat)
     };

@@ -4,7 +4,7 @@
 //! CognitiveArm row's accuracy class is *regenerated* from our LOSO
 //! measurement so the table stays honest about what we reproduce.
 
-use bench::{common_eval_set, eval_accuracy, family_genomes, header, prepared_data, row, train_one, Scale, EEG_CHANNELS};
+use bench::{common_eval_set, family_genomes, header, prepared_data, row, score, train_one, Scale};
 use ml::ensemble::{Ensemble, Voting};
 
 fn main() {
@@ -18,14 +18,8 @@ fn main() {
     let genomes = family_genomes(scale);
     let cnn = train_one(&data, &genomes[0], scale, seed);
     let tf = train_one(&data, &genomes[2], scale, seed);
-    let ensemble = Ensemble::new(
-        vec![
-            cnn.artifact.into_member(),
-            tf.artifact.into_member(),
-        ],
-        Voting::Soft,
-    );
-    let acc = eval_accuracy(&eval_set, |w| ensemble.predict(w, EEG_CHANNELS));
+    let ensemble = Ensemble::new(vec![cnn.member, tf.member], Voting::Soft);
+    let (acc, _) = score(&ensemble, &eval_set);
     let acc_class = if acc >= 0.9 {
         "High"
     } else if acc >= 0.75 {

@@ -130,21 +130,23 @@ pub fn time_mean_s(iters: usize, mut f: impl FnMut()) -> f64 {
     t0.elapsed().as_secs_f64() / iters as f64
 }
 
-use cognitive_arm::eval::{fair_budget, train_genome, TrainedArtifact};
+use cognitive_arm::eval::{fair_budget, train_genome};
 use eeg::dataset::train_val_split;
 use eeg::types::LabeledWindow;
 use eeg::CHANNELS;
 use evo::Genome;
+use exec::ExecPool;
+use ml::ensemble::{argmax, Ensemble, EnsembleScratch, Member};
 use ml::forest::ForestConfig;
-use ml::models::{CnnConfig, LstmConfig, TransformerConfig};
+use ml::models::{CnnConfig, LstmConfig, TransformerConfig, CLASSES};
 use ml::optim::OptimizerKind;
 
-/// A named trained artifact with its validation accuracy.
+/// A named trained ensemble member with its validation accuracy.
 pub struct Trained {
     /// Human-readable configuration summary.
     pub name: String,
     /// The compiled model or fitted forest.
-    pub artifact: TrainedArtifact,
+    pub member: Member,
     /// Validation accuracy at training time.
     pub val_acc: f64,
 }
@@ -220,11 +222,11 @@ pub fn train_one(data: &PreparedData, genome: &Genome, scale: Scale, seed: u64) 
         .windows(genome.window(), base.step)
         .expect("windowing built-in genomes succeeds");
     let (train, val) = train_val_split(all, 0.2, seed ^ 0xBE);
-    let (artifact, val_acc) =
+    let (member, val_acc) =
         train_genome(genome, &train, &val, &budget, seed).expect("built-in genomes train");
     Trained {
         name: genome.describe(),
-        artifact,
+        member,
         val_acc,
     }
 }
@@ -242,35 +244,35 @@ pub fn common_eval_set(data: &PreparedData, cap: usize) -> Vec<LabeledWindow> {
     wins
 }
 
-/// Accuracy of an arbitrary window classifier on the common eval set.
-pub fn eval_accuracy(
-    windows: &[LabeledWindow],
-    mut classify: impl FnMut(&[f32]) -> usize,
-) -> f64 {
-    if windows.is_empty() {
-        return 0.0;
-    }
+/// Accuracy on `windows` and mean single-window inference seconds of one
+/// ensemble, both through the engine a serving label tick runs: one held
+/// [`EnsembleScratch`] and [`Ensemble::predict_batch_into`] at batch 1 on
+/// a 1-thread pool, so no call pays for a fresh scratch or plan. Score a
+/// lone member as a one-member soft ensemble: its vote is the member's own
+/// probabilities.
+///
+/// # Panics
+///
+/// Panics if `windows` is empty.
+#[must_use]
+pub fn score(ensemble: &Ensemble, windows: &[LabeledWindow]) -> (f64, f64) {
+    let pool = ExecPool::sequential();
+    let mut scratch = EnsembleScratch::new(ensemble);
+    let mut probs = [0.0f32; CLASSES];
+    let mut classify = |window: &[f32]| {
+        ensemble.predict_batch_into(window, 1, CHANNELS, &pool, &mut scratch, &mut probs);
+        argmax(&probs)
+    };
     let correct = windows
         .iter()
         .filter(|w| classify(&w.data) == w.label.label())
         .count();
-    correct as f64 / windows.len() as f64
+    let accuracy = correct as f64 / windows.len() as f64;
+    let latency_s = time_mean_s(20, || {
+        let _ = classify(&windows[0].data);
+    });
+    (accuracy, latency_s)
 }
-
-/// Mean single-window inference seconds for a classifier.
-pub fn classifier_latency_s(
-    windows: &[LabeledWindow],
-    iters: usize,
-    mut classify: impl FnMut(&[f32]) -> usize,
-) -> f64 {
-    let w = &windows[0].data;
-    time_mean_s(iters, || {
-        let _ = classify(w);
-    })
-}
-
-/// Channel count re-exported for binaries.
-pub const EEG_CHANNELS: usize = CHANNELS;
 
 #[cfg(test)]
 mod tests {

@@ -2,8 +2,8 @@
 //!
 //! The [`DatasetBuilder`] runs the paper's collection protocol on synthetic
 //! subjects, zero-phase filters every recording and fits per-subject
-//! normalization. [`train_genome`] turns any [`evo::Genome`] into a trained,
-//! compiled classifier plus its validation accuracy — and [`EegEvaluator`]
+//! normalization. [`train_genome`] turns any [`evo::Genome`] into a trained
+//! ensemble [`Member`] plus its validation accuracy — and [`EegEvaluator`]
 //! exposes exactly that as the fitness oracle Algorithm 1 needs.
 //!
 //! Reproduction note on budgets: the authors train every candidate to
@@ -21,7 +21,7 @@ use eeg::types::LabeledWindow;
 use eeg::CHANNELS;
 use evo::{EvalResult, Evaluator, Genome};
 use exec::ExecPool;
-use ml::ensemble::{Classifier, Ensemble, ForestClassifier, Member, Voting};
+use ml::ensemble::{argmax, Classifier, Ensemble, ForestClassifier, Member, Voting};
 use ml::forest::{window_stat_features, RandomForest};
 use ml::infer::{compile_cnn, compile_lstm, compile_transformer, InferModel};
 use ml::models::{CnnConfig, ConvSpec, PoolKind, TransformerConfig};
@@ -248,67 +248,14 @@ pub fn fair_budget(genome: &Genome, base: &TrainBudget, flop_budget: f64) -> Tra
     }
 }
 
-/// A trained, deployable artifact.
-// A handful of these exist at a time, so the Net/Forest size gap is
-// irrelevant and boxing would complicate every destructuring site.
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone)]
-pub enum TrainedArtifact {
-    /// A compiled neural network.
-    Net(InferModel),
-    /// A fitted random forest with its window length.
-    Forest(ForestClassifier),
-}
-
-impl std::fmt::Debug for TrainedArtifact {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TrainedArtifact::Net(m) => write!(f, "Net({})", m.kind()),
-            TrainedArtifact::Forest(c) => write!(f, "Forest({})", c.name()),
-        }
-    }
-}
-
-impl TrainedArtifact {
-    /// Effective parameter count (the paper's `P(m)`: scalar weights for
-    /// nets, total nodes for forests).
-    #[must_use]
-    pub fn param_count(&self) -> usize {
-        match self {
-            TrainedArtifact::Net(m) => m.param_count(),
-            TrainedArtifact::Forest(c) => c.param_count(),
-        }
-    }
-
-    /// Converts the artifact into a tagged ensemble member.
-    #[must_use]
-    pub fn into_member(self) -> Member {
-        match self {
-            TrainedArtifact::Net(m) => Member::Net(m),
-            TrainedArtifact::Forest(c) => Member::Forest(c),
-        }
-    }
-
-    /// Classifies one channel-major window (handles member window length).
-    #[must_use]
-    pub fn predict(&self, window: &[f32], channels: usize) -> usize {
-        let win_len = window.len() / channels;
-        let probs = match self {
-            TrainedArtifact::Net(m) => m.predict_proba_window(window, channels, win_len),
-            TrainedArtifact::Forest(c) => c.predict_proba_window(window, channels, win_len),
-        };
-        ml::ensemble::argmax(&probs)
-    }
-}
-
 fn cap<T: Clone>(v: &[T], cap: usize) -> Vec<T> {
     v.iter().take(cap).cloned().collect()
 }
 
-/// Trains one genome on the given windows, returning the artifact and its
-/// accuracy on `val`. Parallel training stages run on the process-wide
-/// [`exec::shared`] pool; use [`train_genome_with`] to pin them to an
-/// explicit pool.
+/// Trains one genome on the given windows, returning the trained ensemble
+/// member (a compiled net or a fitted forest) and its accuracy on `val`.
+/// Parallel training stages run on the process-wide [`exec::shared`] pool;
+/// use [`train_genome_with`] to pin them to an explicit pool.
 ///
 /// # Errors
 ///
@@ -319,7 +266,7 @@ pub fn train_genome(
     val: &[LabeledWindow],
     budget: &TrainBudget,
     seed: u64,
-) -> Result<(TrainedArtifact, f64)> {
+) -> Result<(Member, f64)> {
     train_genome_with(genome, train, val, budget, seed, &exec::shared())
 }
 
@@ -337,7 +284,7 @@ pub fn train_genome_with(
     budget: &TrainBudget,
     seed: u64,
     pool: &ExecPool,
-) -> Result<(TrainedArtifact, f64)> {
+) -> Result<(Member, f64)> {
     if train.is_empty() {
         return Err(CoreError::Ml(ml::MlError::EmptyDataset));
     }
@@ -367,21 +314,21 @@ pub fn train_genome_with(
                 train_built(|| config.build(seed), &tx, &ty, &vx, &vy, &train_cfg(*optimizer))?;
             let compiled = compile_cnn(&model);
             let acc = accuracy_of(&compiled, &vx, &vy);
-            Ok((TrainedArtifact::Net(compiled), acc))
+            Ok((Member::Net(compiled), acc))
         }
         Genome::Lstm { config, optimizer } => {
             let (model, _) =
                 train_built(|| config.build(seed), &tx, &ty, &vx, &vy, &train_cfg(*optimizer))?;
             let compiled = compile_lstm(&model);
             let acc = accuracy_of(&compiled, &vx, &vy);
-            Ok((TrainedArtifact::Net(compiled), acc))
+            Ok((Member::Net(compiled), acc))
         }
         Genome::Transformer { config, optimizer } => {
             let (model, _) =
                 train_built(|| config.build(seed), &tx, &ty, &vx, &vy, &train_cfg(*optimizer))?;
             let compiled = compile_transformer(&model);
             let acc = accuracy_of(&compiled, &vx, &vy);
-            Ok((TrainedArtifact::Net(compiled), acc))
+            Ok((Member::Net(compiled), acc))
         }
         Genome::Forest { config, window } => {
             // Feature extraction, per-tree fitting and scoring all fan out
@@ -392,10 +339,7 @@ pub fn train_genome_with(
             let vfx: Vec<Vec<f32>> =
                 pool.par_map(&vx, |w| window_stat_features(w, CHANNELS));
             let acc = forest.evaluate_with(&vfx, &vy, pool);
-            Ok((
-                TrainedArtifact::Forest(ForestClassifier::new(forest, *window)),
-                acc,
-            ))
+            Ok((Member::Forest(ForestClassifier::new(forest, *window)), acc))
         }
     }
 }
@@ -478,11 +422,11 @@ impl Evaluator for EegEvaluator {
                 Some(flops) => fair_budget(genome, &self.budget, flops),
                 None => self.budget,
             };
-            let (artifact, accuracy) =
+            let (member, accuracy) =
                 train_genome_with(genome, &train, &val, &budget, seed, &self.pool)?;
             Ok(EvalResult {
                 accuracy,
-                params: artifact.param_count(),
+                params: member.param_count(),
             })
         })();
         // A candidate that fails to train is simply unfit, not fatal to the
@@ -584,8 +528,8 @@ pub fn train_default_ensemble_with(
     let results: Vec<Result<Member>> = pool.par_map_indexed(&genomes, |i, genome| {
         let all = data.windows(genome.window(), budget.step)?;
         let (train, val) = train_val_split(all, 0.2, seed ^ (i as u64 + 1));
-        let (artifact, _) = train_genome_with(genome, &train, &val, budget, seed + i as u64, pool)?;
-        Ok(artifact.into_member())
+        let (member, _) = train_genome_with(genome, &train, &val, budget, seed + i as u64, pool)?;
+        Ok(member)
     });
     let members = results.into_iter().collect::<Result<Vec<Member>>>()?;
     Ok(Ensemble::new(members, Voting::Soft))
@@ -625,11 +569,14 @@ pub fn loso_accuracies_with(
     pool.par_map_range(0..data.study.subjects(), |subject| {
         let (train_pool, test) = data.loso(subject, genome.window(), budget.step)?;
         let (train, val) = train_val_split(train_pool, 0.2, seed ^ 0xAB);
-        let (artifact, _) = train_genome_with(genome, &train, &val, budget, seed, pool)?;
+        let (member, _) = train_genome_with(genome, &train, &val, budget, seed, pool)?;
         let test = cap(&test, budget.val_cap);
         let correct = test
             .iter()
-            .filter(|w| artifact.predict(&w.data, CHANNELS) == w.label.label())
+            .filter(|w| {
+                let probs = member.predict_proba_window(&w.data, CHANNELS, w.data.len() / CHANNELS);
+                argmax(&probs) == w.label.label()
+            })
             .count();
         Ok(correct as f64 / test.len().max(1) as f64)
     })
@@ -665,10 +612,10 @@ mod tests {
         };
         let all = data.windows(100, 50).unwrap();
         let (train, val) = train_val_split(all, 0.2, 3);
-        let (artifact, acc) =
+        let (member, acc) =
             train_genome(&genome, &train, &val, &TrainBudget::quick(), 5).unwrap();
         assert!(acc > 0.4, "accuracy {acc} barely above chance");
-        assert!(artifact.param_count() > 100);
+        assert!(member.param_count() > 100);
     }
 
     #[test]

@@ -36,17 +36,30 @@ pub enum DspError {
         /// Number of samples provided.
         actual: usize,
     },
-    /// A segment or channel layout that cannot be processed: a Welch
-    /// segment shorter than 4 samples ([`crate::welch::welch_psd`]), or
-    /// z-score data or statistics that do not match their channel count
-    /// ([`crate::normalize::Zscore`]).
-    InvalidWindow {
-        /// Welch: the segment length. Z-score: the channel count (or the
-        /// number of means, for rejected statistics).
-        size: usize,
-        /// Welch: the segment hop. Z-score: 0 (or the number of standard
-        /// deviations, for rejected statistics).
-        step: usize,
+    /// A Welch segment shorter than the estimator needs
+    /// ([`crate::welch::welch_psd`]).
+    SegmentTooShort {
+        /// The requested segment length in samples.
+        len: usize,
+        /// The shortest segment accepted.
+        min: usize,
+    },
+    /// Channel-major data whose length does not split into the channel
+    /// count, or a channel count of zero ([`crate::normalize::Zscore`]).
+    ChannelMismatch {
+        /// Number of values provided.
+        values: usize,
+        /// The channel count they were to split into.
+        channels: usize,
+    },
+    /// Z-score statistics that cannot normalize: empty, unequal in number,
+    /// non-finite, or with a standard deviation that is not positive
+    /// ([`crate::normalize::Zscore::from_parts`]).
+    InvalidStatistics {
+        /// Number of means provided.
+        means: usize,
+        /// Number of standard deviations provided.
+        stds: usize,
     },
     /// FFT input length must be a power of two.
     NotPowerOfTwo(usize),
@@ -77,9 +90,19 @@ impl fmt::Display for DspError {
                 f,
                 "signal has {actual} samples but at least {required} are required"
             ),
-            DspError::InvalidWindow { size, step } => {
-                write!(f, "window size {size} with step {step} yields no segments")
+            DspError::SegmentTooShort { len, min } => write!(
+                f,
+                "welch segment of {len} samples is shorter than the minimum of {min}"
+            ),
+            DspError::ChannelMismatch { values, channels } => {
+                write!(f, "{values} values do not split into {channels} channels")
             }
+            DspError::InvalidStatistics { means, stds } => write!(
+                f,
+                "z-score statistics rejected: {means} means and {stds} standard deviations \
+                 (they must be equal in number, non-empty and finite, every standard \
+                 deviation positive)"
+            ),
             DspError::NotPowerOfTwo(n) => {
                 write!(f, "fft length must be a power of two, got {n}")
             }
@@ -102,6 +125,30 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("100"));
         assert!(msg.contains("125"));
+    }
+
+    #[test]
+    fn layout_refusals_name_what_was_refused() {
+        let z = crate::normalize::Zscore::from_parts(vec![0.0; 16], vec![1.0; 16]).unwrap();
+        let channels = z.apply(&mut [0.0; 17]).unwrap_err().to_string();
+        assert_eq!(channels, "17 values do not split into 16 channels");
+        let stats = crate::normalize::Zscore::from_parts(vec![0.0; 2], vec![1.0, f32::NAN])
+            .unwrap_err()
+            .to_string();
+        assert!(
+            stats.starts_with("z-score statistics rejected: 2 means and 2 standard deviations"),
+            "{stats}"
+        );
+        let welch = crate::welch::welch_psd(&[0.0; 64], 125.0, 2)
+            .unwrap_err()
+            .to_string();
+        assert_eq!(
+            welch,
+            "welch segment of 2 samples is shorter than the minimum of 4"
+        );
+        for msg in [channels, stats, welch] {
+            assert!(!msg.contains("yields no segments"), "{msg}");
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ impl Zscore {
     ///
     /// # Errors
     ///
-    /// Returns [`DspError::InvalidWindow`] when `channels` is zero or the
+    /// Returns [`DspError::ChannelMismatch`] when `channels` is zero or the
     /// data length is not divisible by `channels`, and
     /// [`DspError::SignalTooShort`] on empty data.
     pub fn fit(data: &[f32], channels: usize) -> Result<Self> {
@@ -43,9 +43,9 @@ impl Zscore {
             });
         }
         if channels == 0 || !data.len().is_multiple_of(channels) {
-            return Err(DspError::InvalidWindow {
-                size: channels,
-                step: 0,
+            return Err(DspError::ChannelMismatch {
+                values: data.len(),
+                channels,
             });
         }
         let per = data.len() / channels;
@@ -71,7 +71,7 @@ impl Zscore {
     ///
     /// # Errors
     ///
-    /// Returns [`DspError::InvalidWindow`] when the vectors are empty,
+    /// Returns [`DspError::InvalidStatistics`] when the vectors are empty,
     /// differ in length, or any statistic is non-finite or the standard
     /// deviation is not strictly positive (the streaming path divides by
     /// it).
@@ -81,9 +81,9 @@ impl Zscore {
             && means.iter().all(|m| m.is_finite())
             && stds.iter().all(|s| s.is_finite() && *s > 0.0);
         if !valid {
-            return Err(DspError::InvalidWindow {
-                size: means.len(),
-                step: stds.len(),
+            return Err(DspError::InvalidStatistics {
+                means: means.len(),
+                stds: stds.len(),
             });
         }
         Ok(Self { means, stds })
@@ -113,14 +113,14 @@ impl Zscore {
     ///
     /// # Errors
     ///
-    /// Returns [`DspError::InvalidWindow`] if the data length is not
+    /// Returns [`DspError::ChannelMismatch`] if the data length is not
     /// divisible by the fitted channel count.
     pub fn apply(&self, data: &mut [f32]) -> Result<()> {
         let channels = self.channels();
         if channels == 0 || !data.len().is_multiple_of(channels) {
-            return Err(DspError::InvalidWindow {
-                size: channels,
-                step: 0,
+            return Err(DspError::ChannelMismatch {
+                values: data.len(),
+                channels,
             });
         }
         let per = data.len() / channels;

@@ -54,12 +54,12 @@ impl Psd {
 /// # Errors
 ///
 /// Returns [`DspError::SignalTooShort`] when fewer samples than one segment
-/// are provided, and [`DspError::InvalidWindow`] when `segment_len < 4`.
+/// are provided, and [`DspError::SegmentTooShort`] when `segment_len < 4`.
 pub fn welch_psd(signal: &[f32], fs: f64, segment_len: usize) -> Result<Psd> {
     if segment_len < 4 {
-        return Err(DspError::InvalidWindow {
-            size: segment_len,
-            step: segment_len / 2,
+        return Err(DspError::SegmentTooShort {
+            len: segment_len,
+            min: 4,
         });
     }
     let nper = if segment_len.is_power_of_two() {

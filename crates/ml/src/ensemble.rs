@@ -153,8 +153,7 @@ pub enum Voting {
 /// concrete type. `Custom` keeps the open trait-object door for tests and
 /// experimental classifiers; it is the one variant a save refuses.
 // A handful of members exist per ensemble, so the Net/Forest size gap is
-// irrelevant and boxing would complicate every match site (same call the
-// eval layer makes for `TrainedArtifact`).
+// irrelevant and boxing would complicate every match site.
 #[allow(clippy::large_enum_variant)]
 pub enum Member {
     /// A compiled neural network (CNN / LSTM / Transformer).

@@ -23,8 +23,8 @@
 //! decoder ([`crate::rw::ViewCursor`]) can borrow them straight out of a
 //! page-aligned mapping.
 //!
-//! Format **v1** (still accepted, never written by default) is the same
-//! with 12-byte table entries (no pad field) and unpadded payloads:
+//! Format **v1** (still read, no longer written) is the same with 12-byte
+//! table entries (no pad field) and unpadded payloads:
 //!
 //! ```text
 //!      8  12*S  section table: S × { tag [u8;4], payload length u64 }
@@ -40,7 +40,8 @@
 //! tags) does not bump the version, layout changes do. v1 artifacts load
 //! forever — [`upgrade_file_bytes`] re-encodes one as v2 in memory
 //! (payload bytes are untouched, so decoding is bit-identical), and the
-//! golden-fixture suite pins both formats.
+//! committed `tests/fixtures/*_v1.cogm` files are the frozen v1 inputs the
+//! reader is held to.
 
 use std::fs::File;
 use std::io::Write;
@@ -57,8 +58,8 @@ pub const MAGIC: [u8; 4] = *b"COGM";
 /// The format version this crate writes: aligned layout (see module docs).
 pub const FORMAT_VERSION: u16 = 2;
 
-/// The legacy unaligned layout; still read, written only on request
-/// ([`Container::to_file_bytes_v1`]) to keep compatibility fixtures alive.
+/// The legacy unaligned layout; still read (and upgraded to v2 in memory),
+/// no longer written.
 pub const FORMAT_VERSION_V1: u16 = 1;
 
 /// Hard ceiling on sections per file (the table is tiny; anything bigger
@@ -136,17 +137,6 @@ impl Container {
         Ok(())
     }
 
-    /// Writes the container in the on-disk layout shown in the module docs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn write_to<W: Write>(&self, w: &mut W) -> Result<()> {
-        let bytes = self.to_file_bytes();
-        w.write_all(&bytes)?;
-        Ok(())
-    }
-
     /// The complete file image, checksum included (current format, v2).
     #[must_use]
     pub fn to_file_bytes(&self) -> Vec<u8> {
@@ -155,21 +145,7 @@ impl Container {
             .iter()
             .map(|(t, p)| (*t, p.as_slice()))
             .collect();
-        encode_image(FORMAT_VERSION, &refs)
-    }
-
-    /// The complete file image in the **legacy v1** layout. Exists so the
-    /// compatibility fixtures (and the CI v1-artifact step) can keep
-    /// producing byte-identical v1 files; new artifacts should use
-    /// [`Container::to_file_bytes`].
-    #[must_use]
-    pub fn to_file_bytes_v1(&self) -> Vec<u8> {
-        let refs: Vec<([u8; 4], &[u8])> = self
-            .sections
-            .iter()
-            .map(|(t, p)| (*t, p.as_slice()))
-            .collect();
-        encode_image(FORMAT_VERSION_V1, &refs)
+        encode_image(&refs)
     }
 
     /// Writes the container to a file at `path` atomically: the bytes land
@@ -181,17 +157,21 @@ impl Container {
     ///
     /// Propagates I/O failures.
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<()> {
-        save_bytes_atomically(path.as_ref(), &self.to_file_bytes())
-    }
-
-    /// [`Container::save`] in the legacy v1 layout (see
-    /// [`Container::to_file_bytes_v1`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn save_v1<P: AsRef<Path>>(&self, path: P) -> Result<()> {
-        save_bytes_atomically(path.as_ref(), &self.to_file_bytes_v1())
+        let path = path.as_ref();
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(format!(".tmp-{}", std::process::id()));
+        let tmp = std::path::PathBuf::from(tmp);
+        let result = (|| {
+            let mut file = File::create(&tmp)?;
+            file.write_all(&self.to_file_bytes())?;
+            file.sync_all()?;
+            std::fs::rename(&tmp, path)?;
+            Ok(())
+        })();
+        if result.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        result
     }
 }
 
@@ -302,39 +282,25 @@ pub fn parse_sections(buf: &[u8]) -> Result<Vec<([u8; 4], &[u8])>> {
     Ok(sections)
 }
 
-/// Encodes tagged payloads as a complete `.cogm` file image in `version`'s
-/// layout (see the module docs), checksum included. Both writers and the
-/// v1 → v2 upgrade funnel through here, so "same sections" always means
-/// "same bytes".
-pub(crate) fn encode_image(version: u16, sections: &[([u8; 4], &[u8])]) -> Vec<u8> {
-    let entry_size = table_entry_size(version);
-    let payload_len: usize = sections
-        .iter()
-        .map(|(_, p)| {
-            if version == FORMAT_VERSION_V1 {
-                p.len()
-            } else {
-                p.len() + pad_after(p.len() as u64) as usize
-            }
-        })
-        .sum();
-    let mut out = Vec::with_capacity(8 + entry_size * sections.len() + payload_len + 4);
+/// Encodes tagged payloads as a complete v2 `.cogm` file image (see the
+/// module docs), checksum included. The writer and the v1 → v2 upgrade
+/// both funnel through here, so "same sections" always means "same
+/// bytes".
+pub(crate) fn encode_image(sections: &[([u8; 4], &[u8])]) -> Vec<u8> {
+    let pad = |payload: &[u8]| pad_after(payload.len() as u64) as usize;
+    let payload_len: usize = sections.iter().map(|(_, p)| p.len() + pad(p)).sum();
+    let mut out = Vec::with_capacity(8 + 16 * sections.len() + payload_len + 4);
     out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&(sections.len() as u16).to_le_bytes());
     for (tag, payload) in sections {
         out.extend_from_slice(tag);
-        if version != FORMAT_VERSION_V1 {
-            out.extend_from_slice(&[0u8; 4]);
-        }
+        out.extend_from_slice(&[0u8; 4]);
         out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     }
     for (_, payload) in sections {
         out.extend_from_slice(payload);
-        if version != FORMAT_VERSION_V1 {
-            let pad = pad_after(payload.len() as u64) as usize;
-            out.extend_from_slice(&[0u8; 8][..pad]);
-        }
+        out.extend_from_slice(&[0u8; 8][..pad(payload)]);
     }
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
@@ -352,28 +318,7 @@ pub(crate) fn encode_image(version: u16, sections: &[([u8; 4], &[u8])]) -> Vec<u
 ///
 /// Same as [`parse_sections`].
 pub fn upgrade_file_bytes(buf: &[u8]) -> Result<Vec<u8>> {
-    let sections = parse_sections(buf)?;
-    Ok(encode_image(FORMAT_VERSION, &sections))
-}
-
-/// Writes `bytes` to `path` atomically: a same-directory temp file is
-/// renamed over the target only after a successful sync, so a crash or
-/// full disk mid-save never destroys a previously good artifact.
-fn save_bytes_atomically(path: &Path, bytes: &[u8]) -> Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp-{}", std::process::id()));
-    let tmp = std::path::PathBuf::from(tmp);
-    let result = (|| {
-        let mut file = File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
+    Ok(encode_image(&parse_sections(buf)?))
 }
 
 /// Saves one [`Persist`] value as a single-section file under `tag`.
@@ -400,6 +345,12 @@ pub fn load_section<T: Persist, P: AsRef<Path>>(path: P, tag: [u8; 4]) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One small model committed in both layouts. Nothing writes v1 any
+    /// more, so the v1 file is frozen input: the upgrade and the v1
+    /// hostile-input sweeps run over these bytes.
+    const MODEL_V1: &[u8] = include_bytes!("../../../tests/fixtures/model_v1.cogm");
+    const MODEL_V2: &[u8] = include_bytes!("../../../tests/fixtures/model.cogm");
 
     fn sample() -> Container {
         let mut c = Container::new();
@@ -493,26 +444,20 @@ mod tests {
     }
 
     #[test]
-    fn v1_writer_output_still_loads() {
-        let c = sample();
-        let v1 = c.to_file_bytes_v1();
-        assert_eq!(u16::from_le_bytes(v1[4..6].try_into().unwrap()), 1);
-        assert!(v1.len() < c.to_file_bytes().len(), "v1 has no padding");
-        assert_holds_sample(&v1);
-    }
-
-    #[test]
     fn upgrade_is_payload_preserving_and_canonical() {
-        let c = sample();
-        let v1 = c.to_file_bytes_v1();
-        let upgraded = upgrade_file_bytes(&v1).unwrap();
-        // Upgrading a v1 file yields exactly the bytes the v2 writer
-        // produces for the same sections; a v2 file is a fixed point.
-        assert_eq!(upgraded, c.to_file_bytes());
+        assert_eq!(image_version(MODEL_V1).unwrap(), FORMAT_VERSION_V1);
+        let upgraded = upgrade_file_bytes(MODEL_V1).unwrap();
+        // Upgrading a v1 file carries every section's tag and payload over
+        // untouched and yields exactly the bytes the v2 writer produced for
+        // the same model; a v2 file is a fixed point.
+        assert_eq!(
+            parse_sections(&upgraded).unwrap(),
+            parse_sections(MODEL_V1).unwrap()
+        );
+        assert_eq!(upgraded, MODEL_V2);
         assert_eq!(upgrade_file_bytes(&upgraded).unwrap(), upgraded);
-        assert_holds_sample(&upgraded);
         // Upgrade validates: corrupt input is refused, not re-encoded.
-        let mut corrupt = v1.clone();
+        let mut corrupt = MODEL_V1.to_vec();
         let tail = corrupt.len() - 1;
         corrupt[tail] ^= 0xFF;
         assert!(upgrade_file_bytes(&corrupt).is_err());
@@ -522,7 +467,7 @@ mod tests {
     fn v1_fixtures_byte_flip_and_truncation_sweeps() {
         // The hostile-input sweeps must keep holding for the legacy
         // layout as long as it is accepted.
-        let bytes = sample().to_file_bytes_v1();
+        let bytes = MODEL_V1;
         for cut in 0..bytes.len() {
             assert!(
                 parse_sections(&bytes[..cut]).is_err(),
@@ -530,7 +475,7 @@ mod tests {
             );
         }
         for i in 0..bytes.len() {
-            let mut flipped = bytes.clone();
+            let mut flipped = bytes.to_vec();
             flipped[i] ^= 0xFF;
             assert!(
                 parse_sections(&flipped).is_err(),

@@ -121,11 +121,12 @@ impl WeightImage {
     ///
     /// Typed errors for every malformed input; never panics.
     pub fn decode(&self) -> Result<SavedModel> {
-        SavedModel::from_parts(
-            self.get(tags::PIPELINE)?,
-            self.get(tags::ENSEMBLE)?,
-            self.get_optional(tags::NORMALIZATION)?,
-        )
+        SavedModel {
+            pipeline: self.get(tags::PIPELINE)?,
+            ensemble: self.get(tags::ENSEMBLE)?,
+            normalization: self.get_optional(tags::NORMALIZATION)?,
+        }
+        .checked()
     }
 
     /// Decodes the section under `tag` as a `T`, requiring the payload to

@@ -75,14 +75,7 @@ impl Persist for Zscore {
     fn read_from(r: &mut ViewCursor<'_>) -> Result<Self> {
         let means = Vec::<f32>::read_from(r)?;
         let stds = Vec::<f32>::read_from(r)?;
-        // Name the actual invariant: `DspError`'s Display here would talk
-        // about windows, which is useless in a load diagnostic.
-        Zscore::from_parts(means, stds).map_err(|_| {
-            ModelIoError::malformed(
-                "zscore statistics rejected (empty, length mismatch, \
-                 or non-finite/non-positive std)",
-            )
-        })
+        Zscore::from_parts(means, stds).map_err(|e| ModelIoError::malformed(e.to_string()))
     }
 }
 
@@ -139,73 +132,49 @@ impl SavedModel {
         WeightImage::open(path)?.decode()
     }
 
-    /// The validation gate [`WeightImage::decode`] funnels through: the
-    /// session constructor's own check
-    /// ([`PipelineConfig::checked_chain`]), so a hostile spec is a typed
-    /// error here instead of a panic in [`SavedModel::into_system`].
-    pub(crate) fn from_parts(
-        pipeline: PipelineConfig,
-        ensemble: Ensemble,
-        normalization: Option<Zscore>,
-    ) -> Result<Self> {
-        pipeline
-            .checked_chain(normalization.as_ref())
+    /// The session constructor's own check
+    /// ([`PipelineConfig::checked_chain`]) over the pipeline and the
+    /// normalization, run by both [`WeightImage::decode`] and
+    /// [`SavedModel::into_system`], so a hostile spec is a typed error
+    /// instead of a panic, or a session that poisons itself, once
+    /// assembled.
+    pub(crate) fn checked(self) -> Result<Self> {
+        self.pipeline
+            .checked_chain(self.normalization.as_ref())
             .map_err(|e| ModelIoError::malformed(e.to_string()))?;
-        Ok(Self {
-            pipeline,
-            ensemble,
-            normalization,
-        })
+        Ok(self)
     }
 
     /// Assembles a runnable system for one simulated subject, installing
-    /// the saved normalization when present.
-    #[must_use]
-    pub fn into_system(self, subject_seed: u64) -> CognitiveArm {
-        let mut system = CognitiveArm::new(self.pipeline, self.ensemble, subject_seed);
-        if let Some(z) = self.normalization {
+    /// the saved normalization when present. The loaded system's label
+    /// trace is bit-identical to the saved system's (given the same
+    /// subject seed and actions).
+    ///
+    /// # Errors
+    ///
+    /// [`ModelIoError::Malformed`] for a pipeline or normalization that
+    /// [`PipelineConfig::checked_chain`] refuses (a hand-built model's
+    /// fields are public, so a load is not the only way in).
+    pub fn into_system(self, subject_seed: u64) -> Result<CognitiveArm> {
+        let model = self.checked()?;
+        let mut system = CognitiveArm::new(model.pipeline, model.ensemble, subject_seed);
+        if let Some(z) = model.normalization {
             system.set_normalization(z);
         }
-        system
+        Ok(system)
     }
 }
 
-/// Save/load surface for the assembled closed-loop system.
-///
-/// Implemented for [`CognitiveArm`]; bring the trait into scope and call
-/// `system.save_model(path)` / `CognitiveArm::load_model(path, seed)`.
-pub trait ArmPersist: Sized {
-    /// Persists the trained state (config + ensemble + normalization) as a
-    /// versioned `.cogm` file.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelIoError::UnsupportedMember`] for custom ensemble members;
-    /// I/O failures otherwise.
-    fn save_model<P: AsRef<Path>>(&self, path: P) -> Result<()>;
-
-    /// Reassembles a system from a saved artifact for one simulated
-    /// subject. The loaded system's label trace is bit-identical to the
-    /// system that was saved (given the same subject seed and actions).
-    ///
-    /// # Errors
-    ///
-    /// Typed errors for every malformed input; never panics.
-    fn load_model<P: AsRef<Path>>(path: P, subject_seed: u64) -> Result<Self>;
-}
-
-impl ArmPersist for CognitiveArm {
-    fn save_model<P: AsRef<Path>>(&self, path: P) -> Result<()> {
-        let saved = SavedModel {
-            pipeline: self.config().clone(),
-            ensemble: self.ensemble().clone(),
-            normalization: self.normalization().cloned(),
-        };
-        saved.save(path)
-    }
-
-    fn load_model<P: AsRef<Path>>(path: P, subject_seed: u64) -> Result<Self> {
-        Ok(SavedModel::load(path)?.into_system(subject_seed))
+/// The trained state of an assembled system: its config, ensemble and
+/// installed normalization. `SavedModel::from(&system).save(path)` writes
+/// it; `SavedModel::load(path)?.into_system(seed)` brings it back.
+impl From<&CognitiveArm> for SavedModel {
+    fn from(system: &CognitiveArm) -> Self {
+        Self {
+            pipeline: system.config().clone(),
+            ensemble: system.ensemble().clone(),
+            normalization: system.normalization().cloned(),
+        }
     }
 }
 

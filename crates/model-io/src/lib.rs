@@ -38,8 +38,8 @@
 //!
 //! # Top-level artifacts
 //!
-//! * [`SavedModel`] / [`ArmPersist`] — a deployable trained system
-//!   (pipeline config + ensemble + frozen normalization).
+//! * [`SavedModel`] — a deployable trained system (pipeline config +
+//!   ensemble + frozen normalization).
 //! * [`SearchCheckpoint`] — an evolutionary search, either completed
 //!   (config + history + Pareto front + best) or mid-flight (config +
 //!   resumable [`evo::SearchState`] with the RNG's stream position).
@@ -48,7 +48,8 @@
 //!
 //! # One reader, one decoder
 //!
-//! [`Container`] assembles sections and writes files. Every load goes
+//! [`Container`] assembles sections and writes files, always in the
+//! current (v2) layout. Every load goes
 //! through [`WeightImage`]: the file is memory-mapped (or read into an
 //! 8-aligned buffer; v1 files are upgraded to the aligned layout in
 //! memory), validated once, and each section decodes through
@@ -60,12 +61,12 @@
 //! paths.
 //!
 //! ```no_run
-//! use model_io::ArmPersist;
+//! use model_io::SavedModel;
 //! use cognitive_arm::pipeline::CognitiveArm;
 //!
 //! # fn demo(system: &CognitiveArm) -> model_io::Result<()> {
-//! system.save_model("subject3.cogm")?;
-//! let reloaded = CognitiveArm::load_model("subject3.cogm", 3)?;
+//! SavedModel::from(system).save("subject3.cogm")?;
+//! let reloaded = SavedModel::load("subject3.cogm")?.into_system(3)?;
 //! # let _ = reloaded; Ok(())
 //! # }
 //! ```
@@ -88,7 +89,7 @@ pub use container::{
 };
 pub use error::{ModelIoError, Result};
 pub use image::WeightImage;
-pub use impl_core::{tags, ArmPersist, SavedModel, SearchCheckpoint};
+pub use impl_core::{tags, SavedModel, SearchCheckpoint};
 pub use rw::{from_bytes, to_bytes, Persist, ViewCursor};
 
 /// Field-by-field [`Persist`] for a plain struct with public fields.

@@ -1,11 +1,12 @@
 //! Integration: training → compilation → compression, checking the Fig. 12
 //! qualitative claims on real (synthetic-EEG-trained) models.
 
-use cognitive_arm::eval::{train_genome, quick_cnn_config, TrainBudget, TrainedArtifact};
+use cognitive_arm::eval::{train_genome, quick_cnn_config, TrainBudget};
 use eeg::dataset::train_val_split;
 use evo::Genome;
 use integration_tests::quick_data;
 use ml::compress::{measured_sparsity, prune_global, quantize, storage_bytes, QuantMode};
+use ml::ensemble::Member;
 use ml::infer::InferModel;
 use ml::optim::OptimizerKind;
 
@@ -17,13 +18,13 @@ fn trained_cnn() -> (InferModel, Vec<eeg::types::LabeledWindow>) {
     };
     let all = data.windows(100, 25).expect("windows cut");
     let (train, val) = train_val_split(all, 0.25, 1);
-    let (artifact, acc) =
+    let (member, acc) =
         train_genome(&genome, &train, &val, &TrainBudget::quick(), 3).expect("trains");
     assert!(acc > 0.6, "base model too weak for the test: {acc}");
-    match artifact {
-        TrainedArtifact::Net(m) => (m, val),
-        TrainedArtifact::Forest(_) => unreachable!("cnn genome"),
-    }
+    let Member::Net(m) = member else {
+        unreachable!("cnn genome")
+    };
+    (m, val)
 }
 
 fn accuracy(m: &InferModel, val: &[eeg::types::LabeledWindow]) -> f64 {

@@ -11,10 +11,11 @@
 //!    reproduce the committed bytes exactly and today's reader must accept
 //!    them, locking the format against silent drift. Regenerate
 //!    deliberately with `COGARM_REGEN_FIXTURES=1 cargo test -q --test
-//!    persistence` after an intentional format-version bump. The `_v1`
-//!    fixtures are **permanent**: they pin the frozen v1 writer and the
-//!    total reader's promise to load every format version ever shipped
-//!    (plus the canonical v1 → v2 upgrade, byte-for-byte).
+//!    persistence` after an intentional format-version bump; that rewrites
+//!    the v2 fixtures only. The `_v1` fixtures are **permanent, frozen
+//!    inputs** (nothing writes v1 any more): they pin the total reader's
+//!    promise to load every format version ever shipped, plus the
+//!    canonical v1 → v2 upgrade, byte-for-byte.
 //! 3. **Corruption sweeps**: every prefix truncation and every
 //!    single-byte flip of a valid artifact must yield a typed
 //!    `ModelIoError` — never a panic, never a wrong-but-`Ok` model —
@@ -36,9 +37,7 @@ use ml::forest::{ForestConfig, RandomForest, TreeNode};
 use ml::models::{CnnConfig, ConvSpec, PoolKind};
 use ml::optim::OptimizerKind;
 use ml::tensor::Tensor;
-use model_io::{
-    from_bytes, to_bytes, ArmPersist, Container, ModelIoError, Persist, SavedModel, WeightImage,
-};
+use model_io::{from_bytes, to_bytes, Container, ModelIoError, Persist, SavedModel, WeightImage};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -234,12 +233,15 @@ fn loaded_model_trace_matches_in_memory_trace_across_thread_counts() {
         33,
         pool,
     );
-    system.save_model(&path).expect("saves");
+    SavedModel::from(&system).save(&path).expect("saves");
     let reference = run(system);
     assert!(!reference.labels.is_empty(), "reference run emitted labels");
 
     // Loaded artifact, same thread count.
-    let loaded = CognitiveArm::load_model(&path, 33).expect("loads");
+    let loaded = SavedModel::load(&path)
+        .expect("loads")
+        .into_system(33)
+        .expect("assembles");
     assert_traces_identical(&reference, &run(loaded), "loaded @1 thread");
 
     // Loaded artifact, different thread count: the exec substrate keeps
@@ -258,7 +260,7 @@ fn saved_model_preserves_normalization_and_config() {
     let path = temp_path("with-norm.cogm");
     let mut system = CognitiveArm::new(PipelineConfig::default(), artifacts.ensemble.clone(), 21);
     system.set_normalization(artifacts.data.zscores[0].clone());
-    system.save_model(&path).expect("saves");
+    SavedModel::from(&system).save(&path).expect("saves");
 
     let saved = SavedModel::load(&path).expect("loads");
     assert_eq!(saved.pipeline, PipelineConfig::default());
@@ -266,14 +268,15 @@ fn saved_model_preserves_normalization_and_config() {
     assert_eq!(&saved.ensemble, system.ensemble());
 }
 
-/// A model decoded through the weight image — from a v2 file directly and
-/// from a v1 file via the in-memory upgrade — must reproduce the
-/// in-memory system's label trace bit-for-bit at 1 and 4 worker threads.
+/// A model decoded through the weight image must reproduce the in-memory
+/// system's label trace bit-for-bit at 1 and 4 worker threads. A v1 file
+/// upgrades to exactly the v2 bytes
+/// (`v1_fixtures_load_and_upgrade_bit_identically`), so it decodes
+/// through this same path.
 #[test]
 fn weight_image_models_reproduce_traces_across_thread_counts() {
     let artifacts = quick_trained(33, 33);
-    let v2_path = temp_path("image-trace.cogm");
-    let v1_path = temp_path("image-trace-v1.cogm");
+    let path = temp_path("image-trace.cogm");
     let run = |mut system: CognitiveArm| -> SessionTrace {
         system.set_normalization(artifacts.data.zscores[0].clone());
         system.set_subject_action(Action::Right);
@@ -286,31 +289,24 @@ fn weight_image_models_reproduce_traces_across_thread_counts() {
         33,
         pool,
     );
-    system.save_model(&v2_path).expect("saves");
+    SavedModel::from(&system).save(&path).expect("saves");
     let reference = run(system);
     assert!(!reference.labels.is_empty(), "reference run emitted labels");
 
-    let saved = SavedModel::load(&v2_path).expect("loads");
-    saved
-        .to_container()
-        .expect("persistable")
-        .save_v1(&v1_path)
-        .expect("saves v1");
-
-    for (path, label) in [(&v2_path, "v2 image"), (&v1_path, "v1-upgraded image")] {
-        let image = WeightImage::open(path).expect("image opens");
-        let model = image.decode().expect("image decodes");
-        assert_traces_identical(
-            &reference,
-            &run(model.clone().into_system(33)),
-            &format!("{label} @1 thread"),
-        );
-        assert_traces_identical(
-            &reference,
-            &run(system_on_pool(model, 33, 4)),
-            &format!("{label} @4 threads"),
-        );
-    }
+    let model = WeightImage::open(&path)
+        .expect("image opens")
+        .decode()
+        .expect("image decodes");
+    assert_traces_identical(
+        &reference,
+        &run(model.clone().into_system(33).expect("assembles")),
+        "image @1 thread",
+    );
+    assert_traces_identical(
+        &reference,
+        &run(system_on_pool(model, 33, 4)),
+        "image @4 threads",
+    );
 }
 
 // --- golden fixtures ---------------------------------------------------------
@@ -362,24 +358,6 @@ fn golden_artifacts() -> Vec<(&'static str, Vec<u8>)> {
     ]
 }
 
-/// Permanent v1-format fixtures: the frozen v1 writer
-/// (`to_file_bytes_v1`) must keep producing these bytes, and the total
-/// reader must keep accepting them, forever — they are the contract that
-/// pre-v2 artifacts in the field never need re-saving.
-fn golden_v1_artifacts() -> Vec<(&'static str, Vec<u8>)> {
-    let forest = toy_forest(11, 3, Some(4));
-    let forest_v1 = {
-        let mut c = Container::new();
-        c.add(*b"FRST", &forest).expect("fixture serializes");
-        c.to_file_bytes_v1()
-    };
-    let model_v1 = small_saved_model()
-        .to_container()
-        .expect("persistable")
-        .to_file_bytes_v1();
-    vec![("forest_v1.cogm", forest_v1), ("model_v1.cogm", model_v1)]
-}
-
 /// Tiny object-safe shim so `golden_artifacts` can treat heterogeneous
 /// `Persist` values uniformly.
 mod erased {
@@ -399,7 +377,7 @@ mod erased {
 #[test]
 fn golden_fixtures_are_reproduced_byte_for_byte() {
     let regen = std::env::var_os("COGARM_REGEN_FIXTURES").is_some();
-    for (name, bytes) in golden_artifacts().into_iter().chain(golden_v1_artifacts()) {
+    for (name, bytes) in golden_artifacts() {
         let path = fixture_path(name);
         if regen {
             std::fs::create_dir_all(path.parent().expect("fixtures dir")).expect("mkdir");
@@ -633,6 +611,22 @@ fn bad_max_step_is_rejected_at_load_time() {
             "max_step {max_step}: expected Malformed, got {err}"
         );
     }
+}
+
+/// A model's fields are public, so a hand-built one need never pass the
+/// load-time check: `into_system` runs the same check, and a
+/// normalization fitted on 4 channels is refused there instead of
+/// assembling a system that poisons itself on its first sample.
+#[test]
+fn foreign_normalization_is_refused_at_into_system() {
+    let mut model = small_saved_model();
+    model.normalization =
+        Some(dsp::normalize::Zscore::from_parts(vec![0.0; 4], vec![1.0; 4]).expect("4 channels"));
+    let err = model.into_system(1).unwrap_err();
+    assert!(
+        matches!(err, ModelIoError::Malformed { .. }),
+        "expected Malformed, got {err}"
+    );
 }
 
 /// A NaN, infinite or negative leaf probability used to load `Ok` and

@@ -776,28 +776,31 @@ fn interned_artifact_sessions_match_eager_sessions_bitwise() {
     let dir = std::env::temp_dir().join(format!("serve-intern-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let v2 = dir.join("artifact.cogm");
-    let v1 = dir.join("artifact-v1.cogm");
     let saved = model_io::SavedModel {
         pipeline: PipelineConfig::default(),
         ensemble: artifacts.ensemble.clone(),
         normalization: Some(artifacts.data.zscores[0].clone()),
     };
     saved.save(&v2).expect("saves v2");
-    saved
-        .to_container()
-        .expect("persistable")
-        .save_v1(&v1)
-        .expect("saves v1");
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
 
     for threads in [1usize, 4] {
         // Shared path: every session reads through one interned image.
         let mut manager = SessionManager::new(Arc::new(ExecPool::new(threads)));
         let artifact = manager.open_artifact(&v2).expect("artifact interns");
-        // Re-opens dedup — same path, and the same model saved in the
-        // legacy format (content hashes agree post-upgrade).
+        // Re-opens dedup — same path, and the same model committed in both
+        // format versions (content hashes agree post-upgrade).
         assert_eq!(manager.open_artifact(&v2).expect("reopen"), artifact);
-        assert_eq!(manager.open_artifact(&v1).expect("v1 open"), artifact);
-        assert_eq!(manager.artifact_count(), 1, "dedup failed");
+        let fixture = manager
+            .open_artifact(fixtures.join("model.cogm"))
+            .expect("v2 fixture interns");
+        assert_eq!(
+            manager
+                .open_artifact(fixtures.join("model_v1.cogm"))
+                .expect("v1 fixture interns"),
+            fixture
+        );
+        assert_eq!(manager.artifact_count(), 2, "dedup failed");
         for &subject in &SUBJECTS {
             manager
                 .add_session_from_artifact(artifact, subject)
